@@ -16,15 +16,17 @@ from .series import (
     Poly,
     binomial_series,
     cauchy_product,
-    compose,
     log_one_minus_inv,
-    mobius_coeffs,
     monomial,
     truncate,
 )
 
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
+
+#: Largest degree :func:`s_t_apply` accepts; its row matrix takes
+#: 8*(N+1)**2 bytes, about 34 MB at this cap.
+ST_DEGREE_CAP = 2048
 
 
 def cesaro_apply(p: Poly) -> Poly:
@@ -62,16 +64,35 @@ def cesaro_inverse_apply(p: Poly) -> Poly:
 
 def s_t_apply(t: float, p: Poly) -> Poly:
     """Weighted composition (phi_t(z)/z) * p(phi_t(z)) truncated to deg p,
-    with phi_t the disc automorphism of :func:`mobius_coeffs`."""
+    with phi_t(z) = a*z / (1 - (1-a)*z) and a = exp(-t) the disc automorphism
+    of :func:`cesaro_lab.series.mobius_coeffs`.
+
+    Closed form: coefficient n of the image is
+    a * sum_{k<=n} C(n,k) a**k (1-a)**(n-k) c_k, so row n of the map is a
+    times the Binomial(n, a) probabilities.  The rows are built by the
+    Pascal recurrence P_n = (1-a)*P_{n-1} + a*shift(P_{n-1}) from P_0 = [a],
+    which takes only convex combinations and so stays stable; the real and
+    imaginary coefficient parts are then mapped separately.  Cost is O(N**2)
+    time and a real (N+1)x(N+1) matrix of 8*(N+1)**2 bytes (8.4 MB at
+    degree 1024), so degrees above ``ST_DEGREE_CAP`` = 2048 are refused with
+    ValueError before anything is allocated.
+    """
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
         raise ValueError("t must be a finite nonnegative real")
+    if p.degree > ST_DEGREE_CAP:
+        raise ValueError(f"degree {p.degree} exceeds the S_t cap {ST_DEGREE_CAP}")
     a = np.exp(-tv)
-    if p.degree == 0:
-        return Poly([a * p.coeffs[0]])
-    shifted = Poly(a * (1.0 - a) ** np.arange(p.degree + 1))
-    comp = compose(p, mobius_coeffs(tv, p.degree), degree=p.degree)
-    return cauchy_product(shifted, comp, degree=p.degree)
+    size = p.degree + 1
+    rows = np.zeros((size, size))
+    rows[0, 0] = a
+    for n in range(1, size):
+        rows[n, :n] = (1.0 - a) * rows[n - 1, :n]
+        rows[n, 1 : n + 1] += a * rows[n - 1, :n]
+    out = np.empty(size, dtype=complex)
+    out.real = rows @ p.coeffs.real
+    out.imag = rows @ p.coeffs.imag
+    return Poly(out)
 
 
 @dataclass(frozen=True, eq=False)

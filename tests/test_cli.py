@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cesaro_lab.cli import main, read_coeffs_csv
-from cesaro_lab.operators import cesaro_apply
+from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
 from cesaro_lab.series import binomial_series, log_one_minus_inv
 from cesaro_lab import verify
 from cesaro_lab.verify import CheckResult, run_suite
@@ -45,6 +45,15 @@ class TestApply:
         code = main(["apply", "--op", "generalized", "--f", "const1", "--degree", "8"])
         assert code == 2
         assert "--t is required" in capsys.readouterr().err
+
+    def test_composition_degree_above_cap(self, tmp_path, capsys):
+        code = main(
+            ["apply", "--op", "composition", "--t", "1.0", "--f", "log-inv",
+             "--degree", str(ST_DEGREE_CAP + 1), "--output", str(tmp_path / "st.csv")]
+        )
+        assert code == 2
+        assert "exceeds the S_t cap" in capsys.readouterr().err
+        assert not (tmp_path / "st.csv").exists()
 
     def test_unknown_builtin(self):
         assert main(["apply", "--op", "cesaro", "--f", "nope", "--degree", "8"]) == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro_lab.operators import (
+    ST_DEGREE_CAP,
     build_corpus,
     cesaro_apply,
     cesaro_inverse_apply,
@@ -12,7 +13,16 @@ from cesaro_lab.operators import (
     log_power_identity_check,
     s_t_apply,
 )
-from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, mobius_coeffs, monomial, truncate
+from cesaro_lab.series import (
+    Poly,
+    cauchy_product,
+    compose,
+    horner_eval,
+    log_one_minus_inv,
+    mobius_coeffs,
+    monomial,
+    truncate,
+)
 from cesaro_lab.weights import WeightSpec, default_radius_grid, max_modulus_profile, weighted_sup_norm
 
 finite_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -137,6 +147,25 @@ class TestCompositionContraction:
         a = np.exp(-t)
         out = s_t_apply(t, truncate(monomial(0), 12))
         np.testing.assert_allclose(out.coeffs, a * (1 - a) ** np.arange(13), rtol=1e-13)
+
+    @pytest.mark.parametrize("degree", [128, 512])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    def test_matches_composition_definition(self, t, degree):
+        # brute-force oracle: Horner composition with the Mobius series,
+        # times the quotient phi_t(z)/z = a/(1 - (1-a)z)
+        rng = np.random.default_rng(degree)
+        p = Poly(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+        a = np.exp(-t)
+        quotient = Poly(a * (1 - a) ** np.arange(degree + 1))
+        composed = compose(p, mobius_coeffs(t, degree), degree=degree)
+        expected = cauchy_product(quotient, composed, degree=degree).coeffs
+        got = s_t_apply(t, p).coeffs
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(got, expected, atol=1e-14 * scale, rtol=0)
+
+    def test_rejects_degree_above_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            s_t_apply(1.0, Poly(np.zeros(ST_DEGREE_CAP + 2)))
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaro_lab.operators import cesaro_apply
+from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
     QuadratureSpec,
     ResolventRequest,
@@ -158,7 +158,35 @@ class TestIntegralRoute:
             QuadratureSpec(nodes=8)
 
 
+def laplace_beta_oracle(lam, h):
+    """Exact h/lam + lam**-2 * int_0^inf e^(t/lam) S_t h dt, independent of
+    any quadrature.
+
+    With a = e^-t and mu = 1/lam, coefficient n of S_t h is
+    sum_k C(n,k) a^(k+1) (1-a)^(n-k) h_k, and each term integrates to
+    C(n,k) B(k+1-mu, n-k+1) = prod_{j=k+1}^{n} j/(j-mu) / (n+1-mu).  The
+    products are ratios of one running product, so a cumsum does the sum.
+    """
+    mu = 1.0 / lam
+    c = h.coeffs
+    n = np.arange(c.size)
+    running = np.concatenate([[1.0], np.cumprod(n[1:] / (n[1:] - mu))])
+    return c / lam + running * np.cumsum(c / running) / ((n + 1 - mu) * lam**2)
+
+
 class TestSemigroupRoute:
+    @pytest.mark.parametrize("lam", [-1.0, -0.5 + 0.3j, -2.0])
+    def test_beta_function_oracle(self, lam):
+        # the three probes of the resolvent-routes check, at its degree 128
+        degree = 128
+        probes = [truncate(monomial(0), degree), log_one_minus_inv(degree), build_corpus(degree)[0][1]]
+        for h in probes:
+            exact = laplace_beta_oracle(lam, h)
+            direct = resolvent_recurrence(lam, h).coeffs
+            assert np.max(np.abs(direct - exact)) <= 1e-13 * np.max(np.abs(exact))
+            quadrature = resolvent_semigroup(lam, h).coeffs
+            assert np.max(np.abs(quadrature - exact)) <= 1e-6
+
     def test_matches_recurrence_constant(self):
         h = truncate(monomial(0), 32)
         got = resolvent_semigroup(-1.0, h)
