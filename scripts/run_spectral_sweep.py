@@ -24,21 +24,8 @@ def main():
     for pt in sorted(growing, key=lambda p: -p.growth_ratio):
         print(f"  growing: lambda={pt.lam:.3f}  ratio={pt.growth_ratio:.1f}  norms={pt.norms}")
 
-    payload = {
-        "degrees": list(report.degrees),
-        "section_diagonal_errors": {f"{t:g}": e for t, e in report.section_diagonal_errors.items()},
-        "points": [
-            {
-                "lambda": [pt.lam.real, pt.lam.imag],
-                "norms": list(pt.norms),
-                "growth_ratio": pt.growth_ratio,
-                "classification": pt.classification,
-            }
-            for pt in report.points
-        ],
-    }
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(report.payload(), fh, indent=2, sort_keys=True)
     print(f"wrote {args.output}")
 
 

@@ -225,21 +225,7 @@ def _cmd_spectrum(args) -> int:
         output=args.output,
     )
     report = spectral_dichotomy_report(args.degree, degrees=degrees, grid_points=args.grid_points)
-    payload = {
-        "config": config.embedded(),
-        "degrees": list(report.degrees),
-        "t_values": list(report.t_values),
-        "section_diagonal_errors": {f"{t:g}": e for t, e in report.section_diagonal_errors.items()},
-        "points": [
-            {
-                "lambda": [pt.lam.real, pt.lam.imag],
-                "norms": list(pt.norms),
-                "growth_ratio": pt.growth_ratio,
-                "classification": pt.classification,
-            }
-            for pt in report.points
-        ],
-    }
+    payload = dict(report.payload(), config=config.embedded(), t_values=list(report.t_values))
     write_json(args.output, payload)
     return 0
 
@@ -318,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cesaro-lab",
         description="Numerical laboratory for Cesaro-type operators on truncated Taylor series.",
-        epilog="CESARO_LAB_THREADS caps internal parallelism (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -184,6 +184,20 @@ class SpectralDichotomyReport:
     section_diagonal_errors: dict
     points: tuple
 
+    def payload(self) -> dict:
+        """Section degrees, diagonal errors and sweep points as JSON values."""
+        errors = {f"{t:g}": e for t, e in self.section_diagonal_errors.items()}
+        points = [
+            {
+                "lambda": [pt.lam.real, pt.lam.imag],
+                "norms": list(pt.norms),
+                "growth_ratio": pt.growth_ratio,
+                "classification": pt.classification,
+            }
+            for pt in self.points
+        ]
+        return {"degrees": list(self.degrees), "section_diagonal_errors": errors, "points": points}
+
 
 #: Norm growth across section degrees beyond this ratio is classified as
 #: "growing"; an artifact convention for the sweep, not an asserted rate.

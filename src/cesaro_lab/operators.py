@@ -18,13 +18,14 @@ from .series import (
     cauchy_product,
     log_one_minus_inv,
     monomial,
+    real_matmul,
     truncate,
 )
 
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
 
-#: Largest degree :func:`s_t_apply` accepts; its row matrix takes
+#: Largest degree :func:`s_t_rows` accepts; its row matrix takes
 #: 8*(N+1)**2 bytes, about 34 MB at this cap.
 ST_DEGREE_CAP = 2048
 
@@ -62,37 +63,40 @@ def cesaro_inverse_apply(p: Poly) -> Poly:
     return Poly(out)
 
 
-def s_t_apply(t: float, p: Poly) -> Poly:
-    """Weighted composition (phi_t(z)/z) * p(phi_t(z)) truncated to deg p,
-    with phi_t(z) = a*z / (1 - (1-a)*z) and a = exp(-t) the disc automorphism
-    of :func:`cesaro_lab.series.mobius_coeffs`.
+def s_t_rows(t: float, degree: int) -> np.ndarray:
+    """The real (degree+1)x(degree+1) matrix of the weighted composition
+    (phi_t(z)/z) * p(phi_t(z)) truncated to the degree, with
+    phi_t(z) = a*z / (1 - (1-a)*z) and a = exp(-t) the disc automorphism of
+    :func:`cesaro_lab.series.mobius_coeffs`.
 
     Closed form: coefficient n of the image is
-    a * sum_{k<=n} C(n,k) a**k (1-a)**(n-k) c_k, so row n of the map is a
-    times the Binomial(n, a) probabilities.  The rows are built by the
-    Pascal recurrence P_n = (1-a)*P_{n-1} + a*shift(P_{n-1}) from P_0 = [a],
-    which takes only convex combinations and so stays stable; the real and
-    imaginary coefficient parts are then mapped separately.  Cost is O(N**2)
-    time and a real (N+1)x(N+1) matrix of 8*(N+1)**2 bytes (8.4 MB at
-    degree 1024), so degrees above ``ST_DEGREE_CAP`` = 2048 are refused with
-    ValueError before anything is allocated.
+    a * sum_{k<=n} C(n,k) a**k (1-a)**(n-k) c_k, so row n is a times the
+    Binomial(n, a) probabilities.  The rows are built by the Pascal
+    recurrence P_n = (1-a)*P_{n-1} + a*shift(P_{n-1}) from P_0 = [a], which
+    takes only convex combinations and so stays stable.  Cost is O(N**2)
+    time and 8*(N+1)**2 bytes (8.4 MB at degree 1024), so degrees above
+    ``ST_DEGREE_CAP`` = 2048 are refused with ValueError before anything is
+    allocated.
     """
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
         raise ValueError("t must be a finite nonnegative real")
-    if p.degree > ST_DEGREE_CAP:
-        raise ValueError(f"degree {p.degree} exceeds the S_t cap {ST_DEGREE_CAP}")
+    if degree > ST_DEGREE_CAP:
+        raise ValueError(f"degree {degree} exceeds the S_t cap {ST_DEGREE_CAP}")
     a = np.exp(-tv)
-    size = p.degree + 1
+    size = degree + 1
     rows = np.zeros((size, size))
     rows[0, 0] = a
     for n in range(1, size):
         rows[n, :n] = (1.0 - a) * rows[n - 1, :n]
         rows[n, 1 : n + 1] += a * rows[n - 1, :n]
-    out = np.empty(size, dtype=complex)
-    out.real = rows @ p.coeffs.real
-    out.imag = rows @ p.coeffs.imag
-    return Poly(out)
+    return rows
+
+
+def s_t_apply(t: float, p: Poly) -> Poly:
+    """The weighted composition semigroup S_t applied to p: the matrix of
+    :func:`s_t_rows` at the degree of p, mapped onto the coefficients."""
+    return Poly(real_matmul(s_t_rows(t, p.degree), p.coeffs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,7 @@ a :class:`CheckResult`; ``run_suite`` powers both the command-line
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +23,18 @@ from .operators import (
     finite_section,
     generalized_cesaro_apply,
     log_power_identity_check,
-    s_t_apply,
+    s_t_rows,
     CORPUS_SEED,
 )
 from .resolvent import (
+    INEQUALITY_SLACK,
+    imaginary_axis_constant,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from .series import Poly, horner_eval, log_one_minus_inv, monomial, truncate
+from .series import Poly, horner_eval, log_one_minus_inv, monomial, real_matmul, truncate
 from .weights import (
     WeightSpec,
     default_radius_grid,
@@ -43,10 +43,6 @@ from .weights import (
     weight_eval,
 )
 
-#: Multiplicative slack over the proved constants, absorbing the sampling
-#: underestimate of circle maxima (applied on both sides of each bound).
-INEQUALITY_SLACK = 1.0 + 1e-6
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -54,24 +50,6 @@ class CheckResult:
     passed: bool
     runtime_s: float
     detail: str
-
-
-def worker_count() -> int:
-    """Internal parallelism cap from CESARO_LAB_THREADS (default 1)."""
-    raw = os.environ.get("CESARO_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _result(name, start, ok, limit, detail) -> CheckResult:
@@ -206,15 +184,12 @@ def check_resolvent_routes(degree: int = 128) -> CheckResult:
     zs = off_cut_sample_points()
     oracle_degree = 4 * degree
 
-    def integral_diff(lam):
-        worst = 0.0
+    worst_integral = 0.0
+    for lam in (1j, 2j, -1 + 1j, 3.0):
         for _, h in corpus:
             reference = horner_eval(resolvent_recurrence(lam, truncate(h, oracle_degree)), zs)
             values = resolvent_integral_profile(lam, h, zs)
-            worst = max(worst, float(np.max(np.abs(values - reference))))
-        return worst
-
-    worst_integral = max(_map_ordered(integral_diff, [1j, 2j, -1 + 1j, 3.0]))
+            worst_integral = max(worst_integral, float(np.max(np.abs(values - reference))))
 
     probes = [truncate(monomial(0), degree), log_one_minus_inv(degree), corpus[0][1]]
     worst_semigroup = 0.0
@@ -268,38 +243,41 @@ def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResu
     w1 = weight_eval(WeightSpec.standard(1.0), grid)
     continuity_const = 1.0 / (1.0 - 1.0 / np.e)
 
-    def member_violations(item):
-        name, f = item
-        found = []
+    violations = []
+    profiles = []
+    for name, f in corpus:
         m_f = max_modulus_profile(f, grid, samples)
+        profiles.append(m_f)
         m_cf = max_modulus_profile(cesaro_apply(f), grid, samples)
         if np.any(m_cf[positive] > m_f[positive] * log_factor[positive] * INEQUALITY_SLACK):
-            found.append(f"{name}:growth-estimate")
+            violations.append(f"{name}:growth-estimate")
         for k in (1, 2, 3):
             lhs = np.max(vw[k + 1] * m_cf)
             rhs = continuity_const * np.max(vw[k] * m_f) * INEQUALITY_SLACK
             if lhs > rhs:
-                found.append(f"{name}:step-shift-k{k}")
+                violations.append(f"{name}:step-shift-k{k}")
         norm_w1 = np.max(w1 * m_f)
         for t in (0.0, 0.5, 0.9):
             m_ct = max_modulus_profile(generalized_cesaro_apply(t, f), grid, samples)
             lhs = np.max(vw[1] * m_ct) / norm_w1
             rhs = INEQUALITY_SLACK / ((1.0 - t) * (1.0 - 1.0 / np.e))
             if lhs > rhs:
-                found.append(f"{name}:compact-route-t{t:g}")
-        for t in (0.1, 1.0, 5.0):
-            m_st = max_modulus_profile(s_t_apply(t, f), grid, samples)
-            for k in (1, 2, 3):
-                if np.max(vw[k] * m_st) > np.max(vw[k] * m_f) * INEQUALITY_SLACK:
-                    found.append(f"{name}:contraction-t{t:g}-k{k}")
+                violations.append(f"{name}:compact-route-t{t:g}")
         for b in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 8.0, -8.0):
             m_r = max_modulus_profile(resolvent_recurrence(1j * b, f), grid, samples)
-            bound = 1.0 / abs(b) + np.exp(4.0 * np.pi / abs(b)) / b**2
+            bound = imaginary_axis_constant(b)
             if np.max(vw[2] * m_r) > bound * np.max(vw[1] * m_f) * INEQUALITY_SLACK:
-                found.append(f"{name}:imaginary-axis-b{b:g}")
-        return found
-
-    violations = [v for found in _map_ordered(member_violations, corpus) for v in found]
+                violations.append(f"{name}:imaginary-axis-b{b:g}")
+    # one S_t matrix per t, applied to every member in turn and freed before
+    # the next is built
+    for t in (0.1, 1.0, 5.0):
+        rows = s_t_rows(t, degree)
+        for (name, f), m_f in zip(corpus, profiles):
+            m_st = max_modulus_profile(Poly(real_matmul(rows, f.coeffs)), grid, samples)
+            for k in (1, 2, 3):
+                if np.max(vw[k] * m_st) > np.max(vw[k] * m_f) * INEQUALITY_SLACK:
+                    violations.append(f"{name}:contraction-t{t:g}-k{k}")
+        del rows
     detail = f"{len(corpus)} corpus members, {len(violations)} violations"
     if violations:
         detail += ": " + ", ".join(violations[:8])

@@ -93,9 +93,10 @@ def default_radius_grid(degree: int, points: int = 64, include_zero: bool = True
 def max_modulus_profile(p: Poly, radii, samples: int = 1024) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius.
 
-    Coefficients are folded modulo ``samples`` before the FFT: the DFT of the
-    folded vector equals evaluation at the ``samples``-th roots scaled by r,
-    so the result is exact even when the degree exceeds the sample count.
+    When the degree reaches the sample count, coefficients are folded modulo
+    ``samples`` before the FFT: the DFT of the folded vector equals
+    evaluation at the ``samples``-th roots scaled by r, so the result is
+    exact even then.  Shorter coefficient vectors are zero-padded by the FFT.
     """
     rv = np.atleast_1d(np.asarray(radii, dtype=float))
     if rv.size == 0:
@@ -106,11 +107,10 @@ def max_modulus_profile(p: Poly, radii, samples: int = 1024) -> np.ndarray:
         raise ValueError("need at least 8 samples per circle")
     samples = int(samples)
     scaled = p.coeffs[None, :] * rv[:, None] ** np.arange(p.degree + 1)
-    pad = (-scaled.shape[1]) % samples
-    if pad:
-        scaled = np.concatenate([scaled, np.zeros((rv.size, pad), dtype=complex)], axis=1)
-    folded = scaled.reshape(rv.size, -1, samples).sum(axis=1)
-    return np.abs(np.fft.fft(folded, axis=1)).max(axis=1)
+    if scaled.shape[1] > samples:
+        scaled = np.pad(scaled, ((0, 0), (0, (-scaled.shape[1]) % samples)))
+        scaled = scaled.reshape(rv.size, -1, samples).sum(axis=1)
+    return np.abs(np.fft.fft(scaled, n=samples, axis=1)).max(axis=1)
 
 
 def max_modulus(p: Poly, r: float, samples: int = 1024) -> float:

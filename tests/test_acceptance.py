@@ -75,6 +75,16 @@ def test_norm_inequalities():
     assert result.passed, result.detail
 
 
+def test_norm_inequalities_contraction_clause_bites(monkeypatch):
+    # S_t scaled by 1.5 is no contraction: its weighted norms exceed those
+    # of the argument
+    exact = verify.s_t_rows
+    monkeypatch.setattr(verify, "s_t_rows", lambda t, degree: 1.5 * exact(t, degree))
+    result = verify.check_norm_inequalities(512)
+    assert not result.passed
+    assert "contraction-t" in result.detail
+
+
 def test_ergodic_dichotomy():
     result = report(verify.check_ergodic_dichotomy(512))
     assert result.passed, result.detail

@@ -152,30 +152,6 @@ class TestSpectrumCommand:
         assert {pt["classification"] for pt in payload["points"]} <= {"growing", "stable"}
 
 
-class TestThreadCap:
-    def test_worker_count_reads_environment(self, monkeypatch):
-        from cesaro_lab.verify import worker_count
-
-        monkeypatch.delenv("CESARO_LAB_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("CESARO_LAB_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("CESARO_LAB_THREADS", "0")
-        assert worker_count() == 1
-        monkeypatch.setenv("CESARO_LAB_THREADS", "lots")
-        assert worker_count() == 1
-
-    def test_parallel_map_preserves_order_and_values(self, monkeypatch):
-        from cesaro_lab.verify import _map_ordered
-
-        items = list(range(24))
-        monkeypatch.setenv("CESARO_LAB_THREADS", "4")
-        threaded = _map_ordered(lambda x: x * x, items)
-        monkeypatch.setenv("CESARO_LAB_THREADS", "1")
-        serial = _map_ordered(lambda x: x * x, items)
-        assert threaded == serial == [x * x for x in items]
-
-
 class TestVerifyCommand:
     def test_single_suite_exit_zero(self, capsys):
         code = main(["verify", "--suite", "finite-section-spectrum", "--degree", "64"])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,19 @@ class TestIntegralRoute:
     def test_rejects_small_node_budget(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=8)
+
+    def test_quadrature_leaves_blas_threads_asleep(self):
+        # a complex matrix-vector product wakes the BLAS worker threads,
+        # which spin on the other cores: about 2 CPU seconds per wall second
+        # on two cores, against about 1 for the real-part products
+        h = build_corpus(128)[0][1]
+        zs = off_cut_sample_points()
+        resolvent_integral_profile(1j, h, zs)
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        while time.perf_counter() - wall0 < 1.0:
+            resolvent_integral_profile(1j, h, zs)
+        wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+        assert cpu / wall <= 1.5
 
 
 def laplace_beta_oracle(lam, h):

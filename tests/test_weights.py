@@ -84,14 +84,16 @@ class TestMaxModulus:
         assert max_modulus(p, r) == pytest.approx(np.sum(c * r ** np.arange(40)), rel=1e-13)
 
     def test_matches_dense_angle_scan_with_folding(self):
-        # degree above the sample count exercises the fold-mod-S path
+        # 63 and 64 coefficients take the zero-padded FFT, 65 and 100 the
+        # fold-mod-S path
         rng = np.random.default_rng(11)
-        p = Poly(rng.normal(size=100) + 1j * rng.normal(size=100))
         samples = 64
         r = 0.8
         angles = 2 * np.pi * np.arange(samples) / samples
-        direct = np.abs(horner_eval(p, r * np.exp(1j * angles))).max()
-        assert max_modulus(p, r, samples) == pytest.approx(direct, rel=1e-12)
+        for size in (samples - 1, samples, samples + 1, 100):
+            p = Poly(rng.normal(size=size) + 1j * rng.normal(size=size))
+            direct = np.abs(horner_eval(p, r * np.exp(1j * angles))).max()
+            assert max_modulus(p, r, samples) == pytest.approx(direct, rel=1e-12), size
 
     def test_nondecreasing_in_radius(self):
         rng = np.random.default_rng(5)
