@@ -42,7 +42,6 @@ from .operators import (
 from .resolvent import (
     BoundCheck,
     QuadratureSpec,
-    ResolventRequest,
     branch_power,
     off_cut_sample_points,
     resolvent_bound_check,
@@ -95,7 +94,6 @@ __all__ = [
     "s_t_apply",
     "BoundCheck",
     "QuadratureSpec",
-    "ResolventRequest",
     "branch_power",
     "off_cut_sample_points",
     "resolvent_bound_check",

@@ -13,29 +13,20 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .ergodic import iterate_trace, spectral_dichotomy_report
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
 from .resolvent import (
     QuadratureSpec,
-    ResolventRequest,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from .series import Poly, binomial_series, log_one_minus_inv, monomial, truncate
+from .series import Poly, binomial_series, log_one_minus_inv, monomial, shifted_pole, truncate
 from .verify import run_suite
 from .weights import WeightSpec, growth_classify
 
 DEFAULT_SEED = 0x5EED
-
-
-def _shifted_standard_pole(order: int, degree: int) -> Poly:
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    coeffs[order - 1 :] = binomial_series(-order, degree - (order - 1)).coeffs
-    return Poly(coeffs)
 
 
 BUILTIN_FUNCTIONS = {
@@ -45,9 +36,9 @@ BUILTIN_FUNCTIONS = {
     "geom": lambda degree: binomial_series(-1, degree),
     "binom-half": lambda degree: binomial_series(-0.5, degree),
     "binom-2": lambda degree: binomial_series(-2, degree),
-    "e2": lambda degree: _shifted_standard_pole(2, degree),
-    "e3": lambda degree: _shifted_standard_pole(3, degree),
-    "e4": lambda degree: _shifted_standard_pole(4, degree),
+    "e2": lambda degree: shifted_pole(2, degree),
+    "e3": lambda degree: shifted_pole(3, degree),
+    "e4": lambda degree: shifted_pole(4, degree),
 }
 
 
@@ -202,8 +193,6 @@ def _cmd_resolvent(args) -> int:
         substitution=not args.no_substitution,
         t_max=args.t_max,
     )
-    request = ResolventRequest(lam=lam, h=h, route=args.route, quad=quad)
-    request.validate()
     if args.route == "recurrence":
         write_coeffs_csv(args.output, resolvent_recurrence(lam, h), config.embedded())
     elif args.route == "semigroup":

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import finite_section, generalized_cesaro_apply, cesaro_apply
+from .operators import cesaro_apply, generalized_cesaro_apply, section_shape_error
 from .resolvent import resolvent_recurrence
-from .series import Poly, binomial_series, log_one_minus_inv, monomial, truncate
+from .series import Poly, log_one_minus_inv, monomial, shifted_pole, truncate
 from .weights import WeightSpec, default_radius_grid, weighted_sup_norm
 
 #: Relative eigen-residual tolerated for constructed eigenpairs; the maps
@@ -46,14 +46,9 @@ def _verify_residual(image: np.ndarray, pair: EigenPair):
 def eigenpair_cesaro(n: int, degree: int) -> EigenPair:
     """Eigenvector z**(n-1) * (1-z)**(-n) of the averaging operator, with
     eigenvalue 1/n; the truncation satisfies the eigen-identity exactly."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if degree < n:
         raise ValueError("degree must be at least n")
-    tail = binomial_series(-n, degree - (n - 1))
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    coeffs[n - 1 :] = tail.coeffs
-    pair = EigenPair(index=n, t=1.0, coeffs=Poly(coeffs), eigenvalue=1.0 / n)
+    pair = EigenPair(index=n, t=1.0, coeffs=shifted_pole(n, degree), eigenvalue=1.0 / n)
     _verify_residual(cesaro_apply(pair.coeffs).coeffs, pair)
     return pair
 
@@ -174,7 +169,7 @@ class SpectralPoint:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDichotomyReport:
-    """Finite-section diagonal check plus a resolvent-norm sweep over a
+    """Finite-section shape check plus a resolvent-norm sweep over a
     lambda grid, tabulating where the estimates blow up across degrees
     (right half-plane) versus stabilize (elsewhere).  A numerical
     illustration, not a proof."""
@@ -220,23 +215,25 @@ def spectral_dichotomy_report(
         degrees = tuple(sorted({max(64, degree // 16), max(64, degree // 4), degree}))
     else:
         degrees = tuple(int(d) for d in degrees)
+    if len(degrees) < 2:
+        raise ValueError("need at least two section degrees")
+    if any(b <= a for a, b in zip(degrees, degrees[1:])):
+        raise ValueError("section degrees must be strictly increasing")
 
-    section_errors = {}
-    for tv in t_values:
-        fs = finite_section(tv, degree)
-        if np.any(np.triu(fs.entries, 1) != 0):
-            raise ArithmeticError("finite section is not lower triangular")
-        diag_expected = 1.0 / np.arange(1, degree + 2)
-        section_errors[float(tv)] = float(
-            np.max(np.abs(np.diagonal(fs.entries) - diag_expected))
-        )
+    section_errors = {float(tv): section_shape_error(tv, degree) for tv in t_values}
 
-    probes = {
-        d: (truncate(monomial(0), d), log_one_minus_inv(d)) for d in degrees
-    }
     diag_values = 1.0 / np.arange(1, max(degrees) + 2)
     v1 = WeightSpec.log_power(1)
     v2 = WeightSpec.log_power(2)
+    # per degree, the radius grid and each probe's v1 norm: both lambda-free
+    sweeps = []
+    for d in degrees:
+        grid = default_radius_grid(d)
+        probes = [
+            (h, weighted_sup_norm(h, v1, grid, samples).value)
+            for h in (truncate(monomial(0), d), log_one_minus_inv(d))
+        ]
+        sweeps.append((grid, probes))
 
     axis = np.linspace(-2.0, 2.0, grid_points)
     points = []
@@ -246,13 +243,11 @@ def spectral_dichotomy_report(
             if abs(lam) <= 1e-6 or np.min(np.abs(lam - diag_values)) <= 1e-6:
                 continue
             norms = []
-            for d in degrees:
-                grid = default_radius_grid(d)
+            for grid, probes in sweeps:
                 ratio = 0.0
-                for h in probes[d]:
+                for h, den in probes:
                     solved = resolvent_recurrence(lam, h)
                     num = weighted_sup_norm(solved, v2, grid, samples).value
-                    den = weighted_sup_norm(h, v1, grid, samples).value
                     ratio = max(ratio, num / den)
                 norms.append(ratio)
             growth = norms[-1] / norms[0]

@@ -19,6 +19,7 @@ from .series import (
     log_one_minus_inv,
     monomial,
     real_matmul,
+    shifted_pole,
     truncate,
 )
 
@@ -126,6 +127,15 @@ def finite_section(t: float, degree: int) -> FiniteSection:
     return FiniteSection(entries=entries, t=tv)
 
 
+def section_shape_error(t: float, degree: int) -> float:
+    """Largest deviation of the finite section from its expected shape, on
+    the diagonal and above it: its eigenvalues 1/(n+1) on the diagonal and
+    zeros above, whatever the memory t."""
+    deviation = np.triu(finite_section(t, degree).entries)
+    deviation[np.diag_indices(degree + 1)] -= 1.0 / np.arange(1, degree + 2)
+    return float(np.max(np.abs(deviation)))
+
+
 def log_power_identity_check(k: int, degree: int) -> float:
     """Max coefficient discrepancy in the closed-form image of log(1-z)**k.
 
@@ -176,8 +186,5 @@ def build_corpus(degree: int, seed: int = CORPUS_SEED, include_structured: bool 
     for gamma in (0.5, 1.0, 2.0):
         corpus.append((f"binom-{gamma:g}", binomial_series(-gamma, degree)))
     for n in range(1, 5):
-        tail = binomial_series(-n, degree - (n - 1))
-        coeffs = np.zeros(degree + 1, dtype=complex)
-        coeffs[n - 1 :] = tail.coeffs
-        corpus.append((f"eigen-{n}", Poly(coeffs)))
+        corpus.append((f"eigen-{n}", shifted_pole(n, degree)))
     return corpus

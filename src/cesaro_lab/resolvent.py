@@ -55,28 +55,6 @@ class QuadratureSpec:
             raise ValueError("invalid quadrature settings")
 
 
-@dataclass(frozen=True)
-class ResolventRequest:
-    """A resolvent computation: lam, right-hand side, route, quadrature."""
-
-    lam: complex
-    h: Poly
-    route: str
-    quad: QuadratureSpec = QuadratureSpec()
-
-    def validate(self):
-        lam = require_finite_param(self.lam, "lam")
-        if self.route not in ("recurrence", "integral", "semigroup"):
-            raise ValueError(f"unknown route {self.route!r}")
-        if self.route == "recurrence":
-            _check_lambda_clear(lam, self.h.degree)
-        elif self.route == "integral":
-            _check_integral_preconditions(lam, self.h)
-        else:
-            if lam.real >= 0:
-                raise ValueError("semigroup route needs Re lam < 0")
-
-
 def _check_lambda_clear(lam: complex, degree: int):
     if abs(lam) < DIAGONAL_GUARD:
         raise ValueError("lam must be nonzero")

@@ -121,6 +121,16 @@ def binomial_series(alpha, degree: int) -> Poly:
     return Poly(c)
 
 
+def shifted_pole(n: int, degree: int) -> Poly:
+    """Coefficients of z**(n-1) * (1 - z)**(-n), namely C(k, n-1) at z**k:
+    the eigenvector of the averaging operator for the eigenvalue 1/n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    c = np.zeros(degree + 1, dtype=complex)
+    c[n - 1 :] = binomial_series(-n, degree - (n - 1)).coeffs
+    return Poly(c)
+
+
 def log_one_minus_inv(degree: int) -> Poly:
     """Series of log(1/(1-z)): zero constant term, then 1/n."""
     if degree < 1:

@@ -10,9 +10,11 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from cesaro_lab import verify
+from cesaro_lab import operators, verify
+from cesaro_lab.ergodic import spectral_dichotomy_report
 from cesaro_lab.series import Poly
 
 
@@ -98,3 +100,21 @@ def test_growth_classification():
 def test_finite_section_spectrum():
     result = report(verify.check_finite_section_spectrum(512))
     assert result.passed, result.detail
+
+
+def test_finite_section_spectrum_rejects_entries_above_diagonal(monkeypatch):
+    # a section with 1e-3 above its diagonal keeps the right eigenvalues on
+    # the diagonal, so only the zeros-above clause can catch it
+    exact = operators.finite_section
+
+    def skewed(t, degree):
+        section = exact(t, degree)
+        above = np.triu(np.full(section.entries.shape, 1e-3), 1)
+        return operators.FiniteSection(entries=section.entries + above, t=section.t)
+
+    monkeypatch.setattr(operators, "finite_section", skewed)
+    result = report(verify.check_finite_section_spectrum(64))
+    assert not result.passed
+    assert "1.00e-03" in result.detail
+    sweep = spectral_dichotomy_report(64, degrees=(64, 128), grid_points=3)
+    assert all(err == pytest.approx(1e-3) for err in sweep.section_diagonal_errors.values())

@@ -104,6 +104,22 @@ class TestResolventCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "route, lambda_re",
+        [("semigroup", "0.5"), ("integral", "0.4")],
+    )
+    def test_route_refusal_writes_nothing(self, tmp_path, capsys, route, lambda_re):
+        # semigroup needs Re lam < 0; integral at lam = 0.4 needs h to vanish
+        # to order above Re(1/lam) - 1 = 1.5, which const1 does not
+        out = tmp_path / "x.csv"
+        code = main(
+            ["resolvent", "--route", route, "--lambda-re", lambda_re, "--f", "const1",
+             "--degree", "8", "--output", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestErgodicCommand:
     def test_trace_json_and_determinism(self, tmp_path):
@@ -150,6 +166,16 @@ class TestSpectrumCommand:
         assert payload["degrees"] == [64, 256]
         assert all(v <= 1e-14 for v in payload["section_diagonal_errors"].values())
         assert {pt["classification"] for pt in payload["points"]} <= {"growing", "stable"}
+
+    def test_unordered_degrees_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        code = main(
+            ["spectrum", "--degree", "64", "--degrees", "256,64", "--grid-points", "5",
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "strictly increasing" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -146,3 +146,15 @@ class TestSpectralDichotomy:
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             spectral_dichotomy_report(32)
+
+    def test_rejects_degrees_not_increasing(self):
+        # the growth ratio divides the last degree's norm by the first's, so
+        # (1024, 64) would read growth as decay and a single degree as 1
+        for degrees in ((1024, 64), (256, 64), (64, 64), (64, 256, 128)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                spectral_dichotomy_report(64, degrees=degrees, grid_points=3)
+        with pytest.raises(ValueError, match="at least two section degrees"):
+            spectral_dichotomy_report(64, degrees=(256,), grid_points=3)
+        # the default degrees for 64 collapse to the single degree 64
+        with pytest.raises(ValueError, match="at least two section degrees"):
+            spectral_dichotomy_report(64, grid_points=3)

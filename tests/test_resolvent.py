@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
     QuadratureSpec,
-    ResolventRequest,
     branch_power,
     off_cut_sample_points,
     resolvent_bound_check,
@@ -252,24 +251,3 @@ class TestBoundCheck:
     def test_rejects_zero_b(self):
         with pytest.raises(ValueError):
             resolvent_bound_check(0.0, Poly([1]), k=1)
-
-
-class TestRequestValidation:
-    def test_routes_validate(self):
-        h = truncate(monomial(0), 8)
-        ResolventRequest(lam=2.0, h=h, route="recurrence").validate()
-        ResolventRequest(lam=1j, h=h, route="integral").validate()
-        ResolventRequest(lam=-1.0, h=h, route="semigroup").validate()
-
-    def test_rejects_unknown_route(self):
-        with pytest.raises(ValueError):
-            ResolventRequest(lam=1.0, h=Poly([1]), route="magic").validate()
-
-    def test_rejects_bad_combinations(self):
-        h = truncate(monomial(0), 8)
-        with pytest.raises(ValueError):
-            ResolventRequest(lam=0.5, h=h, route="recurrence").validate()
-        with pytest.raises(ValueError):
-            ResolventRequest(lam=1j, h=h, route="semigroup").validate()
-        with pytest.raises(ValueError):
-            ResolventRequest(lam=0.4, h=h, route="integral").validate()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cesaro_lab.series import (
     log_one_minus_inv,
     mobius_coeffs,
     monomial,
+    shifted_pole,
     truncate,
     vanishing_order,
 )
@@ -148,6 +151,25 @@ class TestBinomialSeries:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             binomial_series(-1, -1)
+
+
+class TestShiftedPole:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_binomial_coefficients(self, n):
+        # z**(n-1) (1-z)**-n has coefficient C(k, n-1) at z**k; the ratio
+        # recurrence of binomial_series rounds, within a few ulps
+        got = shifted_pole(n, 40).coeffs
+        exact = np.array([math.comb(k, n - 1) for k in range(41)], dtype=float)
+        assert got.size == 41
+        assert np.all(got.imag == 0)
+        assert np.all(got[: n - 1] == 0) and got[n - 1] == 1
+        np.testing.assert_allclose(got.real, exact, rtol=2e-15, atol=0)
+
+    def test_rejects_bad_order(self):
+        with pytest.raises(ValueError):
+            shifted_pole(0, 8)
+        with pytest.raises(ValueError):
+            shifted_pole(4, 1)
 
 
 class TestLogSeries:
