@@ -10,10 +10,8 @@ from .series import (
     Poly,
     binomial_series,
     cauchy_product,
-    compose,
     horner_eval,
     log_one_minus_inv,
-    mobius_coeffs,
     monomial,
     truncate,
     vanishing_order,
@@ -24,7 +22,6 @@ from .weights import (
     WeightSpec,
     default_radius_grid,
     growth_classify,
-    max_modulus,
     max_modulus_profile,
     weight_eval,
     weighted_sup_norm,
@@ -45,7 +42,6 @@ from .resolvent import (
     branch_power,
     off_cut_sample_points,
     resolvent_bound_check,
-    resolvent_integral_eval,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
@@ -68,10 +64,8 @@ __all__ = [
     "Poly",
     "binomial_series",
     "cauchy_product",
-    "compose",
     "horner_eval",
     "log_one_minus_inv",
-    "mobius_coeffs",
     "monomial",
     "truncate",
     "vanishing_order",
@@ -80,7 +74,6 @@ __all__ = [
     "WeightSpec",
     "default_radius_grid",
     "growth_classify",
-    "max_modulus",
     "max_modulus_profile",
     "weight_eval",
     "weighted_sup_norm",
@@ -97,7 +90,6 @@ __all__ = [
     "branch_power",
     "off_cut_sample_points",
     "resolvent_bound_check",
-    "resolvent_integral_eval",
     "resolvent_integral_profile",
     "resolvent_recurrence",
     "resolvent_semigroup",

@@ -26,21 +26,25 @@ EIGEN_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """An eigenvector truncation together with its exact eigenvalue."""
+    """An eigenvector truncation, its exact eigenvalue and its checked
+    relative residual max|A x - mu x| / max(max|x|, 1)."""
 
     index: int
     t: float
     coeffs: Poly
     eigenvalue: float
+    residual: float
 
 
-def _verify_residual(image: np.ndarray, pair: EigenPair):
-    scale = float(np.max(np.abs(pair.coeffs.coeffs)))
-    residual = float(np.max(np.abs(image - pair.eigenvalue * pair.coeffs.coeffs)))
+def _verify_residual(image: np.ndarray, coeffs: Poly, eigenvalue: float) -> float:
+    """The relative residual of an eigenpair, refused above the tolerance."""
+    scale = float(np.max(np.abs(coeffs.coeffs)))
+    residual = float(np.max(np.abs(image - eigenvalue * coeffs.coeffs)))
     if residual > EIGEN_RESIDUAL_TOL * max(scale, 1.0):
         raise ArithmeticError(
             f"eigen residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL:g} * {scale:.3e}"
         )
+    return residual / max(scale, 1.0)
 
 
 def eigenpair_cesaro(n: int, degree: int) -> EigenPair:
@@ -48,9 +52,9 @@ def eigenpair_cesaro(n: int, degree: int) -> EigenPair:
     eigenvalue 1/n; the truncation satisfies the eigen-identity exactly."""
     if degree < n:
         raise ValueError("degree must be at least n")
-    pair = EigenPair(index=n, t=1.0, coeffs=shifted_pole(n, degree), eigenvalue=1.0 / n)
-    _verify_residual(cesaro_apply(pair.coeffs).coeffs, pair)
-    return pair
+    x = shifted_pole(n, degree)
+    residual = _verify_residual(cesaro_apply(x).coeffs, x, 1.0 / n)
+    return EigenPair(index=n, t=1.0, coeffs=x, eigenvalue=1.0 / n, residual=residual)
 
 
 def eigenvector_ct(t: float, m: int, degree: int) -> EigenPair:
@@ -77,9 +81,9 @@ def eigenvector_ct(t: float, m: int, degree: int) -> EigenPair:
             running = s + x[n]
         else:
             running = tv * running + x[n]
-    pair = EigenPair(index=m, t=tv, coeffs=Poly(x), eigenvalue=mu)
-    _verify_residual(generalized_cesaro_apply(tv, pair.coeffs).coeffs, pair)
-    return pair
+    p = Poly(x)
+    residual = _verify_residual(generalized_cesaro_apply(tv, p).coeffs, p, mu)
+    return EigenPair(index=m, t=tv, coeffs=p, eigenvalue=mu, residual=residual)
 
 
 @dataclass(frozen=True, eq=False)

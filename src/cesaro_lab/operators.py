@@ -64,33 +64,42 @@ def cesaro_inverse_apply(p: Poly) -> Poly:
     return Poly(out)
 
 
+def pascal_rows(a, degree: int):
+    """Yield the rows P_0..P_degree of :func:`s_t_rows` for all node values
+    in the 1-d array ``a`` at once, row n of shape (a.size, n+1), keeping
+    only the current one: P_n = (1-a)*P_{n-1} + a*shift(P_{n-1}), P_0 = [a]."""
+    a = np.asarray(a, dtype=float)[:, None]
+    row = a.copy()
+    yield row
+    for n in range(1, degree + 1):
+        nxt = np.zeros((a.shape[0], n + 1))
+        nxt[:, :n] = (1.0 - a) * row
+        nxt[:, 1:] += a * row
+        row = nxt
+        yield row
+
+
 def s_t_rows(t: float, degree: int) -> np.ndarray:
     """The real (degree+1)x(degree+1) matrix of the weighted composition
     (phi_t(z)/z) * p(phi_t(z)) truncated to the degree, with
-    phi_t(z) = a*z / (1 - (1-a)*z) and a = exp(-t) the disc automorphism of
-    :func:`cesaro_lab.series.mobius_coeffs`.
+    phi_t(z) = a*z / (1 - (1-a)*z) and a = exp(-t) a disc automorphism.
 
     Closed form: coefficient n of the image is
     a * sum_{k<=n} C(n,k) a**k (1-a)**(n-k) c_k, so row n is a times the
-    Binomial(n, a) probabilities.  The rows are built by the Pascal
-    recurrence P_n = (1-a)*P_{n-1} + a*shift(P_{n-1}) from P_0 = [a], which
-    takes only convex combinations and so stays stable.  Cost is O(N**2)
-    time and 8*(N+1)**2 bytes (8.4 MB at degree 1024), so degrees above
-    ``ST_DEGREE_CAP`` = 2048 are refused with ValueError before anything is
-    allocated.
+    Binomial(n, a) probabilities: the single-node case of
+    :func:`pascal_rows`, whose recurrence takes only convex combinations
+    and so stays stable.  Cost is O(N**2) time and 8*(N+1)**2 bytes
+    (8.4 MB at degree 1024), so degrees above ``ST_DEGREE_CAP`` = 2048 are
+    refused with ValueError before anything is allocated.
     """
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
         raise ValueError("t must be a finite nonnegative real")
     if degree > ST_DEGREE_CAP:
         raise ValueError(f"degree {degree} exceeds the S_t cap {ST_DEGREE_CAP}")
-    a = np.exp(-tv)
-    size = degree + 1
-    rows = np.zeros((size, size))
-    rows[0, 0] = a
-    for n in range(1, size):
-        rows[n, :n] = (1.0 - a) * rows[n - 1, :n]
-        rows[n, 1 : n + 1] += a * rows[n - 1, :n]
+    rows = np.zeros((degree + 1, degree + 1))
+    for n, row in enumerate(pascal_rows([np.exp(-tv)], degree)):
+        rows[n, : n + 1] = row[0]
     return rows
 
 

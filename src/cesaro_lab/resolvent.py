@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import s_t_apply
-from .series import Poly, horner_eval, real_matmul, require_finite_param, vanishing_order
+from .operators import pascal_rows
+from .series import Poly, real_matmul, require_finite_param, vanishing_order
 from .weights import WeightSpec, weighted_sup_norm
 
 #: Refuse recurrence solves when lam is this close to a diagonal value
@@ -65,13 +65,21 @@ def _check_lambda_clear(lam: complex, degree: int):
         raise ValueError(f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{k + 1}")
 
 
-def _check_integral_preconditions(lam: complex, h: Poly):
+def _check_integral_preconditions(lam: complex, members):
     if abs(lam) < DIAGONAL_GUARD:
         raise ValueError("lam must be nonzero")
-    if vanishing_order(h) <= (1.0 / lam).real - 1.0:
+    if min(vanishing_order(h) for h in members) <= (1.0 / lam).real - 1.0:
         raise ValueError(
             "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
         )
+
+
+def _members(h) -> list:
+    """[h] for a Poly h, else h as a list of Polys of one degree."""
+    members = [h] if isinstance(h, Poly) else list(h)
+    if not all(isinstance(p, Poly) for p in members) or len({p.degree for p in members}) != 1:
+        raise ValueError("h must be a Poly or a non-empty sequence of Polys of one degree")
+    return members
 
 
 def resolvent_recurrence(lam, h: Poly) -> Poly:
@@ -135,8 +143,9 @@ def _validate_points(zs: np.ndarray):
         raise ValueError("evaluation points must avoid the cut (-1, 0]")
 
 
-def resolvent_integral_profile(lam, h: Poly, zs, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Pointwise values of the solution formula at an array of points.
+def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Pointwise values of the solution formula at an array of points, for a
+    Poly h or, one row per member, for a sequence of Polys of one degree.
 
     After the segment substitution zeta = tau*z the powers of z cancel and
     the integrand becomes tau**(-1/lam) (1 - tau*z)**(1/lam - 1) h(tau*z) on
@@ -144,10 +153,16 @@ def resolvent_integral_profile(lam, h: Poly, zs, quad: QuadratureSpec | None = N
     endpoint oscillation of tau**(-1/lam) is flattened into a smooth,
     exponentially damped integrand on [0, s_max], which fixed Gauss-Legendre
     panels resolve to near machine precision.
+
+    The Gauss sum is taken in moment form, sum_k h_k z**k m_k(z) with the
+    h-free m_k(z) = sum_s w_s damping_s (1 - tau_s z)**(1/lam - 1) tau_s**k,
+    so each member costs one small product.  A stack is refused whole if
+    any member breaks the vanishing-order condition.
     """
     lv = require_finite_param(lam, "lam")
     quad = quad or QuadratureSpec()
-    _check_integral_preconditions(lv, h)
+    members = _members(h)
+    _check_integral_preconditions(lv, members)
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
     il = 1.0 / lv
@@ -160,15 +175,13 @@ def resolvent_integral_profile(lam, h: Poly, zs, quad: QuadratureSpec | None = N
     else:
         tau, w = _gauss_panels(quad.nodes, quad.panels, 1.0)
         damping = np.exp(-il * np.log(tau))
-    zt = tau[:, None] * zv[None, :]
-    integrand = damping[..., None] * np.exp((il - 1.0) * np.log(1.0 - zt)) * horner_eval(h, zt)
-    integral = real_matmul(w, integrand)
-    return horner_eval(h, zv) / lv + il**2 * np.exp(-il * np.log(1.0 - zv)) * integral
-
-
-def resolvent_integral_eval(lam, h: Poly, z, quad: QuadratureSpec | None = None) -> complex:
-    """Value of the analytic solution of (lam*I - C) f = h at a single point."""
-    return complex(resolvent_integral_profile(lam, h, [z], quad)[0])
+    k = np.arange(members[0].degree + 1)
+    kernel = (w * damping)[:, None] * np.exp((il - 1.0) * np.log(1.0 - tau[:, None] * zv))
+    moments = real_matmul((tau[:, None] ** k).T, kernel)
+    prefactor = il**2 * np.exp(-il * np.log(1.0 - zv))
+    weights = zv[:, None] ** k * (1.0 / lv + prefactor[:, None] * moments.T)
+    values = np.array([real_matmul(weights, p.coeffs) for p in members])
+    return values[0] if isinstance(h, Poly) else values
 
 
 def semigroup_horizon(lam, tail_tol: float) -> float:
@@ -179,17 +192,22 @@ def semigroup_horizon(lam, tail_tol: float) -> float:
     return float(np.log(1.0 / (tail_tol * abs(rate))) / abs(rate))
 
 
-def resolvent_semigroup(lam, h: Poly, quad: QuadratureSpec | None = None) -> Poly:
-    """Coefficientwise quadrature of h/lam + (1/lam^2) * int_0^T e^(t/lam) S_t h dt.
+def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
+    """Coefficientwise quadrature of h/lam + (1/lam^2) * int_0^T e^(t/lam) S_t h dt,
+    for a Poly h or, as a list, for a sequence of Polys of one degree.
 
     Needs Re lam < 0 so the integrand decays; the horizon T is either taken
     from the quadrature spec (and checked against the tail tolerance) or
-    chosen as the smallest one meeting it.
+    chosen as the smallest one meeting it.  One Pascal recurrence runs over
+    all time nodes a = e^{-t} at once, and its rows, contracted with the
+    weights w*e^{t/lam}, build the h-free quadrature of S_t.
     """
     lv = require_finite_param(lam, "lam")
     if lv.real >= 0:
         raise ValueError("semigroup route needs Re lam < 0")
     quad = quad or QuadratureSpec()
+    members = _members(h)
+    degree = members[0].degree
     il = 1.0 / lv
     rate = il.real
     if quad.t_max is None:
@@ -202,23 +220,24 @@ def resolvent_semigroup(lam, h: Poly, quad: QuadratureSpec | None = None) -> Pol
                 f"for Re(1/lam)={rate:g}"
             )
     panel_len = 2.0
-    panels = max(int(np.ceil(t_max / panel_len)), 1)
-    acc = np.zeros(h.degree + 1, dtype=complex)
-    for i in range(panels):
-        a = i * panel_len
-        b = min((i + 1) * panel_len, t_max)
-        if b <= a:
-            break
+    ts, ws = [np.zeros(0)], [np.zeros(0)]  # no nodes when t_max <= 0
+    for i in range(int(np.ceil(t_max / panel_len))):
+        a, b = i * panel_len, min((i + 1) * panel_len, t_max)
         # Coefficient n of S_t h is a Bernstein-type polynomial of degree n
         # in e^{-t}, so early panels need node counts that scale with the
         # degree; the polynomial content dies off like e^{-t} afterwards.
-        local = quad.time_nodes + int(np.ceil((h.degree + 1) * np.exp(-a)))
-        x, w = np.polynomial.legendre.leggauss(min(local, 280))
-        tv = 0.5 * (b - a) * x + 0.5 * (a + b)
-        wv = 0.5 * (b - a) * w
-        for tk, wk in zip(tv, wv):
-            acc += wk * np.exp(tk * il) * s_t_apply(tk, h).coeffs
-    return Poly(h.coeffs / lv + il**2 * acc)
+        local = quad.time_nodes + int(np.ceil((degree + 1) * np.exp(-a)))
+        # cached per node count: a new rule costs a threaded LAPACK eigensolve
+        x, w = _gauss_panels(min(local, 280), 1, 1.0)
+        ts.append(a + (b - a) * x)
+        ws.append((b - a) * w)
+    t = np.concatenate(ts)
+    weights = np.concatenate(ws) * np.exp(t * il)
+    rows = np.zeros((degree + 1, degree + 1), dtype=complex)
+    for n, row in enumerate(pascal_rows(np.exp(-t), degree)):
+        rows[n, : n + 1] = real_matmul(row.T, weights)
+    solved = [Poly(p.coeffs / lv + il**2 * real_matmul(rows, p.coeffs)) for p in members]
+    return solved[0] if isinstance(h, Poly) else solved
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Every operator in this package is lower triangular in the monomial basis,
 so the first M+1 coefficients of an image depend only on the first M+1
 coefficients of the argument and truncation commutes exactly with
-application.  Products and compositions are capped at ``DEGREE_CAP`` to
-keep costs predictable.
+application.  Products are capped at ``DEGREE_CAP`` to keep costs
+predictable.
 """
 
 from __future__ import annotations
@@ -13,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Hard cap on the degree produced by products and compositions.
+#: Hard cap on the degree produced by products.
 DEGREE_CAP = 1024
+
+#: Most multiply-adds :func:`real_matmul` hands to one BLAS call: OpenBLAS
+#: 0.3.31 keeps calls below about 4.4e5 on the calling thread; larger ones
+#: wake its worker threads, which spin on the other cores for no gain here.
+SERIAL_PRODUCT_SIZE = 400_000
 
 #: Coefficient magnitudes at or below this are structural zeros when
 #: measuring the vanishing order at the origin.
@@ -86,10 +91,18 @@ def horner_eval(p: Poly, z):
 
 
 def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real array m and a complex array z, by parts: a complex
-    upcast of m is 2-3x slower and wakes idle-spinning BLAS worker threads."""
-    out = (m @ z.real).astype(complex)
-    out.imag = m @ z.imag
+    """m @ z for a real or complex matrix m and a complex array z, as real
+    products over row blocks of m of at most ``SERIAL_PRODUCT_SIZE``
+    multiply-adds: a complex product is 2-3x slower, and it and a larger
+    real one wake idle-spinning BLAS worker threads."""
+    if np.iscomplexobj(m):
+        return real_matmul(m.real, z) + 1j * real_matmul(m.imag, z)
+    step = max(1, SERIAL_PRODUCT_SIZE // max(1, z.size))  # z.size multiply-adds per row
+    z_re, z_im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+    out = np.empty(m.shape[:1] + z.shape[1:], dtype=complex)
+    for i in range(0, m.shape[0], step):
+        out.real[i : i + step] = m[i : i + step] @ z_re
+        out.imag[i : i + step] = m[i : i + step] @ z_im
     return out
 
 
@@ -137,44 +150,6 @@ def log_one_minus_inv(degree: int) -> Poly:
         raise ValueError("degree must be at least 1")
     c = np.zeros(degree + 1, dtype=complex)
     c[1:] = 1.0 / np.arange(1, degree + 1)
-    return Poly(c)
-
-
-def compose(p: Poly, q: Poly, degree: int | None = None) -> Poly:
-    """Truncation of p(q(z)) for an inner series with q(0) = 0.
-
-    The zero constant term is required exactly: it is what makes coefficient
-    n of the composition depend only on the first n+1 coefficients of both
-    arguments, so truncating at ``degree`` is exact.
-    """
-    if q.coeffs[0] != 0:
-        raise ValueError("inner series must have an exactly zero constant term")
-    if degree is None:
-        degree = min(p.degree * max(q.degree, 1), DEGREE_CAP)
-    out = np.zeros(1, dtype=complex)
-    out[0] = p.coeffs[-1]
-    for c in p.coeffs[-2::-1]:
-        out = np.convolve(out, q.coeffs)[: degree + 1]
-        out[0] += c
-    if out.size < degree + 1:
-        out = np.concatenate([out, np.zeros(degree + 1 - out.size, dtype=complex)])
-    return Poly(out)
-
-
-def mobius_coeffs(t: float, degree: int) -> Poly:
-    """Series of the disc automorphism a*z / (1 - (1-a)*z) with a = exp(-t).
-
-    Coefficient of z**(n+1) is a*(1-a)**n; the constant term is exactly 0,
-    so the result is a valid inner series for :func:`compose`.
-    """
-    tv = float(t)
-    if not np.isfinite(tv) or tv < 0:
-        raise ValueError("t must be a finite nonnegative real")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    a = np.exp(-tv)
-    c = np.zeros(degree + 1, dtype=complex)
-    c[1:] = a * (1.0 - a) ** np.arange(degree)
     return Poly(c)
 
 

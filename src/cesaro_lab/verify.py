@@ -67,12 +67,7 @@ def _result(name, start, ok, limit, detail) -> CheckResult:
 def check_eigen_cesaro(degree: int = 512) -> CheckResult:
     """Eigen-identity for the averaging operator, indices 1..8."""
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 9):
-        pair = eigenpair_cesaro(n, degree)
-        image = cesaro_apply(pair.coeffs).coeffs
-        scale = float(np.max(np.abs(pair.coeffs.coeffs)))
-        worst = max(worst, float(np.max(np.abs(image - pair.eigenvalue * pair.coeffs.coeffs))) / scale)
+    worst = max(eigenpair_cesaro(n, degree).residual for n in range(1, 9))
     return _result(
         "eigen-cesaro", start, worst <= 1e-12, 1.0, f"max relative residual {worst:.2e}"
     )
@@ -117,13 +112,8 @@ def check_eigen_ct(degree: int = 512) -> CheckResult:
     for t in (0.0, 0.3, 0.9):
         for m in range(6):
             pair = eigenvector_ct(t, m, degree)
-            x = pair.coeffs.coeffs
-            image = generalized_cesaro_apply(t, pair.coeffs).coeffs
-            scale = float(np.max(np.abs(x)))
-            worst_res = max(
-                worst_res, float(np.max(np.abs(image - pair.eigenvalue * x))) / scale
-            )
-            abs_x = np.abs(x)
+            worst_res = max(worst_res, pair.residual)
+            abs_x = np.abs(pair.coeffs.coeffs)
             increment = float(np.sum(abs_x[half + 1 :]))
             expected = _binomial_tail(t, m, half + 1, degree)
             if expected == 0.0:
@@ -184,19 +174,19 @@ def check_resolvent_routes(degree: int = 128) -> CheckResult:
     zs = off_cut_sample_points()
     oracle_degree = 4 * degree
 
+    members = [h for _, h in corpus]
     worst_integral = 0.0
     for lam in (1j, 2j, -1 + 1j, 3.0):
-        for _, h in corpus:
+        profiles = resolvent_integral_profile(lam, members, zs)
+        for h, values in zip(members, profiles):
             reference = horner_eval(resolvent_recurrence(lam, truncate(h, oracle_degree)), zs)
-            values = resolvent_integral_profile(lam, h, zs)
             worst_integral = max(worst_integral, float(np.max(np.abs(values - reference))))
 
-    probes = [truncate(monomial(0), degree), log_one_minus_inv(degree), corpus[0][1]]
+    probes = [truncate(monomial(0), degree), log_one_minus_inv(degree), members[0]]
     worst_semigroup = 0.0
     for lam in (-1.0, -0.5 + 0.3j, -2.0):
-        for h in probes:
+        for h, quadrature in zip(probes, resolvent_semigroup(lam, probes)):
             direct = resolvent_recurrence(lam, h)
-            quadrature = resolvent_semigroup(lam, h)
             worst_semigroup = max(
                 worst_semigroup, float(np.max(np.abs(direct.coeffs - quadrature.coeffs)))
             )

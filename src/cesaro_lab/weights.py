@@ -113,11 +113,6 @@ def max_modulus_profile(p: Poly, radii, samples: int = 1024) -> np.ndarray:
     return np.abs(np.fft.fft(scaled, n=samples, axis=1)).max(axis=1)
 
 
-def max_modulus(p: Poly, r: float, samples: int = 1024) -> float:
-    """Sampled max of |p| on the circle of radius r (a lower bound)."""
-    return float(max_modulus_profile(p, [r], samples)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class NormEstimate:
     """Result of a weighted sup-norm sweep over a radius grid."""

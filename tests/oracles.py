@@ -1,0 +1,50 @@
+"""Brute-force oracles that only the tests use.
+
+``compose`` evaluates p(q(z)) by nested convolutions, and ``mobius_coeffs``
+gives the disc automorphism behind the composition semigroup S_t; together
+they define S_t directly, against which the closed-form Binomial rows of
+``cesaro_lab.operators.s_t_rows`` are checked.
+"""
+
+import numpy as np
+
+from cesaro_lab.series import DEGREE_CAP, Poly
+
+
+def compose(p: Poly, q: Poly, degree: int | None = None) -> Poly:
+    """Truncation of p(q(z)) for an inner series with q(0) = 0.
+
+    The zero constant term is required exactly: it is what makes coefficient
+    n of the composition depend only on the first n+1 coefficients of both
+    arguments, so truncating at ``degree`` is exact.
+    """
+    if q.coeffs[0] != 0:
+        raise ValueError("inner series must have an exactly zero constant term")
+    if degree is None:
+        degree = min(p.degree * max(q.degree, 1), DEGREE_CAP)
+    out = np.zeros(1, dtype=complex)
+    out[0] = p.coeffs[-1]
+    for c in p.coeffs[-2::-1]:
+        out = np.convolve(out, q.coeffs)[: degree + 1]
+        out[0] += c
+    if out.size < degree + 1:
+        out = np.concatenate([out, np.zeros(degree + 1 - out.size, dtype=complex)])
+    return Poly(out)
+
+
+def mobius_coeffs(t: float, degree: int) -> Poly:
+    """Series of the disc automorphism a*z / (1 - (1-a)*z) with a = exp(-t).
+
+    Coefficient of z**(n+1) is a*(1-a)**n; the constant term is exactly 0,
+    so the result is a valid inner series for :func:`compose`.
+    """
+    tv = float(t)
+    if not np.isfinite(tv) or tv < 0:
+        raise ValueError("t must be a finite nonnegative real")
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    a = np.exp(-tv)
+    c = np.zeros(degree + 1, dtype=complex)
+    c[1:] = a * (1.0 - a) ** np.arange(degree)
+    return Poly(c)
+

@@ -16,13 +16,13 @@ from cesaro_lab.operators import (
 from cesaro_lab.series import (
     Poly,
     cauchy_product,
-    compose,
     horner_eval,
     log_one_minus_inv,
-    mobius_coeffs,
     monomial,
     truncate,
 )
+
+from oracles import compose, mobius_coeffs
 from cesaro_lab.weights import WeightSpec, default_radius_grid, max_modulus_profile, weighted_sup_norm
 
 finite_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)

@@ -5,19 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesaro_lab import resolvent, series
 from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
     QuadratureSpec,
     branch_power,
     off_cut_sample_points,
     resolvent_bound_check,
-    resolvent_integral_eval,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
     semigroup_horizon,
 )
 from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial, truncate
+
+
+def route_probes(degree):
+    """The three semigroup probes of the resolvent-routes check."""
+    return [truncate(monomial(0), degree), log_one_minus_inv(degree), build_corpus(degree)[0][1]]
+
+
+def cpu_per_wall(run, seconds=1.0):
+    """Process CPU seconds per wall second over about ``seconds`` of
+    repeated calls, after one warm-up call.
+
+    A complex matrix product wakes the BLAS worker threads, which spin on
+    the other cores: about 2 CPU seconds per wall second on two cores,
+    against about 1 for products kept single-threaded by their shape.
+    """
+    run()
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    while time.perf_counter() - wall0 < seconds:
+        run()
+    return (time.process_time() - cpu0) / (time.perf_counter() - wall0)
+
+
+def assert_stack_matches_singles(stacked, singles):
+    for got, want in zip(stacked, singles, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
 
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -99,13 +125,13 @@ class TestIntegralRoute:
         h = truncate(monomial(0), 32)
         oracle = resolvent_recurrence(1j, truncate(h, 256))
         z = 0.4 + 0.2j
-        assert abs(resolvent_integral_eval(1j, h, z) - horner_eval(oracle, z)) <= 1e-8
+        assert abs(resolvent_integral_profile(1j, h, z)[0] - horner_eval(oracle, z)) <= 1e-8
 
     def test_matches_recurrence_linear_rhs(self):
         h = truncate(monomial(1), 32)
         oracle = resolvent_recurrence(-1.0, truncate(h, 256))
         z = 0.5
-        assert abs(resolvent_integral_eval(-1.0, h, z) - horner_eval(oracle, z)) <= 1e-8
+        assert abs(resolvent_integral_profile(-1.0, h, z)[0] - horner_eval(oracle, z)) <= 1e-8
 
     def test_zero_rhs(self):
         vals = resolvent_integral_profile(1j, Poly(np.zeros(8)), off_cut_sample_points())
@@ -126,8 +152,8 @@ class TestIntegralRoute:
         h = truncate(monomial(0), 16)
         z = 0.3 + 0.4j
         oracle = horner_eval(resolvent_recurrence(1j, truncate(h, 256)), z)
-        plain = resolvent_integral_eval(1j, h, z, QuadratureSpec(substitution=False))
-        substituted = resolvent_integral_eval(1j, h, z)
+        plain = resolvent_integral_profile(1j, h, z, QuadratureSpec(substitution=False))[0]
+        substituted = resolvent_integral_profile(1j, h, z)[0]
         assert abs(substituted - oracle) <= 1e-8
         assert abs(plain - oracle) <= 5e-3
         assert abs(substituted - oracle) < abs(plain - oracle)
@@ -135,22 +161,22 @@ class TestIntegralRoute:
     def test_rejects_points_on_cut_or_outside(self):
         h = truncate(monomial(0), 8)
         with pytest.raises(ValueError):
-            resolvent_integral_eval(1j, h, -0.5)
+            resolvent_integral_profile(1j, h, -0.5)
         with pytest.raises(ValueError):
-            resolvent_integral_eval(1j, h, 0.0)
+            resolvent_integral_profile(1j, h, 0.0)
         with pytest.raises(ValueError):
-            resolvent_integral_eval(1j, h, 1.2)
+            resolvent_integral_profile(1j, h, 1.2)
 
     def test_rejects_vanishing_order_violation(self):
         # Re(1/lam) - 1 = 1.5 for lam = 0.4, so a nonzero constant term fails
         with pytest.raises(ValueError):
-            resolvent_integral_eval(0.4, truncate(monomial(0), 8), 0.5)
+            resolvent_integral_profile(0.4, truncate(monomial(0), 8), 0.5)
 
     def test_order_condition_admits_shifted_rhs(self):
         # Re(1/lam) = 2.5 leaves only an exp(-s/2) decay rate, so this case
         # needs a longer contour than the default budget
         h = truncate(monomial(2), 32)
-        value = resolvent_integral_eval(0.4, h, 0.5, QuadratureSpec(s_max=72, panels=8))
+        value = resolvent_integral_profile(0.4, h, 0.5, QuadratureSpec(s_max=72, panels=8))[0]
         oracle = horner_eval(resolvent_recurrence(0.4, truncate(h, 512)), 0.5)
         assert abs(value - oracle) <= 1e-8
 
@@ -159,17 +185,39 @@ class TestIntegralRoute:
             QuadratureSpec(nodes=8)
 
     def test_quadrature_leaves_blas_threads_asleep(self):
-        # a complex matrix-vector product wakes the BLAS worker threads,
-        # which spin on the other cores: about 2 CPU seconds per wall second
-        # on two cores, against about 1 for the real-part products
-        h = build_corpus(128)[0][1]
+        members = [h for _, h in build_corpus(128)]
         zs = off_cut_sample_points()
-        resolvent_integral_profile(1j, h, zs)
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        while time.perf_counter() - wall0 < 1.0:
-            resolvent_integral_profile(1j, h, zs)
-        wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-        assert cpu / wall <= 1.5
+        assert cpu_per_wall(lambda: resolvent_integral_profile(1j, members, zs)) <= 1.5
+
+    def test_stack_matches_single_calls(self):
+        members = [h for _, h in build_corpus(128)]
+        zs = off_cut_sample_points()
+        stacked = resolvent_integral_profile(3.0, members, zs)
+        assert stacked.shape == (len(members), zs.size)
+        singles = [resolvent_integral_profile(3.0, h, zs) for h in members]
+        assert_stack_matches_singles(stacked, singles)
+
+    def test_stack_refused_whole_for_one_vanishing_order_violation(self):
+        # at lam = 0.4 only the constant member breaks the order condition
+        stack = [truncate(monomial(m), 16) for m in (2, 3, 0, 4)]
+        with pytest.raises(ValueError, match="vanishing order"):
+            resolvent_integral_profile(0.4, stack, 0.5)
+        with pytest.raises(ValueError, match="one degree"):
+            resolvent_integral_profile(1j, [monomial(0), monomial(1)], 0.5)
+
+    def test_moment_form_makes_no_horner_calls(self, monkeypatch):
+        calls = []
+
+        def counting(p, z):
+            calls.append(p.degree)
+            return horner_eval(p, z)
+
+        monkeypatch.setattr(series, "horner_eval", counting)
+        monkeypatch.setattr(resolvent, "horner_eval", counting, raising=False)
+        members = [h for _, h in build_corpus(32)]
+        resolvent_integral_profile(1j, members, off_cut_sample_points())
+        resolvent_integral_profile(1j, members[0], 0.5, QuadratureSpec(substitution=False))
+        assert calls == []
 
 
 def laplace_beta_oracle(lam, h):
@@ -192,9 +240,7 @@ class TestSemigroupRoute:
     @pytest.mark.parametrize("lam", [-1.0, -0.5 + 0.3j, -2.0])
     def test_beta_function_oracle(self, lam):
         # the three probes of the resolvent-routes check, at its degree 128
-        degree = 128
-        probes = [truncate(monomial(0), degree), log_one_minus_inv(degree), build_corpus(degree)[0][1]]
-        for h in probes:
+        for h in route_probes(128):
             exact = laplace_beta_oracle(lam, h)
             direct = resolvent_recurrence(lam, h).coeffs
             assert np.max(np.abs(direct - exact)) <= 1e-13 * np.max(np.abs(exact))
@@ -232,6 +278,21 @@ class TestSemigroupRoute:
     def test_rejects_unreachable_tail_tolerance(self):
         with pytest.raises(ValueError):
             resolvent_semigroup(-1.0, Poly([1, 0, 0]), QuadratureSpec(t_max=1.0))
+
+    def test_beta_oracle_degree_512_stacked(self):
+        probes = route_probes(512)
+        for h, solved in zip(probes, resolvent_semigroup(-1.0, probes), strict=True):
+            assert np.max(np.abs(solved.coeffs - laplace_beta_oracle(-1.0, h))) <= 1e-6
+
+    def test_stack_matches_single_calls(self):
+        members = [h for _, h in build_corpus(128)]
+        stacked = resolvent_semigroup(-0.5 + 0.3j, members)
+        singles = [resolvent_semigroup(-0.5 + 0.3j, h) for h in members]
+        assert_stack_matches_singles([p.coeffs for p in stacked], [p.coeffs for p in singles])
+
+    def test_quadrature_leaves_blas_threads_asleep(self):
+        probes = route_probes(128)
+        assert cpu_per_wall(lambda: resolvent_semigroup(-1.0, probes)) <= 1.5
 
 
 class TestBoundCheck:

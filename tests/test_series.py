@@ -10,15 +10,15 @@ from cesaro_lab.series import (
     Poly,
     binomial_series,
     cauchy_product,
-    compose,
     horner_eval,
     log_one_minus_inv,
-    mobius_coeffs,
     monomial,
     shifted_pole,
     truncate,
     vanishing_order,
 )
+
+from oracles import compose, mobius_coeffs
 
 finite_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(finite_complex, min_size=1, max_size=24)

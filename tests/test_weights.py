@@ -7,7 +7,6 @@ from cesaro_lab.weights import (
     WeightSpec,
     default_radius_grid,
     growth_classify,
-    max_modulus,
     max_modulus_profile,
     weight_eval,
     weighted_sup_norm,
@@ -71,17 +70,17 @@ class TestWeightEval:
 
 class TestMaxModulus:
     def test_constant(self):
-        assert max_modulus(Poly([1]), 0.3) == pytest.approx(1.0)
+        assert max_modulus_profile(Poly([1]), [0.3])[0] == pytest.approx(1.0)
 
     def test_identity_function(self):
-        assert max_modulus(Poly([0, 1]), 0.7) == pytest.approx(0.7, rel=1e-14)
+        assert max_modulus_profile(Poly([0, 1]), [0.7])[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_positive_coefficients_attain_at_theta_zero(self):
         rng = np.random.default_rng(3)
         c = rng.random(40)
         p = Poly(c)
         r = 0.6
-        assert max_modulus(p, r) == pytest.approx(np.sum(c * r ** np.arange(40)), rel=1e-13)
+        assert max_modulus_profile(p, [r])[0] == pytest.approx(np.sum(c * r ** np.arange(40)), rel=1e-13)
 
     def test_matches_dense_angle_scan_with_folding(self):
         # 63 and 64 coefficients take the zero-padded FFT, 65 and 100 the
@@ -93,7 +92,7 @@ class TestMaxModulus:
         for size in (samples - 1, samples, samples + 1, 100):
             p = Poly(rng.normal(size=size) + 1j * rng.normal(size=size))
             direct = np.abs(horner_eval(p, r * np.exp(1j * angles))).max()
-            assert max_modulus(p, r, samples) == pytest.approx(direct, rel=1e-12), size
+            assert max_modulus_profile(p, [r], samples)[0] == pytest.approx(direct, rel=1e-12), size
 
     def test_nondecreasing_in_radius(self):
         rng = np.random.default_rng(5)
@@ -105,7 +104,7 @@ class TestMaxModulus:
 
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError):
-            max_modulus(Poly([1]), 0.5, samples=4)
+            max_modulus_profile(Poly([1]), [0.5], samples=4)
 
 
 class TestWeightedSupNorm:
