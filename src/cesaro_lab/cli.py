@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 
-from .ergodic import iterate_trace, spectral_dichotomy_report
+from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
 from .resolvent import (
     QuadratureSpec,
@@ -229,6 +229,7 @@ def _cmd_ergodic(args) -> int:
         samples=args.samples,
         output=args.output,
     )
+    require_trace_budget(args.n_max, args.samples)
     f = _load_function(args, config)
     trace = iterate_trace(args.t, f, _weight_from(args), args.n_max, samples=args.samples)
     payload = {

@@ -17,11 +17,22 @@ import numpy as np
 from .operators import cesaro_apply, generalized_cesaro_apply, section_shape_error
 from .resolvent import resolvent_recurrence
 from .series import Poly, log_one_minus_inv, monomial, shifted_pole, truncate
-from .weights import WeightSpec, default_radius_grid, weighted_sup_norm
+from .weights import WeightSpec, default_radius_grid, require_samples, weighted_sup_norm
 
 #: Relative eigen-residual tolerated for constructed eigenpairs; the maps
 #: are triangular, so anything above rounding noise indicates a bug.
 EIGEN_RESIDUAL_TOL = 1e-12
+
+#: Most iterations a trace takes: it keeps every running average.
+N_MAX_CAP = 1024
+
+#: Most points per axis of the spectral sweep's lambda grid.
+GRID_POINTS_CAP = 33
+
+#: Most vectors a trace or the sweep hands to one stacked norm call: enough
+#: to share the kernel's set-up, few enough that the vectors held at once
+#: stay small next to the rest of a run's memory.
+STACK_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +115,16 @@ class ErgodicTrace:
     projection_errors: tuple
 
 
+def require_trace_budget(n_max: int, samples: int):
+    """Refuse an iteration or sample count outside a trace's budget, before
+    anything is built."""
+    if n_max < 8:
+        raise ValueError("n_max must be at least 8")
+    if n_max > N_MAX_CAP:
+        raise ValueError(f"n_max {n_max} exceeds the cap {N_MAX_CAP}")
+    require_samples(samples)
+
+
 def iterate_trace(
     t: float,
     f: Poly,
@@ -115,10 +136,11 @@ def iterate_trace(
     """Iterate the memory-t operator on f and record the averaging history.
 
     Projection errors compare T_[n] f against f(0) * g0 truncated to deg f
-    and are recorded only for t < 1, where that is the ergodic limit.
+    and are recorded only for t < 1, where that is the ergodic limit.  The
+    iterates, the averages and their differences are normed as stacks of up
+    to ``STACK_BATCH`` vectors, or all the averages at once.
     """
-    if n_max < 8:
-        raise ValueError("n_max must be at least 8")
+    require_trace_budget(n_max, samples)
     if not np.any(np.abs(f.coeffs) > 0):
         raise ValueError("f must be nonzero")
     tv = float(t)
@@ -127,37 +149,33 @@ def iterate_trace(
     if grid is None:
         grid = default_radius_grid(f.degree)
 
-    target = None
-    if tv < 1.0:
-        target = f.coeffs[0] * tv ** np.arange(f.degree + 1)
+    def norms(stack) -> tuple:
+        return tuple(e.value for e in weighted_sup_norm(stack, weight, grid, samples))
 
-    def norm_of(vec: np.ndarray) -> float:
-        return weighted_sup_norm(Poly(vec), weight, grid, samples).value
-
-    current = f.coeffs.copy()
-    mean = np.zeros_like(current)
-    means = []
-    iterate_norms = []
-    mean_norms = []
-    projection_errors = []
-    for n in range(1, n_max + 1):
-        current = generalized_cesaro_apply(tv, Poly(current)).coeffs
-        mean = mean + (current - mean) / n
-        means.append(mean.copy())
-        iterate_norms.append(norm_of(current))
-        mean_norms.append(norm_of(mean))
-        if target is not None:
-            projection_errors.append(norm_of(mean - target))
-    mean_increments = [
-        norm_of(means[2 * n - 1] - means[n - 1]) for n in range(1, n_max // 2 + 1)
+    target = f.coeffs[0] * tv ** np.arange(f.degree + 1)
+    current, mean = f, np.zeros_like(f.coeffs)
+    means, iterate_norms, projection_errors = [], (), ()
+    for first in range(1, n_max + 1, STACK_BATCH):
+        iterates = []
+        for n in range(first, min(first + STACK_BATCH, n_max + 1)):
+            current = generalized_cesaro_apply(tv, current)
+            mean = mean + (current.coeffs - mean) / n
+            iterates.append(current)
+            means.append(Poly(mean))
+        iterate_norms += norms(iterates)
+        if tv < 1.0:
+            projection_errors += norms([Poly(m.coeffs - target) for m in means[first - 1 :]])
+    mean_norms = norms(means)
+    increments = [
+        Poly(means[2 * n - 1].coeffs - means[n - 1].coeffs) for n in range(1, n_max // 2 + 1)
     ]
     return ErgodicTrace(
         t=tv,
         weight=weight,
-        iterate_norms=tuple(iterate_norms),
-        mean_norms=tuple(mean_norms),
-        mean_increments=tuple(mean_increments),
-        projection_errors=tuple(projection_errors),
+        iterate_norms=iterate_norms,
+        mean_norms=mean_norms,
+        mean_increments=norms(increments),
+        projection_errors=projection_errors,
     )
 
 
@@ -213,6 +231,9 @@ def spectral_dichotomy_report(
     """Tabulate section diagonals and resolvent norm estimates on a grid
     over [-2, 2] x [-2, 2], excluding lambdas within 1e-6 of a diagonal
     value 1/(n+1) or of 0."""
+    if not 1 <= grid_points <= GRID_POINTS_CAP:
+        raise ValueError(f"grid_points must lie in 1..{GRID_POINTS_CAP}, got {grid_points}")
+    require_samples(samples)
     if degree < 64:
         raise ValueError("degree must be at least 64")
     if degrees is None:
@@ -227,42 +248,40 @@ def spectral_dichotomy_report(
     section_errors = {float(tv): section_shape_error(tv, degree) for tv in t_values}
 
     diag_values = 1.0 / np.arange(1, max(degrees) + 2)
+    axis = np.linspace(-2.0, 2.0, grid_points)
+    lams = [
+        lam
+        for lam in (complex(re, im) for re in axis for im in axis)
+        if abs(lam) > 1e-6 and np.min(np.abs(lam - diag_values)) > 1e-6
+    ]
     v1 = WeightSpec.log_power(1)
     v2 = WeightSpec.log_power(2)
-    # per degree, the radius grid and each probe's v1 norm: both lambda-free
-    sweeps = []
+    # per section degree, the largest ratio over both probes of the v2 norm
+    # of the solution, solved for a batch of lambdas at once, to the v1 norm
+    # of h
+    ratios = []
     for d in degrees:
         grid = default_radius_grid(d)
-        probes = [
-            (h, weighted_sup_norm(h, v1, grid, samples).value)
-            for h in (truncate(monomial(0), d), log_one_minus_inv(d))
-        ]
-        sweeps.append((grid, probes))
+        best = [0.0] * len(lams)
+        for h in (truncate(monomial(0), d), log_one_minus_inv(d)):
+            den = weighted_sup_norm(h, v1, grid, samples).value
+            for j in range(0, len(lams), STACK_BATCH):
+                batch = resolvent_recurrence(lams[j : j + STACK_BATCH], h)
+                for i, est in enumerate(weighted_sup_norm(batch, v2, grid, samples), j):
+                    best[i] = max(best[i], est.value / den)
+        ratios.append(best)
 
-    axis = np.linspace(-2.0, 2.0, grid_points)
     points = []
-    for re in axis:
-        for im in axis:
-            lam = complex(re, im)
-            if abs(lam) <= 1e-6 or np.min(np.abs(lam - diag_values)) <= 1e-6:
-                continue
-            norms = []
-            for grid, probes in sweeps:
-                ratio = 0.0
-                for h, den in probes:
-                    solved = resolvent_recurrence(lam, h)
-                    num = weighted_sup_norm(solved, v2, grid, samples).value
-                    ratio = max(ratio, num / den)
-                norms.append(ratio)
-            growth = norms[-1] / norms[0]
-            points.append(
-                SpectralPoint(
-                    lam=lam,
-                    norms=tuple(norms),
-                    growth_ratio=float(growth),
-                    classification="growing" if growth > GROWTH_RATIO_THRESHOLD else "stable",
-                )
+    for lam, norms in zip(lams, zip(*ratios)):
+        growth = norms[-1] / norms[0]
+        points.append(
+            SpectralPoint(
+                lam=lam,
+                norms=tuple(norms),
+                growth_ratio=float(growth),
+                classification="growing" if growth > GROWTH_RATIO_THRESHOLD else "stable",
             )
+        )
     return SpectralDichotomyReport(
         degrees=degrees,
         t_values=tuple(float(t) for t in t_values),

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import pascal_rows
-from .series import Poly, real_matmul, require_finite_param, vanishing_order
+from .series import Poly, poly_members, real_matmul, require_finite_param, vanishing_order
 from .weights import WeightSpec, weighted_sup_norm
 
 #: Refuse recurrence solves when lam is this close to a diagonal value
@@ -55,14 +55,15 @@ class QuadratureSpec:
             raise ValueError("invalid quadrature settings")
 
 
-def _check_lambda_clear(lam: complex, degree: int):
-    if abs(lam) < DIAGONAL_GUARD:
-        raise ValueError("lam must be nonzero")
-    n = np.arange(degree + 1)
-    dist = np.abs(lam - 1.0 / (n + 1))
-    if dist.min() < DIAGONAL_GUARD:
-        k = int(np.argmin(dist))
-        raise ValueError(f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{k + 1}")
+def _check_lambda_clear(lams: np.ndarray, degree: int):
+    diagonal = 1.0 / (np.arange(degree + 1) + 1)
+    for lam in lams:
+        if abs(lam) < DIAGONAL_GUARD:
+            raise ValueError("lam must be nonzero")
+        dist = np.abs(lam - diagonal)
+        if dist.min() < DIAGONAL_GUARD:
+            k = int(np.argmin(dist))
+            raise ValueError(f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{k + 1}")
 
 
 def _check_integral_preconditions(lam: complex, members):
@@ -74,30 +75,30 @@ def _check_integral_preconditions(lam: complex, members):
         )
 
 
-def _members(h) -> list:
-    """[h] for a Poly h, else h as a list of Polys of one degree."""
-    members = [h] if isinstance(h, Poly) else list(h)
-    if not all(isinstance(p, Poly) for p in members) or len({p.degree for p in members}) != 1:
-        raise ValueError("h must be a Poly or a non-empty sequence of Polys of one degree")
-    return members
-
-
-def resolvent_recurrence(lam, h: Poly) -> Poly:
+def resolvent_recurrence(lam, h):
     """Forward triangular solve of (lam*I - C) f = h.
 
     Coefficient n satisfies f_n*(lam - 1/(n+1)) = h_n + mean of f_0..f_{n-1}
     scaled by 1/(n+1); values of lam within 1e-12 of a diagonal entry are
-    rejected rather than regularized.
+    rejected rather than regularized.  An array of lam with one Poly h, or
+    one lam with a sequence of Polys of one degree, gives a list of Polys,
+    one per lam or member, from one loop over n for all of them.
     """
-    lv = require_finite_param(lam, "lam")
-    _check_lambda_clear(lv, h.degree)
-    c = h.coeffs
-    f = np.empty_like(c)
-    running = 0.0 + 0.0j
-    for n in range(c.size):
-        f[n] = (c[n] + running / (n + 1)) / (lv - 1.0 / (n + 1))
+    lams = np.array([require_finite_param(v, "lam") for v in np.ravel(lam)], dtype=complex)
+    members = poly_members(h)
+    if lams.size == 0:
+        raise ValueError("lam must be a number or a non-empty array")
+    if lams.size > 1 and len(members) > 1:
+        raise ValueError("give an array of lam or a sequence of h, not both")
+    _check_lambda_clear(lams, members[0].degree)
+    c = np.array([p.coeffs for p in members]).T
+    f = np.empty((c.shape[0], max(lams.size, len(members))), dtype=complex)
+    running = np.zeros(f.shape[1], dtype=complex)
+    for n in range(c.shape[0]):
+        f[n] = (c[n] + running / (n + 1)) / (lams - 1.0 / (n + 1))
         running += f[n]
-    return Poly(f)
+    solved = [Poly(column) for column in f.T]
+    return solved[0] if np.ndim(lam) == 0 and isinstance(h, Poly) else solved
 
 
 def branch_power(xi, alpha) -> complex:
@@ -161,7 +162,7 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     """
     lv = require_finite_param(lam, "lam")
     quad = quad or QuadratureSpec()
-    members = _members(h)
+    members = poly_members(h)
     _check_integral_preconditions(lv, members)
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
@@ -206,7 +207,7 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
     if lv.real >= 0:
         raise ValueError("semigroup route needs Re lam < 0")
     quad = quad or QuadratureSpec()
-    members = _members(h)
+    members = poly_members(h)
     degree = members[0].degree
     il = 1.0 / lv
     rate = il.real

@@ -77,17 +77,32 @@ def truncate(p: Poly, degree: int) -> Poly:
     return Poly(np.concatenate([p.coeffs, np.zeros(degree - p.degree, dtype=complex)]))
 
 
-def horner_eval(p: Poly, z):
-    """Evaluate by nested multiplication; ``z`` may be a scalar or an array."""
+def poly_members(h) -> list:
+    """[h] for a Poly h, else h as a list of Polys of one degree: the stack
+    that every array-first kernel takes."""
+    members = [h] if isinstance(h, Poly) else list(h)
+    if not all(isinstance(p, Poly) for p in members) or len({p.degree for p in members}) != 1:
+        raise ValueError("h must be a Poly or a non-empty sequence of Polys of one degree")
+    return members
+
+
+def horner_eval(p, z):
+    """Evaluate by nested multiplication; ``z`` may be a scalar or an array.
+
+    For a sequence of Polys of one degree the result has one row per
+    member, from one loop over the coefficients for all of them.
+    """
+    members = poly_members(p)
     zs = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zs)):
         raise ValueError("evaluation points must be finite")
-    acc = np.full(zs.shape, p.coeffs[-1], dtype=complex)
-    for c in p.coeffs[-2::-1]:
-        acc = acc * zs + c
-    if zs.ndim == 0:
-        return complex(acc[()])
-    return acc
+    coeffs = np.array([q.coeffs for q in members]).reshape((len(members), -1) + (1,) * zs.ndim)
+    acc = np.broadcast_to(coeffs[:, -1], (len(members),) + zs.shape).copy()
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * zs + coeffs[:, k]
+    if not isinstance(p, Poly):
+        return acc
+    return complex(acc[0][()]) if zs.ndim == 0 else acc[0]
 
 
 def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -12,10 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Poly
+from .series import Poly, poly_members
 
 #: Radius where the logarithmic weight switches from the constant branch.
 JUNCTION_RADIUS = 1.0 - 1.0 / np.e
+
+#: Most angles per circle a norm sweep takes; one member's radii x samples
+#: block of complex values is then about 10 MB at the 73 default radii.
+SAMPLES_CAP = 8192
+
+#: Bytes of complex circle samples per FFT call: the members of a stack are
+#: transformed in chunks whose (members, radii, samples) block stays near
+#: this size.  A 2 MB block ran faster than an 8 MB one, and it keeps peak
+#: memory flat whatever the stack size.
+STACK_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -90,27 +100,48 @@ def default_radius_grid(degree: int, points: int = 64, include_zero: bool = True
     return np.concatenate([low, outer])
 
 
-def max_modulus_profile(p: Poly, radii, samples: int = 1024) -> np.ndarray:
-    """Sampled max-modulus over ``samples`` equispaced angles at each radius.
+def require_samples(samples) -> int:
+    """The number of angles per circle, an integer in 8..``SAMPLES_CAP``."""
+    if int(samples) < 8 or samples != int(samples):
+        raise ValueError("need at least 8 samples per circle")
+    if samples > SAMPLES_CAP:
+        raise ValueError(f"at most {SAMPLES_CAP} samples per circle, got {samples}")
+    return int(samples)
+
+
+def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
+    """Sampled max-modulus over ``samples`` equispaced angles at each radius,
+    for a Poly or, one row per member, for a sequence of Polys of one degree.
 
     When the degree reaches the sample count, coefficients are folded modulo
     ``samples`` before the FFT: the DFT of the folded vector equals
     evaluation at the ``samples``-th roots scaled by r, so the result is
-    exact even then.  Shorter coefficient vectors are zero-padded by the FFT.
+    exact even then.  Shorter coefficient vectors are zero-padded.  The
+    radius powers and the zero-padded sample block are built once per call;
+    the members then go through the FFT in chunks of about
+    ``STACK_BLOCK_BYTES`` (one member at least).
     """
+    members = poly_members(p)
     rv = np.atleast_1d(np.asarray(radii, dtype=float))
     if rv.size == 0:
         raise ValueError("radius grid must be nonempty")
     if np.any(rv < 0) or np.any(rv >= 1):
         raise ValueError("radii must lie in [0, 1)")
-    if int(samples) < 8 or samples != int(samples):
-        raise ValueError("need at least 8 samples per circle")
-    samples = int(samples)
-    scaled = p.coeffs[None, :] * rv[:, None] ** np.arange(p.degree + 1)
-    if scaled.shape[1] > samples:
-        scaled = np.pad(scaled, ((0, 0), (0, (-scaled.shape[1]) % samples)))
-        scaled = scaled.reshape(rv.size, -1, samples).sum(axis=1)
-    return np.abs(np.fft.fft(scaled, n=samples, axis=1)).max(axis=1)
+    samples = require_samples(samples)
+    size = members[0].degree + 1
+    powers = rv[:, None] ** np.arange(size)
+    width = size + (-size) % samples  # samples, or the folded length above it
+    step = max(1, STACK_BLOCK_BYTES // (16 * rv.size * width))
+    out = np.empty((len(members), rv.size))
+    block = np.zeros((min(step, len(members)), rv.size, width), dtype=complex)  # zero tail
+    for i in range(0, len(members), step):
+        chunk = np.array([q.coeffs for q in members[i : i + step]])
+        scaled = block[: len(chunk)]
+        np.multiply(chunk[:, None, :], powers, out=scaled[..., :size])
+        if width > samples:
+            scaled = scaled.reshape(len(chunk), rv.size, -1, samples).sum(axis=2)
+        out[i : i + step] = np.abs(np.fft.fft(scaled, axis=-1)).max(axis=-1)
+    return out[0] if isinstance(p, Poly) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,32 +154,38 @@ class NormEstimate:
     samples_per_circle: int
 
 
-def weighted_sup_norm(p: Poly, w: WeightSpec, grid=None, samples: int = 1024) -> NormEstimate:
-    """max over the grid of weight(r) * sampled max-modulus at r.
+def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
+    """max over the grid of weight(r) * sampled max-modulus at r, for a Poly
+    or, as a list of estimates, for a sequence of Polys of one degree.
 
     Radii beyond :func:`reliable_radius` of the polynomial's degree are
     rejected: there the discarded tail of a typical truncation is no longer
     negligible and the sweep would not be honest.
     """
+    members = poly_members(p)
+    degree = members[0].degree
     if grid is None:
-        grid = default_radius_grid(p.degree)
+        grid = default_radius_grid(degree)
     gv = np.atleast_1d(np.asarray(grid, dtype=float))
     if gv.size == 0:
         raise ValueError("radius grid must be nonempty")
-    rmax = reliable_radius(p.degree)
+    rmax = reliable_radius(degree)
     if np.any(gv > rmax + 1e-12):
         raise ValueError(
             f"grid reaches {gv.max():.6f}, beyond the reliability bound {rmax:.6f} "
-            f"for degree {p.degree}"
+            f"for degree {degree}"
         )
-    values = weight_eval(w, gv) * max_modulus_profile(p, gv, samples)
-    i = int(np.argmax(values))
-    return NormEstimate(
-        value=float(values[i]),
-        argmax_radius=float(gv[i]),
-        grid=gv.copy(),
-        samples_per_circle=int(samples),
-    )
+    values = weight_eval(w, gv) * max_modulus_profile(members, gv, samples)
+    estimates = [
+        NormEstimate(
+            value=float(row[i]),
+            argmax_radius=float(gv[i]),
+            grid=gv.copy(),
+            samples_per_circle=int(samples),
+        )
+        for row, i in zip(values, np.argmax(values, axis=1))
+    ]
+    return estimates[0] if isinstance(p, Poly) else estimates
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cesaro_lab.cli import main, read_coeffs_csv
+from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
 from cesaro_lab.series import binomial_series, log_one_minus_inv
 from cesaro_lab import verify
 from cesaro_lab.verify import CheckResult, run_suite
+from cesaro_lab.weights import SAMPLES_CAP
 
 
 def write_constant_csv(path, degree):
@@ -140,6 +143,32 @@ class TestErgodicCommand:
               "--output", str(out)])
         assert json.loads(out.read_text())["projection_errors"] == []
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n-max", N_MAX_CAP + 1), ("--samples", SAMPLES_CAP + 1)],
+    )
+    def test_budget_past_cap_exits_two(self, tmp_path, capsys, flag, value):
+        # refused before the 16 MB input function is built
+        out = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            code = main(["ergodic", "--t", "0.5", flag, str(value), "--f", "const1",
+                         "--degree", "1000000", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1_000_000
+        assert not out.exists()
+        assert str(value - 1) in capsys.readouterr().err
+
+    def test_readme_budgets_accepted(self, tmp_path):
+        out = tmp_path / "t.json"
+        code = main(["ergodic", "--t", "0.5", "--n-max", "256", "--samples", "1024", "--f",
+                     "const1", "--degree", "16", "--output", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["iterate_norms"]) == 256
+
 
 class TestClassifyCommand:
     def test_log_family_report(self, tmp_path):
@@ -176,6 +205,21 @@ class TestSpectrumCommand:
         assert code == 2
         assert not out.exists()
         assert "strictly increasing" in capsys.readouterr().err
+
+    def test_grid_points_past_cap_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        code = main(["spectrum", "--degree", "1024", "--grid-points", str(GRID_POINTS_CAP + 1),
+                     "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "grid_points" in capsys.readouterr().err
+
+    def test_readme_grid_points_accepted(self, tmp_path):
+        out = tmp_path / "spec.json"
+        code = main(["spectrum", "--degree", "64", "--degrees", "64,128", "--grid-points", "17",
+                     "--output", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["points"]) > 250
 
 
 class TestVerifyCommand:

@@ -1,17 +1,33 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
 from cesaro_lab.ergodic import (
+    GRID_POINTS_CAP,
+    N_MAX_CAP,
+    STACK_BATCH,
     eigenpair_cesaro,
     eigenvector_ct,
     iterate_trace,
     spectral_dichotomy_report,
 )
 from cesaro_lab.operators import cesaro_apply, generalized_cesaro_apply
-from cesaro_lab.series import Poly, monomial, truncate
-from cesaro_lab.weights import WeightSpec
+from cesaro_lab.series import Poly, log_one_minus_inv, monomial, truncate
+from cesaro_lab.weights import SAMPLES_CAP, WeightSpec, default_radius_grid, weighted_sup_norm
+
+
+def refusal_peak_bytes(run, match):
+    """Peak bytes allocated while ``run()`` raises a ValueError matching
+    ``match``: a budget refused before any work allocates almost nothing."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCesaroEigenpairs:
@@ -117,6 +133,50 @@ class TestIterateTrace:
                 rhs = mean - (n - 1) / n * mean_prev
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
+    def test_matches_per_vector_norms(self):
+        # one weighted_sup_norm call per vector, as the trace was once taken;
+        # the longer trace crosses a batch boundary
+        f = log_one_minus_inv(64)
+        w = WeightSpec.log_power(1)
+        grid = default_radius_grid(64)
+
+        def norm_of(vec):
+            return weighted_sup_norm(Poly(vec), w, grid).value
+
+        for t, n_max in ((0.5, 16), (1.0, 16), (0.5, STACK_BATCH + 8)):
+            target = f.coeffs[0] * t ** np.arange(65)
+            current, mean = f.coeffs.copy(), np.zeros(65, dtype=complex)
+            means, iterate_norms, mean_norms, projection_errors = [], [], [], []
+            for n in range(1, n_max + 1):
+                current = generalized_cesaro_apply(t, Poly(current)).coeffs
+                mean = mean + (current - mean) / n
+                means.append(mean.copy())
+                iterate_norms.append(norm_of(current))
+                mean_norms.append(norm_of(mean))
+                projection_errors.append(norm_of(mean - target))
+            halves = range(1, n_max // 2 + 1)
+            increments = [norm_of(means[2 * n - 1] - means[n - 1]) for n in halves]
+            trace = iterate_trace(t, f, w, n_max)
+            assert trace.iterate_norms == tuple(iterate_norms)
+            assert trace.mean_norms == tuple(mean_norms)
+            assert trace.mean_increments == tuple(increments)
+            assert trace.projection_errors == (tuple(projection_errors) if t < 1 else ())
+
+    def test_refuses_budgets_past_caps_before_allocating(self):
+        f = truncate(monomial(0), 512)
+        w = WeightSpec.log_power(1)
+        runs = (
+            (lambda: iterate_trace(0.5, f, w, N_MAX_CAP + 1), f"cap {N_MAX_CAP}"),
+            (lambda: iterate_trace(0.5, f, w, 16, samples=SAMPLES_CAP + 1), "samples"),
+        )
+        for run, match in runs:
+            assert refusal_peak_bytes(run, match) < 100_000
+
+    def test_accepts_readme_budgets(self):
+        f = truncate(monomial(0), 16)
+        trace = iterate_trace(0.5, f, WeightSpec.log_power(1), 256, samples=1024)
+        assert len(trace.iterate_norms) == 256
+
     def test_rejects_bad_arguments(self):
         f = truncate(monomial(0), 16)
         with pytest.raises(ValueError):
@@ -146,6 +206,15 @@ class TestSpectralDichotomy:
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             spectral_dichotomy_report(32)
+
+    def test_refuses_budgets_past_caps_before_allocating(self):
+        # accepted, degree 1024 would first build five 16.8 MB sections
+        runs = (
+            (lambda: spectral_dichotomy_report(1024, grid_points=GRID_POINTS_CAP + 1), "grid"),
+            (lambda: spectral_dichotomy_report(1024, samples=SAMPLES_CAP + 1), "samples"),
+        )
+        for run, match in runs:
+            assert refusal_peak_bytes(run, match) < 100_000
 
     def test_rejects_degrees_not_increasing(self):
         # the growth ratio divides the last degree's norm by the first's, so

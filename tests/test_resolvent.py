@@ -83,6 +83,46 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             resolvent_recurrence(0.0, Poly([1]))
 
+    def test_lambda_array_matches_single_calls(self):
+        # the spectral sweep's grid at degree 128
+        axis = np.linspace(-2.0, 2.0, 17)
+        diagonal = 1.0 / np.arange(1, 130)
+        lams = [
+            lam
+            for lam in (complex(re, im) for re in axis for im in axis)
+            if abs(lam) > 1e-6 and np.min(np.abs(lam - diagonal)) > 1e-6
+        ]
+        for h in (truncate(monomial(0), 128), log_one_minus_inv(128)):
+            solved = resolvent_recurrence(np.array(lams), h)
+            for lam, f in zip(lams, solved, strict=True):
+                assert np.array_equal(f.coeffs, resolvent_recurrence(lam, h).coeffs), lam
+
+    def test_stack_matches_single_calls(self):
+        members = [h for _, h in build_corpus(128)]
+        for lam in (1j, -1.0, 3.0):
+            for f, h in zip(resolvent_recurrence(lam, members), members, strict=True):
+                assert np.array_equal(f.coeffs, resolvent_recurrence(lam, h).coeffs)
+
+    def test_stacked_oracle_matches_per_member_oracle(self):
+        # the resolvent-routes oracle: recurrence at degree 512, then Horner
+        members = [truncate(h, 512) for _, h in build_corpus(128)[::3]]
+        zs = off_cut_sample_points()
+        for lam in (1j, 2j, -1 + 1j, 3.0):
+            stacked = horner_eval(resolvent_recurrence(lam, members), zs)
+            for row, h in zip(stacked, members, strict=True):
+                assert np.array_equal(row, horner_eval(resolvent_recurrence(lam, h), zs))
+
+    def test_lambda_array_refuses_diagonal_value(self):
+        h = Poly(np.ones(8))
+        with pytest.raises(ValueError, match="diagonal value 1/3"):
+            resolvent_recurrence(np.array([2.0, 1.0 / 3 + 1e-13, -1.0]), h)
+        with pytest.raises(ValueError, match="nonzero"):
+            resolvent_recurrence(np.array([1j, 0.0]), h)
+        with pytest.raises(ValueError, match="non-empty"):
+            resolvent_recurrence(np.array([]), h)
+        with pytest.raises(ValueError, match="not both"):
+            resolvent_recurrence(np.array([1j, 2j]), [h, h])
+
 
 class TestBranchPower:
     def test_unit_base(self):

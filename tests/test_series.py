@@ -81,6 +81,18 @@ class TestHornerEval:
         assert vals.shape == (2,)
         assert vals[0] == pytest.approx(1 + 2 * 0.1 + 3 * 0.01)
 
+    def test_stack_rows_match_members(self):
+        rng = np.random.default_rng(9)
+        members = [Poly(rng.normal(size=12) + 1j * rng.normal(size=12)) for _ in range(5)]
+        zs = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 7)).reshape(7, 1)
+        stacked = horner_eval(members, zs)
+        assert stacked.shape == (5, 7, 1)
+        for row, p in zip(stacked, members):
+            assert np.array_equal(row, horner_eval(p, zs))
+        assert np.array_equal(horner_eval(members, 0.5), [horner_eval(p, 0.5) for p in members])
+        with pytest.raises(ValueError, match="one degree"):
+            horner_eval([Poly([1]), Poly([1, 2])], 0.5)
+
     @given(coeff_lists, coeff_lists, finite_complex, finite_complex, finite_complex)
     def test_linearity(self, a, b, alpha, beta, z):
         n = max(len(a), len(b))

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cesaro_lab.series import Poly, binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
 from cesaro_lab.weights import (
     JUNCTION_RADIUS,
+    SAMPLES_CAP,
+    STACK_BLOCK_BYTES,
     WeightSpec,
     default_radius_grid,
     growth_classify,
@@ -11,6 +15,12 @@ from cesaro_lab.weights import (
     weight_eval,
     weighted_sup_norm,
 )
+from test_resolvent import cpu_per_wall
+
+
+def random_stack(count, size, seed=23):
+    rng = np.random.default_rng(seed)
+    return [Poly(rng.normal(size=size) + 1j * rng.normal(size=size)) for _ in range(count)]
 
 
 class TestWeightEval:
@@ -105,6 +115,61 @@ class TestMaxModulus:
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError):
             max_modulus_profile(Poly([1]), [0.5], samples=4)
+
+    def test_rejects_sample_count_above_cap(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {SAMPLES_CAP} samples"):
+                max_modulus_profile(Poly([1]), [0.5], samples=SAMPLES_CAP + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert max_modulus_profile(Poly([1]), [0.5], samples=SAMPLES_CAP)[0] == 1.0
+
+    def test_stack_matches_single_calls(self):
+        # both sides of the fold at 64 samples, with more members than one
+        # FFT chunk holds
+        samples = 64
+        for size in (samples - 1, samples, samples + 1, 100):
+            grid = default_radius_grid(size - 1)
+            width = max(samples, -(-size // samples) * samples)
+            per_chunk = STACK_BLOCK_BYTES // (16 * grid.size * width)
+            members = random_stack(per_chunk + 5, size)
+            stacked = max_modulus_profile(members, grid, samples)
+            assert stacked.shape == (len(members), grid.size)
+            for row, p in zip(stacked, members):
+                assert np.array_equal(row, max_modulus_profile(p, grid, samples)), size
+            w = WeightSpec.log_power(1)
+            for est, p in zip(weighted_sup_norm(members, w, grid, samples), members, strict=True):
+                single = weighted_sup_norm(p, w, grid, samples)
+                assert est.value == single.value and est.argmax_radius == single.argmax_radius
+
+    def test_rejects_mixed_degree_stack(self):
+        mixed = [Poly(np.ones(8)), Poly(np.ones(9))]
+        for stack in (mixed, []):
+            with pytest.raises(ValueError, match="one degree"):
+                max_modulus_profile(stack, [0.5])
+            with pytest.raises(ValueError, match="one degree"):
+                weighted_sup_norm(stack, WeightSpec.log_power(1), [0.5])
+
+    def test_stacked_profile_memory_is_chunked(self):
+        # unchunked, 300 members x 73 radii x 1024 samples is a 359 MB block
+        members = random_stack(300, 513)
+        grid = default_radius_grid(512)
+        tracemalloc.start()
+        try:
+            max_modulus_profile(members, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * STACK_BLOCK_BYTES
+
+    def test_stacked_norms_leave_blas_threads_asleep(self):
+        members = random_stack(63, 513)
+        grid = default_radius_grid(512)
+        w = WeightSpec.log_power(1)
+        assert cpu_per_wall(lambda: weighted_sup_norm(members, w, grid)) <= 1.5
 
 
 class TestWeightedSupNorm:
