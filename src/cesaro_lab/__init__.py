@@ -27,7 +27,6 @@ from .weights import (
     weighted_sup_norm,
 )
 from .operators import (
-    FiniteSection,
     build_corpus,
     cesaro_apply,
     cesaro_inverse_apply,
@@ -37,11 +36,8 @@ from .operators import (
     s_t_apply,
 )
 from .resolvent import (
-    BoundCheck,
     QuadratureSpec,
-    branch_power,
     off_cut_sample_points,
-    resolvent_bound_check,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
@@ -77,7 +73,6 @@ __all__ = [
     "max_modulus_profile",
     "weight_eval",
     "weighted_sup_norm",
-    "FiniteSection",
     "build_corpus",
     "cesaro_apply",
     "cesaro_inverse_apply",
@@ -85,11 +80,8 @@ __all__ = [
     "generalized_cesaro_apply",
     "log_power_identity_check",
     "s_t_apply",
-    "BoundCheck",
     "QuadratureSpec",
-    "branch_power",
     "off_cut_sample_points",
-    "resolvent_bound_check",
     "resolvent_integral_profile",
     "resolvent_recurrence",
     "resolvent_semigroup",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
@@ -42,42 +41,13 @@ BUILTIN_FUNCTIONS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved parameters of one command invocation, embedded in outputs."""
-
-    command: str
-    seed: int = DEFAULT_SEED
-    degree: int | None = None
-    t: float | None = None
-    lambda_re: float | None = None
-    lambda_im: float | None = None
-    weight_kind: str | None = None
-    weight_order: float | None = None
-    samples: int | None = None
-    grid_points: int | None = None
-    op: str | None = None
-    function: str | None = None
-    input: str | None = None
-    output: str | None = None
-    route: str | None = None
-    nodes: int | None = None
-    panels: int | None = None
-    substitution: bool | None = None
-    t_max: float | None = None
-    n_max: int | None = None
-    degrees: tuple | None = None
-    suite: str | None = None
-
-    def embedded(self) -> dict:
-        resolved = {k: v for k, v in asdict(self).items() if v is not None}
-        # the destination is not part of the computation: identical configs
-        # must yield byte-identical output wherever they are written
-        resolved.pop("output", None)
-        degrees = resolved.get("degrees")
-        if degrees is not None:
-            resolved["degrees"] = list(degrees)
-        return resolved
+def _config(command: str, **fields) -> dict:
+    """Resolved parameters of one command invocation, embedded in outputs;
+    fields that are None are left out.  The output path is never one of
+    them: identical configs must yield byte-identical output wherever they
+    are written."""
+    resolved = {k: v for k, v in fields.items() if v is not None}
+    return dict(resolved, command=command, seed=DEFAULT_SEED)
 
 
 def write_coeffs_csv(path: str | None, p: Poly, config: dict):
@@ -128,22 +98,27 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _load_function(args, config: ExperimentConfig) -> Poly:
+def _builtin(name: str):
+    """The builder of a builtin function, refused if the name is unknown."""
+    if name not in BUILTIN_FUNCTIONS:
+        raise ValueError(f"unknown function {name!r}; choose from " + ", ".join(BUILTIN_FUNCTIONS))
+    return BUILTIN_FUNCTIONS[name]
+
+
+def _load_function(args, config: dict) -> Poly:
     if getattr(args, "input", None) and getattr(args, "function", None):
         raise ValueError("give either --input or --f, not both")
     if getattr(args, "input", None):
-        config.input = args.input
+        config["input"] = args.input
         return read_coeffs_csv(args.input)
     name = getattr(args, "function", None)
     if not name:
         raise ValueError("one of --input or --f is required")
-    if name not in BUILTIN_FUNCTIONS:
-        raise ValueError(f"unknown function {name!r}; choose from " + ", ".join(BUILTIN_FUNCTIONS))
+    build = _builtin(name)
     if args.degree is None:
         raise ValueError("--degree is required with --f")
-    config.function = name
-    config.degree = args.degree
-    return BUILTIN_FUNCTIONS[name](args.degree)
+    config.update(function=name, degree=args.degree)
+    return build(args.degree)
 
 
 def _weight_from(args) -> WeightSpec:
@@ -153,12 +128,12 @@ def _weight_from(args) -> WeightSpec:
 
 
 def _cmd_apply(args) -> int:
-    config = ExperimentConfig(command="apply", op=args.op, output=args.output)
+    config = _config("apply", op=args.op)
     p = _load_function(args, config)
     if args.op in ("generalized", "composition"):
         if args.t is None:
             raise ValueError(f"--t is required for --op {args.op}")
-        config.t = args.t
+        config["t"] = args.t
     if args.op == "cesaro":
         out = cesaro_apply(p)
     elif args.op == "inverse":
@@ -169,71 +144,59 @@ def _cmd_apply(args) -> int:
         out = generalized_cesaro_apply(args.t, p)
     else:
         out = s_t_apply(args.t, p)
-    write_coeffs_csv(args.output, out, config.embedded())
+    write_coeffs_csv(args.output, out, config)
     return 0
 
 
 def _cmd_resolvent(args) -> int:
     lam = complex(args.lambda_re, args.lambda_im)
-    config = ExperimentConfig(
-        command="resolvent",
+    config = _config(
+        "resolvent",
         route=args.route,
         lambda_re=args.lambda_re,
         lambda_im=args.lambda_im,
-        output=args.output,
         nodes=args.nodes,
         panels=args.panels,
-        substitution=not args.no_substitution,
+        # a literal: the benchmark reference requires it in f.csv, g.csv and vals.csv
+        substitution=True,
         t_max=args.t_max,
     )
     h = _load_function(args, config)
-    quad = QuadratureSpec(
-        nodes=args.nodes,
-        panels=args.panels,
-        substitution=not args.no_substitution,
-        t_max=args.t_max,
-    )
+    quad = QuadratureSpec(nodes=args.nodes, panels=args.panels, t_max=args.t_max)
     if args.route == "recurrence":
-        write_coeffs_csv(args.output, resolvent_recurrence(lam, h), config.embedded())
+        write_coeffs_csv(args.output, resolvent_recurrence(lam, h), config)
     elif args.route == "semigroup":
-        write_coeffs_csv(args.output, resolvent_semigroup(lam, h, quad), config.embedded())
+        write_coeffs_csv(args.output, resolvent_semigroup(lam, h, quad), config)
     else:
         zs = off_cut_sample_points()
         values = resolvent_integral_profile(lam, h, zs, quad)
-        write_samples_csv(args.output, zs, values, config.embedded())
+        write_samples_csv(args.output, zs, values, config)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     degrees = tuple(int(d) for d in args.degrees.split(",")) if args.degrees else None
-    config = ExperimentConfig(
-        command="spectrum",
-        degree=args.degree,
-        degrees=degrees,
-        grid_points=args.grid_points,
-        output=args.output,
-    )
+    config = _config("spectrum", degree=args.degree, degrees=degrees, grid_points=args.grid_points)
     report = spectral_dichotomy_report(args.degree, degrees=degrees, grid_points=args.grid_points)
-    payload = dict(report.payload(), config=config.embedded(), t_values=list(report.t_values))
+    payload = dict(report.payload(), config=config, t_values=list(report.t_values))
     write_json(args.output, payload)
     return 0
 
 
 def _cmd_ergodic(args) -> int:
-    config = ExperimentConfig(
-        command="ergodic",
+    config = _config(
+        "ergodic",
         t=args.t,
         n_max=args.n_max,
         weight_kind=args.weight_kind,
         weight_order=args.weight_order,
         samples=args.samples,
-        output=args.output,
     )
     require_trace_budget(args.n_max, args.samples)
     f = _load_function(args, config)
     trace = iterate_trace(args.t, f, _weight_from(args), args.n_max, samples=args.samples)
     payload = {
-        "config": config.embedded(),
+        "config": config,
         "iterate_norms": list(trace.iterate_norms),
         "mean_norms": list(trace.mean_norms),
         "mean_increments": list(trace.mean_increments),
@@ -245,22 +208,18 @@ def _cmd_ergodic(args) -> int:
 
 def _cmd_classify(args) -> int:
     degrees = tuple(int(d) for d in args.degrees.split(","))
-    config = ExperimentConfig(
-        command="classify",
+    build = _builtin(args.function)
+    config = _config(
+        "classify",
         degrees=degrees,
         weight_kind=args.weight_kind,
         weight_order=args.weight_order,
-        output=args.output,
+        function=args.function,
     )
-    if args.function not in BUILTIN_FUNCTIONS:
-        raise ValueError(
-            f"unknown function {args.function!r}; choose from " + ", ".join(BUILTIN_FUNCTIONS)
-        )
-    config.function = args.function
-    family = [BUILTIN_FUNCTIONS[args.function](d) for d in degrees]
+    family = [build(d) for d in degrees]
     report = growth_classify(family, weight=_weight_from(args))
     payload = {
-        "config": config.embedded(),
+        "config": config,
         "log_order": report.log_order,
         "standard_order": report.standard_order,
         "residuals": report.residuals,
@@ -276,11 +235,8 @@ def _cmd_verify(args) -> int:
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     if args.output:
-        config = ExperimentConfig(
-            command="verify", suite=args.suite, degree=args.degree, output=args.output
-        )
         payload = {
-            "config": config.embedded(),
+            "config": _config("verify", suite=args.suite, degree=args.degree),
             "results": [
                 {"name": r.name, "passed": r.passed, "runtime_s": r.runtime_s, "detail": r.detail}
                 for r in results
@@ -318,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--lambda-im", type=float, default=0.0)
     p_res.add_argument("--nodes", type=int, default=256, help="quadrature nodes per panel")
     p_res.add_argument("--panels", type=int, default=4)
-    p_res.add_argument("--no-substitution", action="store_true")
     p_res.add_argument("--t-max", type=float, default=None, help="semigroup horizon override")
     add_function_args(p_res)
 

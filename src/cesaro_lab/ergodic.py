@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import cesaro_apply, generalized_cesaro_apply, section_shape_error
+from .operators import (
+    ST_DEGREE_CAP,
+    cesaro_apply,
+    generalized_cesaro_apply,
+    require_memory_t,
+    section_shape_error,
+)
 from .resolvent import resolvent_recurrence
 from .series import Poly, log_one_minus_inv, monomial, shifted_pole, truncate
 from .weights import WeightSpec, default_radius_grid, require_samples, weighted_sup_norm
@@ -28,6 +34,10 @@ N_MAX_CAP = 1024
 
 #: Most points per axis of the spectral sweep's lambda grid.
 GRID_POINTS_CAP = 33
+
+#: Memory parameters whose finite sections the spectral report and the
+#: ``finite-section-spectrum`` check measure.
+SECTION_T_VALUES = (0.0, 0.3, 0.5, 0.9, 1.0)
 
 #: Most vectors a trace or the sweep hands to one stacked norm call: enough
 #: to share the kernel's set-up, few enough that the vectors held at once
@@ -143,9 +153,7 @@ def iterate_trace(
     require_trace_budget(n_max, samples)
     if not np.any(np.abs(f.coeffs) > 0):
         raise ValueError("f must be nonzero")
-    tv = float(t)
-    if not np.isfinite(tv) or not (0.0 <= tv <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
+    tv = require_memory_t(t)
     if grid is None:
         grid = default_radius_grid(f.degree)
 
@@ -226,11 +234,11 @@ def spectral_dichotomy_report(
     degrees=None,
     grid_points: int = 17,
     samples: int = 1024,
-    t_values=(0.0, 0.3, 0.5, 0.9, 1.0),
 ) -> SpectralDichotomyReport:
-    """Tabulate section diagonals and resolvent norm estimates on a grid
-    over [-2, 2] x [-2, 2], excluding lambdas within 1e-6 of a diagonal
-    value 1/(n+1) or of 0."""
+    """Tabulate section diagonals at ``SECTION_T_VALUES`` and resolvent norm
+    estimates on a grid over [-2, 2] x [-2, 2], excluding lambdas within
+    1e-6 of a diagonal value 1/(n+1) or of 0.  Section degrees above
+    ``ST_DEGREE_CAP`` are refused before anything is built."""
     if not 1 <= grid_points <= GRID_POINTS_CAP:
         raise ValueError(f"grid_points must lie in 1..{GRID_POINTS_CAP}, got {grid_points}")
     require_samples(samples)
@@ -244,8 +252,11 @@ def spectral_dichotomy_report(
         raise ValueError("need at least two section degrees")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("section degrees must be strictly increasing")
+    top = max(degree, degrees[-1])
+    if top > ST_DEGREE_CAP:
+        raise ValueError(f"section degree {top} exceeds the cap {ST_DEGREE_CAP}")
 
-    section_errors = {float(tv): section_shape_error(tv, degree) for tv in t_values}
+    section_errors = {tv: section_shape_error(tv, degree) for tv in SECTION_T_VALUES}
 
     diag_values = 1.0 / np.arange(1, max(degrees) + 2)
     axis = np.linspace(-2.0, 2.0, grid_points)
@@ -284,7 +295,7 @@ def spectral_dichotomy_report(
         )
     return SpectralDichotomyReport(
         degrees=degrees,
-        t_values=tuple(float(t) for t in t_values),
+        t_values=SECTION_T_VALUES,
         section_diagonal_errors=section_errors,
         points=tuple(points),
     )

@@ -8,8 +8,6 @@ semigroup S_t, and dense finite sections for spectral demonstrations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .series import (
@@ -26,14 +24,23 @@ from .series import (
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
 
-#: Largest degree :func:`s_t_rows` accepts; its row matrix takes
-#: 8*(N+1)**2 bytes, about 34 MB at this cap.
+#: Largest degree :func:`s_t_rows` and :func:`finite_section` accept; their
+#: dense matrices take 8*(N+1)**2 and 16*(N+1)**2 bytes, about 34 and 67 MB
+#: at this cap.
 ST_DEGREE_CAP = 2048
 
 
 def cesaro_apply(p: Poly) -> Poly:
     """Averaged partial sums: output coefficient n is mean(c_0..c_n)."""
     return Poly(np.cumsum(p.coeffs) / np.arange(1, p.degree + 2))
+
+
+def require_memory_t(t) -> float:
+    """The memory parameter t as a float, refused unless it lies in [0, 1]."""
+    tv = float(t)
+    if not np.isfinite(tv) or not (0.0 <= tv <= 1.0):
+        raise ValueError("t must lie in [0, 1]")
+    return tv
 
 
 def generalized_cesaro_apply(t: float, p: Poly) -> Poly:
@@ -43,9 +50,7 @@ def generalized_cesaro_apply(t: float, p: Poly) -> Poly:
     application costs O(N) and the constant term is preserved exactly.
     t = 1 reproduces :func:`cesaro_apply`; t = 0 divides c_n by n+1.
     """
-    tv = float(t)
-    if not np.isfinite(tv) or not (0.0 <= tv <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
+    tv = require_memory_t(t)
     c = p.coeffs
     out = np.empty_like(c)
     s = 0.0 + 0.0j
@@ -109,23 +114,17 @@ def s_t_apply(t: float, p: Poly) -> Poly:
     return Poly(real_matmul(s_t_rows(t, p.degree), p.coeffs))
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSection:
-    """Leading (N+1)x(N+1) corner of the coefficient matrix for parameter t:
-    entry (n, j) is t**(n-j)/(n+1) for j <= n, zero above the diagonal."""
-
-    entries: np.ndarray
-    t: float
-
-
-def finite_section(t: float, degree: int) -> FiniteSection:
-    """Dense finite section; applying it to a coefficient vector matches
-    :func:`generalized_cesaro_apply`."""
-    tv = float(t)
-    if not np.isfinite(tv) or not (0.0 <= tv <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
+def finite_section(t: float, degree: int) -> np.ndarray:
+    """Leading (N+1)x(N+1) corner of the coefficient matrix for parameter t,
+    read-only and complex: entry (n, j) is t**(n-j)/(n+1) for j <= n, zero
+    above the diagonal.  Applying it to a coefficient vector matches
+    :func:`generalized_cesaro_apply`.  Degrees above ``ST_DEGREE_CAP`` are
+    refused with ValueError before anything is allocated."""
+    tv = require_memory_t(t)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if degree > ST_DEGREE_CAP:
+        raise ValueError(f"degree {degree} exceeds the section cap {ST_DEGREE_CAP}")
     n = degree + 1
     powers = tv ** np.arange(n)
     gap = np.arange(n)[:, None] - np.arange(n)[None, :]
@@ -133,14 +132,14 @@ def finite_section(t: float, degree: int) -> FiniteSection:
     entries = entries / np.arange(1, n + 1)[:, None]
     entries = entries.astype(complex)
     entries.flags.writeable = False
-    return FiniteSection(entries=entries, t=tv)
+    return entries
 
 
 def section_shape_error(t: float, degree: int) -> float:
     """Largest deviation of the finite section from its expected shape, on
     the diagonal and above it: its eigenvalues 1/(n+1) on the diagonal and
     zeros above, whatever the memory t."""
-    deviation = np.triu(finite_section(t, degree).entries)
+    deviation = np.triu(finite_section(t, degree))
     deviation[np.diag_indices(degree + 1)] -= 1.0 / np.arange(1, degree + 2)
     return float(np.max(np.abs(deviation)))
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .operators import pascal_rows
 from .series import Poly, poly_members, real_matmul, require_finite_param, vanishing_order
-from .weights import WeightSpec, weighted_sup_norm
 
 #: Refuse recurrence solves when lam is this close to a diagonal value
 #: 1/(n+1): those are genuine poles of the finite sections.
@@ -34,16 +33,14 @@ INEQUALITY_SLACK = 1.0 + 1e-6
 class QuadratureSpec:
     """Fixed-node quadrature settings shared by the two integral routes.
 
-    ``nodes``/``panels``/``s_max``/``substitution`` drive the pointwise
-    integral formula; ``time_nodes``/``t_max``/``tail_tol`` drive the
-    semigroup route (``t_max=None`` picks the smallest horizon meeting
-    ``tail_tol``).
+    ``nodes``/``panels``/``s_max`` drive the pointwise integral formula;
+    ``time_nodes``/``t_max``/``tail_tol`` drive the semigroup route
+    (``t_max=None`` picks the smallest horizon meeting ``tail_tol``).
     """
 
     nodes: int = 256
     panels: int = 4
     s_max: float = 36.0
-    substitution: bool = True
     time_nodes: int = 24
     t_max: float | None = None
     tail_tol: float = 1e-9
@@ -101,24 +98,12 @@ def resolvent_recurrence(lam, h):
     return solved[0] if np.ndim(lam) == 0 and isinstance(h, Poly) else solved
 
 
-def branch_power(xi, alpha) -> complex:
-    """xi**alpha through the principal logarithm (argument in (-pi, pi)).
-
-    Rejects xi on the closed negative real axis, where the branch is cut.
-    """
-    x = require_finite_param(xi, "xi")
-    a = require_finite_param(alpha, "alpha")
-    if x.imag == 0 and x.real <= 0:
-        raise ValueError("xi must avoid the closed negative real axis")
-    return complex(np.exp(a * np.log(x)))
-
-
-def off_cut_sample_points(per_ring: int = 50, radii=(0.5, 0.8)) -> np.ndarray:
-    """The fixed evaluation set for route-agreement checks: midpoint-spaced
-    angles on two rings, so no point lies on the cut (-1, 0]."""
-    k = np.arange(per_ring)
-    theta = -np.pi + (k + 0.5) * (2.0 * np.pi / per_ring)
-    return np.concatenate([r * np.exp(1j * theta) for r in radii])
+def off_cut_sample_points() -> np.ndarray:
+    """The fixed evaluation set for route-agreement checks: 50 midpoint-spaced
+    angles on each of the rings |z| = 0.5 and 0.8, so no point lies on the
+    cut (-1, 0]."""
+    theta = -np.pi + (np.arange(50) + 0.5) * (2.0 * np.pi / 50)
+    return np.concatenate([r * np.exp(1j * theta) for r in (0.5, 0.8)])
 
 
 @lru_cache(maxsize=None)
@@ -150,10 +135,10 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
 
     After the segment substitution zeta = tau*z the powers of z cancel and
     the integrand becomes tau**(-1/lam) (1 - tau*z)**(1/lam - 1) h(tau*z) on
-    tau in (0, 1].  With the default further substitution tau = exp(-s) the
-    endpoint oscillation of tau**(-1/lam) is flattened into a smooth,
-    exponentially damped integrand on [0, s_max], which fixed Gauss-Legendre
-    panels resolve to near machine precision.
+    tau in (0, 1].  The further substitution tau = exp(-s) flattens the
+    endpoint oscillation of tau**(-1/lam) into a smooth, exponentially
+    damped integrand on [0, s_max], which fixed Gauss-Legendre panels
+    resolve to near machine precision.
 
     The Gauss sum is taken in moment form, sum_k h_k z**k m_k(z) with the
     h-free m_k(z) = sum_s w_s damping_s (1 - tau_s z)**(1/lam - 1) tau_s**k,
@@ -168,14 +153,10 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     _validate_points(zv)
     il = 1.0 / lv
 
-    if quad.substitution:
-        s, w = _gauss_panels(quad.nodes, quad.panels, quad.s_max)
-        tau = np.exp(-s)
-        # tau**(-il) * dtau collapses to exp(-s*(1 - il)) ds.
-        damping = np.exp(-s * (1.0 - il))
-    else:
-        tau, w = _gauss_panels(quad.nodes, quad.panels, 1.0)
-        damping = np.exp(-il * np.log(tau))
+    s, w = _gauss_panels(quad.nodes, quad.panels, quad.s_max)
+    tau = np.exp(-s)
+    # tau**(-il) * dtau collapses to exp(-s*(1 - il)) ds.
+    damping = np.exp(-s * (1.0 - il))
     k = np.arange(members[0].degree + 1)
     kernel = (w * damping)[:, None] * np.exp((il - 1.0) * np.log(1.0 - tau[:, None] * zv))
     moments = real_matmul((tau[:, None] ** k).T, kernel)
@@ -241,30 +222,8 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
     return solved[0] if isinstance(h, Poly) else solved
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One evaluated norm inequality: measured side, bound side, verdict."""
-
-    lhs: float
-    rhs: float
-    passed: bool
-
-
 def imaginary_axis_constant(b: float) -> float:
     """1/|b| + exp(4*pi/|b|)/b**2: for lam = i*b it bounds the order-(k+1)
     weighted norm of the resolvent solution by the order-k norm of h."""
     return 1.0 / abs(b) + np.exp(4.0 * np.pi / abs(b)) / b**2
 
-
-def resolvent_bound_check(b: float, h: Poly, k: int, grid=None, samples: int = 1024) -> BoundCheck:
-    """Purely imaginary lam = i*b: compare the order-(k+1) weighted norm of
-    the solution against :func:`imaginary_axis_constant` times the order-k
-    norm of h, with ``INEQUALITY_SLACK`` for the sampled maxima."""
-    bv = float(b)
-    if bv == 0 or not np.isfinite(bv):
-        raise ValueError("b must be a nonzero finite real")
-    f = resolvent_recurrence(1j * bv, h)
-    lhs = weighted_sup_norm(f, WeightSpec.log_power(k + 1), grid, samples).value
-    norm_h = weighted_sup_norm(h, WeightSpec.log_power(k), grid, samples).value
-    rhs = imaginary_axis_constant(bv) * norm_h
-    return BoundCheck(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs * INEQUALITY_SLACK))

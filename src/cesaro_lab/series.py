@@ -168,9 +168,10 @@ def log_one_minus_inv(degree: int) -> Poly:
     return Poly(c)
 
 
-def vanishing_order(p: Poly, threshold: float = ZERO_THRESHOLD) -> int:
-    """Smallest n with |c_n| > threshold; degree+1 for the zero polynomial."""
-    idx = np.nonzero(np.abs(p.coeffs) > threshold)[0]
+def vanishing_order(p: Poly) -> int:
+    """Smallest n with |c_n| > ``ZERO_THRESHOLD``; degree+1 for the zero
+    polynomial."""
+    idx = np.nonzero(np.abs(p.coeffs) > ZERO_THRESHOLD)[0]
     if idx.size == 0:
         return p.degree + 1
     return int(idx[0])

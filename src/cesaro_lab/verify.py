@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic import eigenpair_cesaro, eigenvector_ct, iterate_trace
+from .ergodic import SECTION_T_VALUES, eigenpair_cesaro, eigenvector_ct, iterate_trace
 from .operators import (
     build_corpus,
     cesaro_apply,
@@ -346,7 +346,7 @@ def check_growth_classification() -> CheckResult:
 def check_finite_section_spectrum(degree: int = 512) -> CheckResult:
     """Section eigenvalues on the diagonal and zeros above it, for every t."""
     start = time.perf_counter()
-    worst = max(section_shape_error(t, degree) for t in (0.0, 0.3, 0.5, 0.9, 1.0))
+    worst = max(section_shape_error(t, degree) for t in SECTION_T_VALUES)
     detail = f"max deviation from diagonal 1/(n+1), zero above: {worst:.2e}"
     return _result("finite-section-spectrum", start, worst <= 1e-14, 1.0, detail)
 

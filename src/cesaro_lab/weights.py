@@ -150,8 +150,6 @@ class NormEstimate:
 
     value: float
     argmax_radius: float
-    grid: np.ndarray
-    samples_per_circle: int
 
 
 def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
@@ -177,12 +175,7 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
         )
     values = weight_eval(w, gv) * max_modulus_profile(members, gv, samples)
     estimates = [
-        NormEstimate(
-            value=float(row[i]),
-            argmax_radius=float(gv[i]),
-            grid=gv.copy(),
-            samples_per_circle=int(samples),
-        )
+        NormEstimate(value=float(row[i]), argmax_radius=float(gv[i]))
         for row, i in zip(values, np.argmax(values, axis=1))
     ]
     return estimates[0] if isinstance(p, Poly) else estimates
@@ -204,13 +197,9 @@ class GrowthReport:
     norms_by_degree: tuple
 
 
-def growth_classify(
-    truncations,
-    weight: WeightSpec | None = None,
-    points: int = 64,
-    samples: int = 1024,
-) -> GrowthReport:
-    """Fit growth orders from a family of truncations at increasing degrees.
+def growth_classify(truncations, weight: WeightSpec | None = None) -> GrowthReport:
+    """Fit growth orders from a family of truncations at increasing degrees,
+    on the default radius grids with 1024 angles per circle.
 
     The fits use the outer half of the radius grid on the u = -log(1-r)
     scale, where the asymptotic growth dominates the bounded prefactors;
@@ -227,10 +216,10 @@ def growth_classify(
         weight = WeightSpec.log_power(1)
 
     largest = truncations[-1]
-    grid = default_radius_grid(largest.degree, points=points, include_zero=False)
+    grid = default_radius_grid(largest.degree, include_zero=False)
     if grid.size < 4:
         raise ValueError("degenerate radius grid: fewer than 4 radii")
-    m_vals = max_modulus_profile(largest, grid, samples)
+    m_vals = max_modulus_profile(largest, grid)
     u = -np.log1p(-grid)
     window = (u >= 0.5 * (u.min() + u.max())) & (m_vals > 0)
     if window.sum() < 4:
@@ -243,10 +232,7 @@ def growth_classify(
     k_rms = float(np.sqrt(k_res[0] / npts)) if k_res.size else 0.0
     g_rms = float(np.sqrt(g_res[0] / npts)) if g_res.size else 0.0
 
-    norms = tuple(
-        weighted_sup_norm(p, weight, default_radius_grid(p.degree, points=points), samples).value
-        for p in truncations
-    )
+    norms = tuple(weighted_sup_norm(p, weight).value for p in truncations)
     return GrowthReport(
         log_order=max(float(k_fit[0]), 0.0),
         standard_order=max(float(g_fit[0]), 0.0),

@@ -109,8 +109,7 @@ def test_finite_section_spectrum_rejects_entries_above_diagonal(monkeypatch):
 
     def skewed(t, degree):
         section = exact(t, degree)
-        above = np.triu(np.full(section.entries.shape, 1e-3), 1)
-        return operators.FiniteSection(entries=section.entries + above, t=section.t)
+        return section + np.triu(np.full(section.shape, 1e-3), 1)
 
     monkeypatch.setattr(operators, "finite_section", skewed)
     result = report(verify.check_finite_section_spectrum(64))

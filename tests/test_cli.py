@@ -100,6 +100,25 @@ class TestResolventCommand:
         assert lines[1] == "z_re,z_im,re,im"
         assert len(lines) == 102
 
+    def test_integral_config_line(self, tmp_path):
+        out = tmp_path / "vals.csv"
+        main(["resolvent", "--route", "integral", "--lambda-re", "0", "--lambda-im", "1",
+              "--f", "const1", "--degree", "128", "--output", str(out)])
+        expected = {
+            "command": "resolvent", "degree": 128, "function": "const1", "lambda_im": 1.0,
+            "lambda_re": 0.0, "nodes": 256, "panels": 4, "route": "integral", "seed": 24301,
+            "substitution": True,
+        }
+        first = out.read_text().splitlines()[0]
+        assert first == "# config: " + json.dumps(expected, sort_keys=True)
+
+    def test_no_substitution_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resolvent", "--route", "integral", "--lambda-re", "0", "--lambda-im", "1",
+                  "--f", "const1", "--degree", "16", "--no-substitution"])
+        assert excinfo.value.code == 2
+        assert "--no-substitution" in capsys.readouterr().err
+
     def test_rejects_eigenvalue_lambda(self, tmp_path):
         code = main(
             ["resolvent", "--route", "recurrence", "--lambda-re", "0.5", "--f", "const1",
@@ -196,6 +215,15 @@ class TestSpectrumCommand:
         assert all(v <= 1e-14 for v in payload["section_diagonal_errors"].values())
         assert {pt["classification"] for pt in payload["points"]} <= {"growing", "stable"}
 
+    def test_config_is_exact(self, tmp_path):
+        out = tmp_path / "spec.json"
+        main(["spectrum", "--degree", "64", "--degrees", "64,128", "--grid-points", "3",
+              "--output", str(out)])
+        assert json.loads(out.read_text())["config"] == {
+            "command": "spectrum", "degree": 64, "degrees": [64, 128], "grid_points": 3,
+            "seed": 24301,
+        }
+
     def test_unordered_degrees_exit_two(self, tmp_path, capsys):
         out = tmp_path / "spec.json"
         code = main(
@@ -213,6 +241,20 @@ class TestSpectrumCommand:
         assert code == 2
         assert not out.exists()
         assert "grid_points" in capsys.readouterr().err
+
+    def test_degree_past_cap_exit_two(self, tmp_path, capsys):
+        # refused before the first 67 MB section is built
+        out = tmp_path / "spec.json"
+        tracemalloc.start()
+        try:
+            code = main(["spectrum", "--degree", str(ST_DEGREE_CAP + 1), "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1_000_000
+        assert not out.exists()
+        assert f"exceeds the cap {ST_DEGREE_CAP}" in capsys.readouterr().err
 
     def test_readme_grid_points_accepted(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -236,6 +278,13 @@ class TestVerifyCommand:
         assert code == (0 if all(r.passed for r in results) else 1)
         payload = json.loads(out.read_text())
         assert payload["results"][0]["name"] == "inverse-roundtrip"
+
+    def test_config_is_exact(self, tmp_path):
+        out = tmp_path / "verify.json"
+        main(["verify", "--suite", "inverse-roundtrip", "--degree", "128", "--output", str(out)])
+        assert json.loads(out.read_text())["config"] == {
+            "command": "verify", "degree": 128, "seed": 24301, "suite": "inverse-roundtrip",
+        }
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

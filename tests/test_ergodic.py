@@ -13,7 +13,7 @@ from cesaro_lab.ergodic import (
     iterate_trace,
     spectral_dichotomy_report,
 )
-from cesaro_lab.operators import cesaro_apply, generalized_cesaro_apply
+from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply, generalized_cesaro_apply
 from cesaro_lab.series import Poly, log_one_minus_inv, monomial, truncate
 from cesaro_lab.weights import SAMPLES_CAP, WeightSpec, default_radius_grid, weighted_sup_norm
 
@@ -208,13 +208,23 @@ class TestSpectralDichotomy:
             spectral_dichotomy_report(32)
 
     def test_refuses_budgets_past_caps_before_allocating(self):
-        # accepted, degree 1024 would first build five 16.8 MB sections
+        # accepted, degree 1024 would first build five 16.8 MB sections, and
+        # a degree past the section cap five 67 MB ones
+        past_cap = ST_DEGREE_CAP + 1
         runs = (
             (lambda: spectral_dichotomy_report(1024, grid_points=GRID_POINTS_CAP + 1), "grid"),
             (lambda: spectral_dichotomy_report(1024, samples=SAMPLES_CAP + 1), "samples"),
+            (lambda: spectral_dichotomy_report(past_cap), f"degree {past_cap} exceeds"),
+            (lambda: spectral_dichotomy_report(64, degrees=(64, past_cap)), "exceeds the cap"),
         )
         for run, match in runs:
             assert refusal_peak_bytes(run, match) < 100_000
+
+    def test_accepts_sweep_script_degree(self):
+        # run_spectral_sweep.py defaults to degree 1024
+        report = spectral_dichotomy_report(1024, grid_points=1)
+        assert report.degrees == (64, 256, 1024)
+        assert all(err <= 1e-14 for err in report.section_diagonal_errors.values())
 
     def test_rejects_degrees_not_increasing(self):
         # the growth ratio divides the last degree's norm by the first's, so

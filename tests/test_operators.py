@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,25 +197,25 @@ class TestCompositionContraction:
 class TestFiniteSection:
     def test_hardy_diagonal(self):
         fs = finite_section(0.0, 2)
-        np.testing.assert_allclose(fs.entries, np.diag([1, 0.5, 1 / 3]), atol=1e-16)
+        np.testing.assert_allclose(fs, np.diag([1, 0.5, 1 / 3]), atol=1e-16)
 
     def test_full_memory_rows(self):
         fs = finite_section(1.0, 2)
         expected = np.array([[1, 0, 0], [0.5, 0.5, 0], [1 / 3, 1 / 3, 1 / 3]])
-        np.testing.assert_allclose(fs.entries, expected, rtol=1e-15)
+        np.testing.assert_allclose(fs, expected, rtol=1e-15)
 
     def test_diagonal_is_reciprocal_integers(self):
         for t in (0.0, 0.3, 1.0):
             fs = finite_section(t, 40)
-            assert np.array_equal(np.diagonal(fs.entries).real, 1.0 / np.arange(1, 42))
-            assert np.all(np.triu(fs.entries, 1) == 0)
+            assert np.array_equal(np.diagonal(fs).real, 1.0 / np.arange(1, 42))
+            assert np.all(np.triu(fs, 1) == 0)
 
     def test_small_section_eigenvalues_via_solver(self):
         # dense eigensolver cross-check; only trustworthy at small sizes
         # because the eigenvector matrix becomes exponentially ill-conditioned
         for t in (0.0, 0.5, 1.0):
             fs = finite_section(t, 6)
-            got = np.sort_complex(np.linalg.eigvals(fs.entries))
+            got = np.sort_complex(np.linalg.eigvals(fs))
             expected = np.sort_complex(1.0 / np.arange(1, 8).astype(complex))
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -221,10 +223,21 @@ class TestFiniteSection:
     @settings(max_examples=40)
     def test_matrix_matches_apply(self, t, c):
         fs = finite_section(t, len(c) - 1)
-        via_matrix = fs.entries @ np.asarray(c, dtype=complex)
+        via_matrix = fs @ np.asarray(c, dtype=complex)
         via_apply = generalized_cesaro_apply(t, Poly(c)).coeffs
         scale = max(1.0, np.max(np.abs(via_apply)))
         np.testing.assert_allclose(via_matrix, via_apply, atol=1e-13 * scale, rtol=0)
+
+    def test_refuses_degree_past_cap_before_allocating(self):
+        # accepted, the section would take 16 * (ST_DEGREE_CAP + 2)**2 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceeds the section cap {ST_DEGREE_CAP}"):
+                finite_section(0.5, ST_DEGREE_CAP + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestLogPowerIdentity:

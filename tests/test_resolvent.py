@@ -9,9 +9,7 @@ from cesaro_lab import resolvent, series
 from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
     QuadratureSpec,
-    branch_power,
     off_cut_sample_points,
-    resolvent_bound_check,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
@@ -124,31 +122,6 @@ class TestRecurrence:
             resolvent_recurrence(np.array([1j, 2j]), [h, h])
 
 
-class TestBranchPower:
-    def test_unit_base(self):
-        assert branch_power(1.0, 0.37 + 2j) == pytest.approx(1.0)
-
-    def test_principal_square_root(self):
-        assert branch_power(4.0, 0.5) == pytest.approx(2.0)
-
-    def test_i_to_the_i(self):
-        assert branch_power(1j, 1j) == pytest.approx(np.exp(-np.pi / 2), rel=1e-14)
-
-    def test_imaginary_exponent_modulus_bound(self):
-        rng = np.random.default_rng(9)
-        for b in (0.5, -1.0, 2.0):
-            for _ in range(50):
-                xi = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                if xi.imag == 0 and xi.real <= 0:
-                    continue
-                assert abs(branch_power(xi, 1j / b)) <= np.exp(np.pi / abs(b)) * (1 + 1e-12)
-
-    @pytest.mark.parametrize("xi", [-1.0, -0.5, 0.0])
-    def test_rejects_cut(self, xi):
-        with pytest.raises(ValueError):
-            branch_power(xi, 0.5)
-
-
 class TestSamplePoints:
     def test_count_and_rings(self):
         zs = off_cut_sample_points()
@@ -185,18 +158,6 @@ class TestIntegralRoute:
             oracle = resolvent_recurrence(lam, truncate(h, 256))
             got = resolvent_integral_profile(lam, h, zs)
             assert np.max(np.abs(got - horner_eval(oracle, zs))) <= 1e-8
-
-    def test_substitution_beats_plain_quadrature(self):
-        # the plain tau-integrand oscillates without bound near 0, so the
-        # un-substituted rule is markedly less accurate at the same budget
-        h = truncate(monomial(0), 16)
-        z = 0.3 + 0.4j
-        oracle = horner_eval(resolvent_recurrence(1j, truncate(h, 256)), z)
-        plain = resolvent_integral_profile(1j, h, z, QuadratureSpec(substitution=False))[0]
-        substituted = resolvent_integral_profile(1j, h, z)[0]
-        assert abs(substituted - oracle) <= 1e-8
-        assert abs(plain - oracle) <= 5e-3
-        assert abs(substituted - oracle) < abs(plain - oracle)
 
     def test_rejects_points_on_cut_or_outside(self):
         h = truncate(monomial(0), 8)
@@ -256,7 +217,6 @@ class TestIntegralRoute:
         monkeypatch.setattr(resolvent, "horner_eval", counting, raising=False)
         members = [h for _, h in build_corpus(32)]
         resolvent_integral_profile(1j, members, off_cut_sample_points())
-        resolvent_integral_profile(1j, members[0], 0.5, QuadratureSpec(substitution=False))
         assert calls == []
 
 
@@ -334,21 +294,3 @@ class TestSemigroupRoute:
         probes = route_probes(128)
         assert cpu_per_wall(lambda: resolvent_semigroup(-1.0, probes)) <= 1.5
 
-
-class TestBoundCheck:
-    def test_constant_rhs_passes(self):
-        result = resolvent_bound_check(2.0, truncate(monomial(0), 512), k=1)
-        assert result.passed
-        assert result.lhs <= result.rhs * (1 + 1e-6)
-
-    def test_log_rhs_passes(self):
-        result = resolvent_bound_check(-1.0, log_one_minus_inv(512), k=1)
-        assert result.passed
-
-    def test_zero_rhs_trivial(self):
-        result = resolvent_bound_check(1.0, Poly(np.zeros(64)), k=2)
-        assert result.lhs == 0.0 and result.rhs == 0.0 and result.passed
-
-    def test_rejects_zero_b(self):
-        with pytest.raises(ValueError):
-            resolvent_bound_check(0.0, Poly([1]), k=1)
