@@ -13,6 +13,7 @@ import json
 import sys
 
 from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
+from .operators import ST_DEGREE_CAP
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
 from .resolvent import (
     QuadratureSpec,
@@ -98,10 +99,13 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _builtin(name: str):
-    """The builder of a builtin function, refused if the name is unknown."""
+def _builtin(name: str, degrees):
+    """The builder of a builtin function, refused if the name is unknown or a
+    given degree is above ``ST_DEGREE_CAP``, before anything is built."""
     if name not in BUILTIN_FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; choose from " + ", ".join(BUILTIN_FUNCTIONS))
+    if max(degrees) > ST_DEGREE_CAP:
+        raise ValueError(f"input degree {max(degrees)} exceeds the S_t cap {ST_DEGREE_CAP}")
     return BUILTIN_FUNCTIONS[name]
 
 
@@ -114,9 +118,9 @@ def _load_function(args, config: dict) -> Poly:
     name = getattr(args, "function", None)
     if not name:
         raise ValueError("one of --input or --f is required")
-    build = _builtin(name)
     if args.degree is None:
         raise ValueError("--degree is required with --f")
+    build = _builtin(name, [args.degree])
     config.update(function=name, degree=args.degree)
     return build(args.degree)
 
@@ -208,7 +212,7 @@ def _cmd_ergodic(args) -> int:
 
 def _cmd_classify(args) -> int:
     degrees = tuple(int(d) for d in args.degrees.split(","))
-    build = _builtin(args.function)
+    build = _builtin(args.function, degrees)
     config = _config(
         "classify",
         degrees=degrees,

@@ -267,6 +267,12 @@ def spectral_dichotomy_report(
     ]
     v1 = WeightSpec.log_power(1)
     v2 = WeightSpec.log_power(2)
+    # both probes are real, so the solution at conj(lam) is the exact
+    # conjugate of the one at lam and has the same norms: solve one lam of
+    # each conjugate pair in the grid (bitwise lookup) and copy its ratios
+    index = {lam: i for i, lam in enumerate(lams)}
+    mirror = [index.get(lam.conjugate(), i) for i, lam in enumerate(lams)]
+    solved = [i for i, k in enumerate(mirror) if k >= i]
     # per section degree, the largest ratio over both probes of the v2 norm
     # of the solution, solved for a batch of lambdas at once, to the v1 norm
     # of h
@@ -276,11 +282,12 @@ def spectral_dichotomy_report(
         best = [0.0] * len(lams)
         for h in (truncate(monomial(0), d), log_one_minus_inv(d)):
             den = weighted_sup_norm(h, v1, grid, samples).value
-            for j in range(0, len(lams), STACK_BATCH):
-                batch = resolvent_recurrence(lams[j : j + STACK_BATCH], h)
-                for i, est in enumerate(weighted_sup_norm(batch, v2, grid, samples), j):
+            for j in range(0, len(solved), STACK_BATCH):
+                batch = solved[j : j + STACK_BATCH]
+                solutions = resolvent_recurrence([lams[i] for i in batch], h)
+                for i, est in zip(batch, weighted_sup_norm(solutions, v2, grid, samples)):
                     best[i] = max(best[i], est.value / den)
-        ratios.append(best)
+        ratios.append([best[min(i, k)] for i, k in enumerate(mirror)])
 
     points = []
     for lam, norms in zip(lams, zip(*ratios)):

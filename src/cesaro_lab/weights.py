@@ -119,7 +119,8 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     exact even then.  Shorter coefficient vectors are zero-padded.  The
     radius powers and the zero-padded sample block are built once per call;
     the members then go through the FFT in chunks of about
-    ``STACK_BLOCK_BYTES`` (one member at least).
+    ``STACK_BLOCK_BYTES`` (one member at least).  A chunk whose coefficients
+    are all real takes the half-spectrum ``rfft`` in a real block.
     """
     members = poly_members(p)
     rv = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -133,14 +134,21 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     width = size + (-size) % samples  # samples, or the folded length above it
     step = max(1, STACK_BLOCK_BYTES // (16 * rv.size * width))
     out = np.empty((len(members), rv.size))
-    block = np.zeros((min(step, len(members)), rv.size, width), dtype=complex)  # zero tail
+    blocks = {}  # zero-tailed sample blocks, one real and one complex at most
     for i in range(0, len(members), step):
         chunk = np.array([q.coeffs for q in members[i : i + step]])
-        scaled = block[: len(chunk)]
-        np.multiply(chunk[:, None, :], powers, out=scaled[..., :size])
+        real = not chunk.imag.any()
+        if real not in blocks:
+            shape = (min(step, len(members)), rv.size, width)
+            blocks[real] = np.zeros(shape, dtype=float if real else complex)
+        scaled = blocks[real][: len(chunk)]
+        np.multiply((chunk.real if real else chunk)[:, None, :], powers, out=scaled[..., :size])
         if width > samples:
             scaled = scaled.reshape(len(chunk), rv.size, -1, samples).sum(axis=2)
-        out[i : i + step] = np.abs(np.fft.fft(scaled, axis=-1)).max(axis=-1)
+        # for real coefficients |p(r w)| = |p(r conj(w))|, and the roots of
+        # unity are closed under conjugation: the rfft bins hold every modulus
+        spectrum = np.fft.rfft(scaled, axis=-1) if real else np.fft.fft(scaled, axis=-1)
+        out[i : i + step] = np.abs(spectrum).max(axis=-1)
     return out[0] if isinstance(p, Poly) else out
 
 

@@ -19,6 +19,50 @@ def write_constant_csv(path, degree):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def past_cap_run(tmp_path, argv):
+    """Exit code and peak traced bytes of ``main(argv + --output f)``, and
+    whether f exists afterwards."""
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak, out.exists()
+
+
+class TestInputDegreeCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--op", "cesaro", "--f", "const1", "--degree", str(ST_DEGREE_CAP + 1)],
+            ["ergodic", "--t", "0.5", "--f", "log-inv", "--degree", str(ST_DEGREE_CAP + 1)],
+            ["classify", "--f", "log-inv", "--degrees", f"128,512,{ST_DEGREE_CAP + 1}"],
+        ],
+    )
+    def test_builtin_degree_past_cap_exits_two(self, tmp_path, capsys, argv):
+        # refused before any input is built
+        code, peak, written = past_cap_run(tmp_path, argv)
+        assert code == 2
+        assert peak < 1_000_000
+        assert not written
+        err = capsys.readouterr().err
+        assert f"input degree {ST_DEGREE_CAP + 1} exceeds the S_t cap {ST_DEGREE_CAP}" in err
+
+    def test_degree_at_cap_accepted(self, tmp_path):
+        out = tmp_path / "ct.csv"
+        code = main(["apply", "--op", "cesaro", "--f", "const1", "--degree", str(ST_DEGREE_CAP),
+                     "--output", str(out)])
+        assert code == 0
+        assert read_coeffs_csv(str(out)).degree == ST_DEGREE_CAP
+        out = tmp_path / "growth.json"
+        code = main(["classify", "--f", "log-inv", "--degrees", f"64,128,{ST_DEGREE_CAP}",
+                     "--output", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["norms_by_degree"]) == 3
+
+
 class TestApply:
     def test_cesaro_on_constant_from_file(self, tmp_path):
         src = tmp_path / "coeffs.csv"

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from cesaro_lab import ergodic
 from cesaro_lab.ergodic import (
     GRID_POINTS_CAP,
     N_MAX_CAP,
@@ -14,6 +15,7 @@ from cesaro_lab.ergodic import (
     spectral_dichotomy_report,
 )
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply, generalized_cesaro_apply
+from cesaro_lab.resolvent import resolvent_recurrence
 from cesaro_lab.series import Poly, log_one_minus_inv, monomial, truncate
 from cesaro_lab.weights import SAMPLES_CAP, WeightSpec, default_radius_grid, weighted_sup_norm
 
@@ -202,6 +204,51 @@ class TestSpectralDichotomy:
         assert any(pt.classification == "growing" for pt in right)
         stable_point = by_lam[-1.0 + 0j]
         assert stable_point.classification == "stable"
+
+    def test_conjugate_points_share_norms(self):
+        report = spectral_dichotomy_report(64, degrees=(64, 128), grid_points=17)
+        by_lam = {pt.lam: pt for pt in report.points}
+        mirrored = [pt for pt in report.points if pt.lam.imag and pt.lam.conjugate() in by_lam]
+        assert len(mirrored) == 272
+        for pt in mirrored:
+            twin = by_lam[pt.lam.conjugate()]
+            assert pt.norms == twin.norms and pt.growth_ratio == twin.growth_ratio
+
+    def test_solves_one_lambda_per_conjugate_pair(self, monkeypatch):
+        # 285 lambdas: 13 on the real axis and 136 conjugate pairs
+        solved = {}
+
+        def counted(lam, h):
+            key = (h.degree, complex(h.coeffs[0]))  # the probe 1 has h_0 = 1, log(1/(1-z)) 0
+            solved[key] = solved.get(key, 0) + len(lam)
+            return resolvent_recurrence(lam, h)
+
+        monkeypatch.setattr(ergodic, "resolvent_recurrence", counted)
+        report = spectral_dichotomy_report(64, degrees=(64, 128), grid_points=17)
+        assert len(report.points) == 285
+        assert solved == {(d, h0): 149 for d in (64, 128) for h0 in (1, 0)}
+
+    @pytest.mark.parametrize("grid_points", [5, 7])
+    def test_matches_per_lambda_solves(self, grid_points):
+        # linspace(-2, 2, 7) is not bitwise symmetric about 0, so most of its
+        # lambdas have no exact conjugate in the grid and are solved directly
+        degrees = (64, 128)
+        report = spectral_dichotomy_report(64, degrees=degrees, grid_points=grid_points)
+        lams = {pt.lam for pt in report.points}
+        unmatched = [lam for lam in lams if lam.conjugate() not in lams]
+        assert bool(unmatched) == (grid_points == 7)
+        v1, v2 = WeightSpec.log_power(1), WeightSpec.log_power(2)
+        for pt in report.points:
+            expected = []
+            for d in degrees:
+                grid = default_radius_grid(d)
+                expected.append(max(
+                    weighted_sup_norm(resolvent_recurrence(pt.lam, h), v2, grid).value
+                    / weighted_sup_norm(h, v1, grid).value
+                    for h in (truncate(monomial(0), d), log_one_minus_inv(d))
+                ))
+            np.testing.assert_allclose(pt.norms, expected, rtol=1e-14, atol=0)
+            assert pt.growth_ratio == pytest.approx(expected[-1] / expected[0], rel=1e-14)
 
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):

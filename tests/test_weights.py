@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cesaro_lab.ergodic import iterate_trace
 from cesaro_lab.series import Poly, binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
 from cesaro_lab.weights import (
     JUNCTION_RADIUS,
@@ -21,6 +22,28 @@ from test_resolvent import cpu_per_wall
 def random_stack(count, size, seed=23):
     rng = np.random.default_rng(seed)
     return [Poly(rng.normal(size=size) + 1j * rng.normal(size=size)) for _ in range(count)]
+
+
+def random_real_stack(count, size, seed=29):
+    rng = np.random.default_rng(seed)
+    return [Poly(rng.normal(size=size)) for _ in range(count)]
+
+
+def chunk_members(size, radii, samples):
+    """Members per FFT chunk of ``max_modulus_profile``."""
+    width = max(samples, -(-size // samples) * samples)
+    return max(1, STACK_BLOCK_BYTES // (16 * radii * width))
+
+
+def count_fft_calls(monkeypatch):
+    """Counters of the full and the half-spectrum FFT calls made from now on."""
+    calls = {"fft": 0, "rfft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 class TestWeightEval:
@@ -104,6 +127,56 @@ class TestMaxModulus:
             direct = np.abs(horner_eval(p, r * np.exp(1j * angles))).max()
             assert max_modulus_profile(p, [r], samples)[0] == pytest.approx(direct, rel=1e-12), size
 
+    @pytest.mark.parametrize("samples", [64, 63])
+    def test_real_stack_matches_dense_angle_scan(self, samples):
+        # the half-spectrum path, both sides of the fold, and an odd sample
+        # count, whose rfft has (samples + 1) / 2 bins
+        radii = [0.3, 0.8]
+        angles = 2 * np.pi * np.arange(samples) / samples
+        for size in (63, 64, 65, 100):
+            members = random_real_stack(5, size)
+            stacked = max_modulus_profile(members, radii, samples)
+            for row, p in zip(stacked, members, strict=True):
+                for r, value in zip(radii, row):
+                    direct = np.abs(horner_eval(p, r * np.exp(1j * angles))).max()
+                    assert value == pytest.approx(direct, rel=1e-13), (size, samples, r)
+
+    def test_mixed_stack_matches_single_calls(self):
+        # at degree 512 a chunk holds one member, so real and complex members
+        # alternate chunk by chunk; at 100 coefficients and 64 samples whole
+        # real and complex chunks alternate
+        for size, samples in ((513, 1024), (100, 64)):
+            grid = default_radius_grid(size - 1)
+            per_chunk = chunk_members(size, grid.size, samples)
+            real, cplx = random_real_stack(2 * per_chunk + 1, size), random_stack(2 * per_chunk, size)
+            members = []
+            for k in range(0, 2 * per_chunk, per_chunk):
+                members += real[k : k + per_chunk] + cplx[k : k + per_chunk]
+            members.append(real[-1])
+            stacked = max_modulus_profile(members, grid, samples)
+            for row, p in zip(stacked, members, strict=True):
+                assert np.array_equal(row, max_modulus_profile(p, grid, samples)), size
+        # one chunk of alternating members, led by a real one, takes the full
+        # transform: its complex members must keep their imaginary parts
+        members = [m for pair in zip(real[:3], cplx[:3]) for m in pair]
+        stacked = max_modulus_profile(members, grid, samples)
+        for row, p in zip(stacked, members, strict=True):
+            single = max_modulus_profile(p, grid, samples)
+            if p.coeffs.imag.any():
+                assert np.array_equal(row, single)
+            else:
+                np.testing.assert_allclose(row, single, rtol=1e-14, atol=0)
+
+    def test_half_spectrum_only_for_real_chunks(self, monkeypatch):
+        # a silent return to the full transform for real inputs would only
+        # show as lost speed
+        calls = count_fft_calls(monkeypatch)
+        iterate_trace(0.5, truncate(monomial(0), 64), WeightSpec.log_power(1), 16)
+        assert calls["fft"] == 0 and calls["rfft"] > 0
+        calls.update(fft=0, rfft=0)
+        max_modulus_profile(random_stack(3, 65), default_radius_grid(64))
+        assert calls["rfft"] == 0 and calls["fft"] > 0
+
     def test_nondecreasing_in_radius(self):
         rng = np.random.default_rng(5)
         grid = default_radius_grid(256)
@@ -133,8 +206,7 @@ class TestMaxModulus:
         samples = 64
         for size in (samples - 1, samples, samples + 1, 100):
             grid = default_radius_grid(size - 1)
-            width = max(samples, -(-size // samples) * samples)
-            per_chunk = STACK_BLOCK_BYTES // (16 * grid.size * width)
+            per_chunk = chunk_members(size, grid.size, samples)
             members = random_stack(per_chunk + 5, size)
             stacked = max_modulus_profile(members, grid, samples)
             assert stacked.shape == (len(members), grid.size)
@@ -154,16 +226,18 @@ class TestMaxModulus:
                 weighted_sup_norm(stack, WeightSpec.log_power(1), [0.5])
 
     def test_stacked_profile_memory_is_chunked(self):
-        # unchunked, 300 members x 73 radii x 1024 samples is a 359 MB block
-        members = random_stack(300, 513)
+        # unchunked, 300 members x 73 radii x 1024 samples is a 359 MB block;
+        # the mixed stack also holds the real block of the half-spectrum path
+        mixed = [p for pair in zip(random_stack(150, 513), random_real_stack(150, 513)) for p in pair]
         grid = default_radius_grid(512)
-        tracemalloc.start()
-        try:
-            max_modulus_profile(members, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * STACK_BLOCK_BYTES
+        for members in (random_stack(300, 513), mixed):
+            tracemalloc.start()
+            try:
+                max_modulus_profile(members, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * STACK_BLOCK_BYTES
 
     def test_stacked_norms_leave_blas_threads_asleep(self):
         members = random_stack(63, 513)
