@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Poly, poly_members
+from .series import SERIAL_PRODUCT_SIZE, Poly, poly_members
 
 #: Radius where the logarithmic weight switches from the constant branch.
 JUNCTION_RADIUS = 1.0 - 1.0 / np.e
@@ -109,16 +109,39 @@ def require_samples(samples) -> int:
     return int(samples)
 
 
+def _scaled_layout(radii: np.ndarray, size: int, samples: int):
+    """Powers 0..size-1 of each radius, one row per radius, and the width of
+    a zero-tailed row of scaled coefficients: ``samples``, or the folded
+    length above it."""
+    return radii[:, None] ** np.arange(size), size + (-size) % samples
+
+
+def _circle_max(scaled: np.ndarray, samples: int) -> np.ndarray:
+    """Max modulus over the ``samples``-th roots of unity of each polynomial
+    whose radius-scaled, zero-tailed coefficients fill the last axis.
+
+    When the degree reaches the sample count, coefficients are folded modulo
+    ``samples`` before the FFT: the DFT of the folded vector equals
+    evaluation at the roots, so the result is exact even then.  A real block
+    takes the half-spectrum ``rfft``: for real coefficients
+    |p(r w)| = |p(r conj(w))|, and the roots of unity are closed under
+    conjugation, so its bins hold every modulus.
+    """
+    if scaled.shape[-1] > samples:
+        scaled = scaled.reshape(scaled.shape[:-1] + (-1, samples)).sum(axis=-2)
+    if np.iscomplexobj(scaled):
+        spectrum = np.fft.fft(scaled, axis=-1)
+    else:
+        spectrum = np.fft.rfft(scaled, axis=-1)
+    return np.abs(spectrum).max(axis=-1)
+
+
 def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius,
     for a Poly or, one row per member, for a sequence of Polys of one degree.
 
-    When the degree reaches the sample count, coefficients are folded modulo
-    ``samples`` before the FFT: the DFT of the folded vector equals
-    evaluation at the ``samples``-th roots scaled by r, so the result is
-    exact even then.  Shorter coefficient vectors are zero-padded.  The
-    radius powers and the zero-padded sample block are built once per call;
-    the members then go through the FFT in chunks of about
+    The radius powers and the zero-padded sample block are built once per
+    call; the members then go through :func:`_circle_max` in chunks of about
     ``STACK_BLOCK_BYTES`` (one member at least).  A chunk whose coefficients
     are all real takes the half-spectrum ``rfft`` in a real block.
     """
@@ -130,8 +153,7 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
         raise ValueError("radii must lie in [0, 1)")
     samples = require_samples(samples)
     size = members[0].degree + 1
-    powers = rv[:, None] ** np.arange(size)
-    width = size + (-size) % samples  # samples, or the folded length above it
+    powers, width = _scaled_layout(rv, size, samples)
     step = max(1, STACK_BLOCK_BYTES // (16 * rv.size * width))
     out = np.empty((len(members), rv.size))
     blocks = {}  # zero-tailed sample blocks, one real and one complex at most
@@ -143,13 +165,30 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
             blocks[real] = np.zeros(shape, dtype=float if real else complex)
         scaled = blocks[real][: len(chunk)]
         np.multiply((chunk.real if real else chunk)[:, None, :], powers, out=scaled[..., :size])
-        if width > samples:
-            scaled = scaled.reshape(len(chunk), rv.size, -1, samples).sum(axis=2)
-        # for real coefficients |p(r w)| = |p(r conj(w))|, and the roots of
-        # unity are closed under conjugation: the rfft bins hold every modulus
-        spectrum = np.fft.rfft(scaled, axis=-1) if real else np.fft.fft(scaled, axis=-1)
-        out[i : i + step] = np.abs(spectrum).max(axis=-1)
+        out[i : i + step] = _circle_max(scaled, samples)
     return out[0] if isinstance(p, Poly) else out
+
+
+def _gathered_rows(members, real, rows, cols, powers, width, samples) -> np.ndarray:
+    """Sampled max modulus of member ``rows[k]`` at the radius of
+    ``powers[cols[k]]`` for each k.  The rows of real and of complex members
+    go through :func:`_circle_max` apart, so each member takes the transform
+    a single-member profile gives it.  A block of rows holds half
+    ``STACK_BLOCK_BYTES``: its transform and moduli are held beside it."""
+    out = np.empty(len(rows))
+    size = powers.shape[1]
+    step = max(1, STACK_BLOCK_BYTES // (32 * width))
+    for is_real in (True, False):
+        picked = np.flatnonzero(real[rows] == is_real)
+        block = np.zeros((min(step, picked.size), width), dtype=float if is_real else complex)
+        for i in range(0, picked.size, step):
+            part = picked[i : i + step]
+            coeffs = np.array([members[k].coeffs for k in rows[part]])
+            scaled = block[: part.size]
+            source = coeffs.real if is_real else coeffs
+            np.multiply(source, powers[cols[part]], out=scaled[:, :size])
+            out[part] = _circle_max(scaled, samples)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +206,12 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     Radii beyond :func:`reliable_radius` of the polynomial's degree are
     rejected: there the discarded tail of a typical truncation is no longer
     negligible and the sweep would not be honest.
+
+    Only the radii that the majorant M(r) <= sum |a_n| r^n cannot rule out
+    are transformed: every skipped row's computed value lies strictly below
+    the maximum, so each member's value and argmax radius (first index on
+    ties) are those of ``weight_eval(w, grid) * max_modulus_profile(member,
+    grid, samples)``.
     """
     members = poly_members(p)
     degree = members[0].degree
@@ -181,7 +226,48 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
             f"grid reaches {gv.max():.6f}, beyond the reliability bound {rmax:.6f} "
             f"for degree {degree}"
         )
-    values = weight_eval(w, gv) * max_modulus_profile(members, gv, samples)
+    weights = weight_eval(w, gv)
+    samples = require_samples(samples)
+    powers, width = _scaled_layout(gv, degree + 1, samples)
+    # the bound must never fall below a computed row value.  With u = 2**-53
+    # and A = sum |a_n| p_n over the computed powers p_n that both sides use,
+    # a computed row value exceeds w A by at most, to first order, (q + 3) u
+    # w A for scaling, folding q = width / samples terms (the exact DFT of
+    # the folded row is at most its 1-norm), abs and the weight product, plus
+    # the FFT's error in one bin: at most eps sqrt(S) w A for pocketfft's
+    # normwise relative error eps <= 24 u log2(4 S) (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Thm 24.2: under 8 u per radix-2
+    # level; Bluestein runs three transforms shorter than 4 S), or (S + 3) u
+    # w A were the DFT summed directly.  The computed bound falls short of
+    # w A (1 + margin) by at most (size + 5) u for |a_n|, the sum of size
+    # nonnegative products and three more roundings.  As q <= size and
+    # 24 log2(4 S) sqrt(S) <= 64 S for S >= 8, a margin of 64 u (size + S)
+    # covers it all; it grows with both because CSV inputs are not capped.
+    margin = 64 * 2.0**-53 * (degree + 1 + samples)
+    bound = np.empty((len(members), gv.size))
+    real = np.empty(len(members), dtype=bool)
+    step = max(1, SERIAL_PRODUCT_SIZE // powers.size)  # powers.size multiply-adds per member
+    for i in range(0, len(members), step):
+        chunk = np.array([q.coeffs for q in members[i : i + step]])
+        real[i : i + step] = ~chunk.imag.any(axis=1)
+        bound[i : i + step] = np.abs(chunk) @ powers.T
+    bound *= weights * (1.0 + margin)
+
+    def weighted_rows(rows, cols):
+        return weights[cols] * _gathered_rows(members, real, rows, cols, powers, width, samples)
+
+    # round 1: each member's row of largest bound gives a lower bound on its
+    # maximum.  Round 2: a row whose bound lies below that cannot hold the
+    # maximum or tie with it, so only the other rows are transformed; the
+    # skipped ones keep -inf
+    values = np.full(bound.shape, -np.inf)
+    all_members = np.arange(len(members))
+    first = np.argmax(bound, axis=1)
+    lower = values[all_members, first] = weighted_rows(all_members, first)
+    open_rows = ~(bound < lower[:, None])
+    open_rows[all_members, first] = False
+    rows, cols = np.nonzero(open_rows)
+    values[rows, cols] = weighted_rows(rows, cols)
     estimates = [
         NormEstimate(value=float(row[i]), argmax_radius=float(gv[i]))
         for row, i in zip(values, np.argmax(values, axis=1))

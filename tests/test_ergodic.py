@@ -17,7 +17,14 @@ from cesaro_lab.ergodic import (
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply, generalized_cesaro_apply
 from cesaro_lab.resolvent import resolvent_recurrence
 from cesaro_lab.series import Poly, log_one_minus_inv, monomial, truncate
-from cesaro_lab.weights import SAMPLES_CAP, WeightSpec, default_radius_grid, weighted_sup_norm
+from cesaro_lab.weights import (
+    SAMPLES_CAP,
+    WeightSpec,
+    default_radius_grid,
+    max_modulus_profile,
+    weight_eval,
+    weighted_sup_norm,
+)
 
 
 def refusal_peak_bytes(run, match):
@@ -238,17 +245,22 @@ class TestSpectralDichotomy:
         unmatched = [lam for lam in lams if lam.conjugate() not in lams]
         assert bool(unmatched) == (grid_points == 7)
         v1, v2 = WeightSpec.log_power(1), WeightSpec.log_power(2)
+
+        def profile_norm(p, w, grid):
+            # the maximum over every radius's transform: no rows skipped
+            return (weight_eval(w, grid) * max_modulus_profile(p, grid)).max()
+
         for pt in report.points:
-            expected = []
-            for d in degrees:
-                grid = default_radius_grid(d)
-                expected.append(max(
-                    weighted_sup_norm(resolvent_recurrence(pt.lam, h), v2, grid).value
-                    / weighted_sup_norm(h, v1, grid).value
-                    for h in (truncate(monomial(0), d), log_one_minus_inv(d))
-                ))
-            np.testing.assert_allclose(pt.norms, expected, rtol=1e-14, atol=0)
-            assert pt.growth_ratio == pytest.approx(expected[-1] / expected[0], rel=1e-14)
+            for norm in (lambda p, w, grid: weighted_sup_norm(p, w, grid).value, profile_norm):
+                expected = []
+                for d in degrees:
+                    grid = default_radius_grid(d)
+                    expected.append(max(
+                        norm(resolvent_recurrence(pt.lam, h), v2, grid) / norm(h, v1, grid)
+                        for h in (truncate(monomial(0), d), log_one_minus_inv(d))
+                    ))
+                np.testing.assert_allclose(pt.norms, expected, rtol=1e-14, atol=0)
+                assert pt.growth_ratio == pytest.approx(expected[-1] / expected[0], rel=1e-14)
 
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
