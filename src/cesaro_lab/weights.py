@@ -17,14 +17,13 @@ from .series import SERIAL_PRODUCT_SIZE, Poly, poly_members
 #: Radius where the logarithmic weight switches from the constant branch.
 JUNCTION_RADIUS = 1.0 - 1.0 / np.e
 
-#: Most angles per circle a norm sweep takes; one member's radii x samples
-#: block of complex values is then about 10 MB at the 73 default radii.
+#: Most angles per circle a norm sweep takes; a block of ``STACK_BLOCK_BYTES``
+#: then still holds 8 rows of complex samples.
 SAMPLES_CAP = 8192
 
-#: Bytes of complex circle samples per FFT call: the members of a stack are
-#: transformed in chunks whose (members, radii, samples) block stays near
-#: this size.  A 2 MB block ran faster than an 8 MB one, and it keeps peak
-#: memory flat whatever the stack size.
+#: Bytes per FFT call: norm sweeps scale their (member, radius) rows into
+#: blocks of half this size, held beside their transform and its moduli.  2 MB
+#: ran faster than 8 MB, and it keeps peak memory flat whatever the stack size.
 STACK_BLOCK_BYTES = 2 * 2**20
 
 
@@ -140,10 +139,10 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius,
     for a Poly or, one row per member, for a sequence of Polys of one degree.
 
-    The radius powers and the zero-padded sample block are built once per
-    call; the members then go through :func:`_circle_max` in chunks of about
-    ``STACK_BLOCK_BYTES`` (one member at least).  A chunk whose coefficients
-    are all real takes the half-spectrum ``rfft`` in a real block.
+    The radius powers are built once per call; every (member, radius) row
+    then goes through :func:`_gathered_rows`, the row feeder of
+    :func:`weighted_sup_norm` too, so a member's profile is the same alone
+    or in any stack.
     """
     members = poly_members(p)
     rv = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -152,29 +151,19 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     if np.any(rv < 0) or np.any(rv >= 1):
         raise ValueError("radii must lie in [0, 1)")
     samples = require_samples(samples)
-    size = members[0].degree + 1
-    powers, width = _scaled_layout(rv, size, samples)
-    step = max(1, STACK_BLOCK_BYTES // (16 * rv.size * width))
-    out = np.empty((len(members), rv.size))
-    blocks = {}  # zero-tailed sample blocks, one real and one complex at most
-    for i in range(0, len(members), step):
-        chunk = np.array([q.coeffs for q in members[i : i + step]])
-        real = not chunk.imag.any()
-        if real not in blocks:
-            shape = (min(step, len(members)), rv.size, width)
-            blocks[real] = np.zeros(shape, dtype=float if real else complex)
-        scaled = blocks[real][: len(chunk)]
-        np.multiply((chunk.real if real else chunk)[:, None, :], powers, out=scaled[..., :size])
-        out[i : i + step] = _circle_max(scaled, samples)
+    powers, width = _scaled_layout(rv, members[0].degree + 1, samples)
+    rows, cols = np.divmod(np.arange(len(members) * rv.size), rv.size)
+    out = _gathered_rows(members, rows, cols, powers, width, samples).reshape(len(members), -1)
     return out[0] if isinstance(p, Poly) else out
 
 
-def _gathered_rows(members, real, rows, cols, powers, width, samples) -> np.ndarray:
+def _gathered_rows(members, rows, cols, powers, width, samples) -> np.ndarray:
     """Sampled max modulus of member ``rows[k]`` at the radius of
     ``powers[cols[k]]`` for each k.  The rows of real and of complex members
-    go through :func:`_circle_max` apart, so each member takes the transform
-    a single-member profile gives it.  A block of rows holds half
-    ``STACK_BLOCK_BYTES``: its transform and moduli are held beside it."""
+    go through :func:`_circle_max` apart, in blocks of half
+    ``STACK_BLOCK_BYTES``, so a real member always takes the half-spectrum
+    transform."""
+    real = np.array([not q.coeffs.imag.any() for q in members])
     out = np.empty(len(rows))
     size = powers.shape[1]
     step = max(1, STACK_BLOCK_BYTES // (32 * width))
@@ -245,16 +234,14 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     # covers it all; it grows with both because CSV inputs are not capped.
     margin = 64 * 2.0**-53 * (degree + 1 + samples)
     bound = np.empty((len(members), gv.size))
-    real = np.empty(len(members), dtype=bool)
     step = max(1, SERIAL_PRODUCT_SIZE // powers.size)  # powers.size multiply-adds per member
     for i in range(0, len(members), step):
         chunk = np.array([q.coeffs for q in members[i : i + step]])
-        real[i : i + step] = ~chunk.imag.any(axis=1)
         bound[i : i + step] = np.abs(chunk) @ powers.T
     bound *= weights * (1.0 + margin)
 
     def weighted_rows(rows, cols):
-        return weights[cols] * _gathered_rows(members, real, rows, cols, powers, width, samples)
+        return weights[cols] * _gathered_rows(members, rows, cols, powers, width, samples)
 
     # round 1: each member's row of largest bound gives a lower bound on its
     # maximum.  Round 2: a row whose bound lies below that cannot hold the

@@ -87,6 +87,47 @@ def test_norm_inequalities_contraction_clause_bites(monkeypatch):
     assert "contraction-t" in result.detail
 
 
+@pytest.mark.parametrize(
+    "name, factor, clause",
+    [
+        ("cesaro_apply", 1.2, "growth-estimate"),
+        ("resolvent_recurrence", 50.0, "imaginary-axis-b8"),
+        ("generalized_cesaro_apply", 1.2, "compact-route"),
+    ],
+)
+def test_norm_inequalities_sup_norm_clauses_bite(monkeypatch, name, factor, clause):
+    # an operator scaled past its proved bound fails the clause that bounds
+    # it: the growth estimate from the full profiles, the others from the
+    # stacked sup-norms
+    exact = getattr(verify, name)
+
+    def scaled(*args):
+        images = exact(*args)
+        if isinstance(images, Poly):
+            return Poly(factor * images.coeffs)
+        return [Poly(factor * q.coeffs) for q in images]
+
+    monkeypatch.setattr(verify, name, scaled)
+    result = verify.check_norm_inequalities(512)
+    assert not result.passed
+    assert clause in result.detail
+
+
+def test_norm_inequalities_takes_two_full_profiles(monkeypatch):
+    # every sup-norm comes from weighted_sup_norm; only the radius-by-radius
+    # growth estimate needs the full profiles, of f and of Cf
+    calls = []
+    exact = verify.max_modulus_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "max_modulus_profile", counted)
+    assert verify.check_norm_inequalities(512).passed
+    assert len(calls) == 2
+
+
 def test_ergodic_dichotomy():
     result = report(verify.check_ergodic_dichotomy(512))
     assert result.passed, result.detail
@@ -117,3 +158,15 @@ def test_finite_section_spectrum_rejects_entries_above_diagonal(monkeypatch):
     assert "1.00e-03" in result.detail
     sweep = spectral_dichotomy_report(64, degrees=(64, 128), grid_points=3)
     assert all(err == pytest.approx(1e-3) for err in sweep.section_diagonal_errors.values())
+
+
+def test_finite_section_spectrum_rejects_a_drifted_kernel(monkeypatch):
+    # the sections keep their exact shape; only their product with the
+    # corpus can see a memory-t kernel off by a relative 1e-9
+    exact = verify.generalized_cesaro_apply
+    monkeypatch.setattr(
+        verify, "generalized_cesaro_apply", lambda t, p: Poly((1 + 1e-9) * exact(t, p).coeffs)
+    )
+    result = report(verify.check_finite_section_spectrum(64))
+    assert not result.passed
+    assert "zero above: 0.00e+00" in result.detail

@@ -32,9 +32,11 @@ def random_real_stack(count, size, seed=29):
 
 
 def chunk_members(size, radii, samples):
-    """Members per FFT chunk of ``max_modulus_profile``."""
+    """Fewest members whose (member, radius) rows fill one FFT block of
+    ``weights._gathered_rows``, which holds ``STACK_BLOCK_BYTES // (32 * width)``
+    rows."""
     width = max(samples, -(-size // samples) * samples)
-    return max(1, STACK_BLOCK_BYTES // (16 * radii * width))
+    return -(-max(1, STACK_BLOCK_BYTES // (32 * width)) // radii)
 
 
 def count_fft_rows(monkeypatch):
@@ -196,30 +198,22 @@ class TestMaxModulus:
                     assert value == pytest.approx(direct, rel=1e-13), (size, samples, r)
 
     def test_mixed_stack_matches_single_calls(self):
-        # at degree 512 a chunk holds one member, so real and complex members
-        # alternate chunk by chunk; at 100 coefficients and 64 samples whole
-        # real and complex chunks alternate
+        # runs of real and complex members, each run filling an FFT block of
+        # rows, and members alternating one by one: every row, real or
+        # complex, equals its single-member call bit for bit
         for size, samples in ((513, 1024), (100, 64)):
             grid = default_radius_grid(size - 1)
             per_chunk = chunk_members(size, grid.size, samples)
             real, cplx = random_real_stack(2 * per_chunk + 1, size), random_stack(2 * per_chunk, size)
-            members = []
+            runs = []
             for k in range(0, 2 * per_chunk, per_chunk):
-                members += real[k : k + per_chunk] + cplx[k : k + per_chunk]
-            members.append(real[-1])
-            stacked = max_modulus_profile(members, grid, samples)
-            for row, p in zip(stacked, members, strict=True):
-                assert np.array_equal(row, max_modulus_profile(p, grid, samples)), size
-        # one chunk of alternating members, led by a real one, takes the full
-        # transform: its complex members must keep their imaginary parts
-        members = [m for pair in zip(real[:3], cplx[:3]) for m in pair]
-        stacked = max_modulus_profile(members, grid, samples)
-        for row, p in zip(stacked, members, strict=True):
-            single = max_modulus_profile(p, grid, samples)
-            if p.coeffs.imag.any():
-                assert np.array_equal(row, single)
-            else:
-                np.testing.assert_allclose(row, single, rtol=1e-14, atol=0)
+                runs += real[k : k + per_chunk] + cplx[k : k + per_chunk]
+            runs.append(real[-1])
+            alternating = [m for pair in zip(real[:3], cplx[:3]) for m in pair]
+            for members in (runs, alternating):
+                stacked = max_modulus_profile(members, grid, samples)
+                for row, p in zip(stacked, members, strict=True):
+                    assert np.array_equal(row, max_modulus_profile(p, grid, samples)), size
 
     def test_half_spectrum_only_for_real_chunks(self, monkeypatch):
         # a silent return to the full transform for real inputs would only
@@ -256,7 +250,7 @@ class TestMaxModulus:
 
     def test_stack_matches_single_calls(self):
         # both sides of the fold at 64 samples, with more members than one
-        # FFT chunk holds
+        # FFT block of rows holds
         samples = 64
         for size in (samples - 1, samples, samples + 1, 100):
             grid = default_radius_grid(size - 1)
