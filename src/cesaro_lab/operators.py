@@ -16,6 +16,7 @@ from .series import (
     cauchy_product,
     log_one_minus_inv,
     monomial,
+    poly_members,
     real_matmul,
     shifted_pole,
     truncate,
@@ -30,9 +31,9 @@ CORPUS_SEED = 0x5EED
 ST_DEGREE_CAP = 2048
 
 
-def cesaro_apply(p: Poly) -> Poly:
-    """Averaged partial sums: output coefficient n is mean(c_0..c_n)."""
-    return Poly(np.cumsum(p.coeffs) / np.arange(1, p.degree + 2))
+def cesaro_apply(p):
+    """Averaged partial sums, mean(c_0..c_n) at n: the memory-t map at t = 1."""
+    return generalized_cesaro_apply(1.0, p)
 
 
 def require_memory_t(t) -> float:
@@ -43,21 +44,23 @@ def require_memory_t(t) -> float:
     return tv
 
 
-def generalized_cesaro_apply(t: float, p: Poly) -> Poly:
-    """Output coefficient n is (t**n c_0 + t**(n-1) c_1 + ... + c_n)/(n+1).
+def generalized_cesaro_apply(t: float, p):
+    """Output coefficient n is (t**n c_0 + t**(n-1) c_1 + ... + c_n)/(n+1),
+    for a Poly or, as a list, for a sequence of Polys of one degree.
 
-    Computed by the running recurrence s_n = t*s_{n-1} + c_n, so one
-    application costs O(N) and the constant term is preserved exactly.
-    t = 1 reproduces :func:`cesaro_apply`; t = 0 divides c_n by n+1.
+    The sums s_n = t*s_{n-1} + c_n are one elementwise doubling scan,
+    s[k:] += t**k * s[:-k] for k = 1, 2, 4, ... up to N (at t = 1 the plain
+    cumsum), so a member's bits do not depend on its stack, and s_0 is exact.
     """
     tv = require_memory_t(t)
-    c = p.coeffs
-    out = np.empty_like(c)
-    s = 0.0 + 0.0j
-    for n in range(c.size):
-        s = tv * s + c[n]
-        out[n] = s / (n + 1)
-    return Poly(out)
+    s = np.array([q.coeffs for q in poly_members(p)])
+    if tv == 1.0:
+        s = np.cumsum(s, axis=1)
+    else:
+        for k in (2**i for i in range((s.shape[1] - 1).bit_length())):
+            s[:, k:] += tv**k * s[:, :-k]
+    images = [Poly(row) for row in s / np.arange(1, s.shape[1] + 1)]
+    return images[0] if isinstance(p, Poly) else images
 
 
 def cesaro_inverse_apply(p: Poly) -> Poly:
@@ -93,9 +96,8 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
     a * sum_{k<=n} C(n,k) a**k (1-a)**(n-k) c_k, so row n is a times the
     Binomial(n, a) probabilities: the single-node case of
     :func:`pascal_rows`, whose recurrence takes only convex combinations
-    and so stays stable.  Cost is O(N**2) time and 8*(N+1)**2 bytes
-    (8.4 MB at degree 1024), so degrees above ``ST_DEGREE_CAP`` = 2048 are
-    refused with ValueError before anything is allocated.
+    and so stays stable.  Cost is O(N**2) time and 8*(N+1)**2 bytes, so
+    degrees above ``ST_DEGREE_CAP`` are refused before anything is allocated.
     """
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
@@ -108,10 +110,14 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
     return rows
 
 
-def s_t_apply(t: float, p: Poly) -> Poly:
-    """The weighted composition semigroup S_t applied to p: the matrix of
-    :func:`s_t_rows` at the degree of p, mapped onto the coefficients."""
-    return Poly(real_matmul(s_t_rows(t, p.degree), p.coeffs))
+def s_t_apply(t: float, p):
+    """The weighted composition semigroup S_t applied to a Poly or, as a
+    list, to a stack: the matrix of :func:`s_t_rows`, built once, times
+    each member in the product a single Poly takes, so the bits agree."""
+    members = poly_members(p)
+    rows = s_t_rows(t, members[0].degree)
+    images = [Poly(real_matmul(rows, q.coeffs)) for q in members]
+    return images[0] if isinstance(p, Poly) else images
 
 
 def finite_section(t: float, degree: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .operators import (
     cesaro_inverse_apply,
     generalized_cesaro_apply,
     log_power_identity_check,
-    s_t_rows,
+    s_t_apply,
     section_shape_error,
     CORPUS_SEED,
 )
@@ -232,7 +232,7 @@ def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResu
     start = time.perf_counter()
     corpus = build_corpus(degree)
     members = [f for _, f in corpus]
-    cf = [cesaro_apply(f) for f in members]
+    cf = cesaro_apply(members)
     grid = default_radius_grid(degree)
     radii = grid[grid > 0]
     log_factor = -np.log1p(-radii) / radii
@@ -255,19 +255,15 @@ def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResu
         bad[f"step-shift-k{k}"] = norm(cf, vw[k + 1]) > rhs
     norm_w1 = norm(members, WeightSpec.standard(1.0))
     for t in (0.0, 0.5, 0.9):
-        lhs = norm([generalized_cesaro_apply(t, f) for f in members], vw[1]) / norm_w1
+        lhs = norm(generalized_cesaro_apply(t, members), vw[1]) / norm_w1
         bad[f"compact-route-t{t:g}"] = lhs > INEQUALITY_SLACK / ((1.0 - t) * (1.0 - 1.0 / np.e))
     for b in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 8.0, -8.0):
         lhs = norm(resolvent_recurrence(1j * b, members), vw[2])
         rhs = imaginary_axis_constant(b) * norm_f[1] * INEQUALITY_SLACK
         bad[f"imaginary-axis-b{b:g}"] = lhs > rhs
     violations = violated(bad)
-    # one S_t matrix per t, applied to every member in turn and freed before
-    # the next is built
     for t in (0.1, 1.0, 5.0):
-        rows = s_t_rows(t, degree)
-        st_f = [Poly(real_matmul(rows, f.coeffs)) for f in members]
-        del rows
+        st_f = s_t_apply(t, members)
         grew = {k: norm(st_f, vw[k]) > norm_f[k] * INEQUALITY_SLACK for k in (1, 2, 3)}
         violations += violated({f"contraction-t{t:g}-k{k}": grew[k] for k in grew})
     detail = f"{len(corpus)} corpus members, {len(violations)} violations"
@@ -338,11 +334,14 @@ def check_finite_section_spectrum(degree: int = 512) -> CheckResult:
     memory-t kernel: independent routes to the same image.
 
     Their difference is measured entry by entry against the sum bound |A||c|
-    of the section A and the coefficients c.  In the two routes together each
-    term of an entry passes through at most 3N + 7 roundings (N = degree) of
-    relative size 2**-53, in the real and the imaginary part apart, so the
-    tolerance 8 (N + 2) 2**-53 covers sqrt(2) (3N + 7) 2**-53.  The sections'
-    deviation from diagonal 1/(n+1) and zeros above is reported beside it.
+    of the section A and the coefficients c.  Per term, in the real and the
+    imaginary part apart, the section route rounds at most N + 3 times
+    (N = degree: power, division, product, N additions), and the kernel
+    3L + 1 <= 3N + 1 times in its L = ceil(log2(N+1)) doubling steps (an
+    addition, a product and the power t**k each, then the division) or
+    N + 1 times in its cumulative sum at t = 1, each by at most 2**-53: the
+    tolerance 8 (N + 2) 2**-53 covers sqrt(2) (4N + 4) 2**-53.  The
+    sections' deviation from diagonal 1/(n+1) and zeros above is beside it.
     """
     start = time.perf_counter()
     members = [f for _, f in build_corpus(degree)]
@@ -351,7 +350,7 @@ def check_finite_section_spectrum(degree: int = 512) -> CheckResult:
     worst = 0.0
     for t in SECTION_T_VALUES:
         section = operators.finite_section(t, degree)
-        kernel = np.array([generalized_cesaro_apply(t, f).coeffs for f in members]).T
+        kernel = np.array([q.coeffs for q in generalized_cesaro_apply(t, members)]).T
         error = np.abs(real_matmul(section, coeffs) - kernel)
         bound = real_matmul(np.abs(section), np.abs(coeffs)).real
         worst = max(worst, float(np.max(error / np.maximum(bound, np.finfo(float).tiny))))

@@ -235,6 +235,17 @@ class TestSpectralDichotomy:
         assert len(report.points) == 285
         assert solved == {(d, h0): 149 for d in (64, 128) for h0 in (1, 0)}
 
+    def test_one_solve_call_per_degree_and_probe(self, monkeypatch):
+        calls = []
+
+        def counted(lam, h):
+            calls.append(h.degree)
+            return resolvent_recurrence(lam, h)
+
+        monkeypatch.setattr(ergodic, "resolvent_recurrence", counted)
+        spectral_dichotomy_report(64, degrees=(64, 128), grid_points=17)
+        assert sorted(calls) == [64, 64, 128, 128]
+
     @pytest.mark.parametrize("grid_points", [5, 7])
     def test_matches_per_lambda_solves(self, grid_points):
         # linspace(-2, 2, 7) is not bitwise symmetric about 0, so most of its

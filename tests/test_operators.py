@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,17 @@ coeff_lists = st.lists(finite_complex, min_size=1, max_size=24)
 memory_params = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def assert_stack_matches_single_calls(apply):
+    # the corpus mixes complex random members with real structured ones
+    members = [h for _, h in build_corpus(128)]
+    images = apply(members)
+    assert isinstance(images, list)
+    for image, h in zip(images, members, strict=True):
+        single = apply(h)
+        assert isinstance(single, Poly)
+        assert np.array_equal(image.coeffs, single.coeffs)
+
+
 def brute_generalized(t, c):
     out = np.zeros(len(c), dtype=complex)
     for n in range(len(c)):
@@ -56,6 +68,9 @@ class TestCesaroApply:
     @given(coeff_lists)
     def test_constant_term_preserved_exactly(self, c):
         assert cesaro_apply(Poly(c)).coeffs[0] == c[0]
+
+    def test_stack_matches_single_calls(self):
+        assert_stack_matches_single_calls(cesaro_apply)
 
 
 class TestGeneralizedCesaro:
@@ -103,6 +118,31 @@ class TestGeneralizedCesaro:
         whole = generalized_cesaro_apply(t, p).coeffs[: m + 1]
         cut = generalized_cesaro_apply(t, truncate(p, m)).coeffs
         assert np.array_equal(whole, cut)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.9, 1.0])
+    def test_stack_matches_single_calls(self, t):
+        assert_stack_matches_single_calls(lambda p: generalized_cesaro_apply(t, p))
+
+    @pytest.mark.parametrize("t", [0.3, 0.9])
+    def test_scan_error_against_fsum_reference(self, t):
+        # relative to the sum bound sum_m t**m |c_{n-m}| / (n+1), each term
+        # of the scan passes L = ceil(log2(N+1)) steps of one addition, one
+        # product and one rounded power, then the division; the reference
+        # adds its power, product, correctly rounded sum and division, and
+        # the real and imaginary parts err apart (sqrt(2))
+        degree = 512
+        levels = math.ceil(math.log2(degree + 1))
+        members = [h for _, h in build_corpus(degree)][::6]
+        n = np.arange(degree + 1)
+        gap = n[:, None] - n[None, :]
+        powers = np.where(gap >= 0, t ** np.clip(gap, 0, None), 0.0)
+        worst = 0.0
+        for h, image in zip(members, generalized_cesaro_apply(t, members), strict=True):
+            terms = powers * h.coeffs
+            sums = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms])
+            bound = np.maximum(powers @ np.abs(h.coeffs) / (n + 1), np.finfo(float).tiny)
+            worst = max(worst, np.max(np.abs(image.coeffs - sums / (n + 1)) / bound))
+        assert worst <= math.sqrt(2) * (3 * levels + 5) * 2.0**-53
 
     def test_rejects_t_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -164,6 +204,10 @@ class TestCompositionContraction:
         got = s_t_apply(t, p).coeffs
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, atol=1e-14 * scale, rtol=0)
+
+    @pytest.mark.parametrize("t", [0.1, 5.0])
+    def test_stack_matches_single_calls(self, t):
+        assert_stack_matches_single_calls(lambda p: s_t_apply(t, p))
 
     def test_rejects_degree_above_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -227,6 +271,15 @@ class TestFiniteSection:
         via_apply = generalized_cesaro_apply(t, Poly(c)).coeffs
         scale = max(1.0, np.max(np.abs(via_apply)))
         np.testing.assert_allclose(via_matrix, via_apply, atol=1e-13 * scale, rtol=0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.9, 1.0])
+    def test_matrix_matches_apply_on_a_degree_512_stack(self, t):
+        members = [h for _, h in build_corpus(512)]
+        coeffs = np.array([h.coeffs for h in members]).T
+        via_matrix = finite_section(t, 512) @ coeffs
+        via_apply = np.array([q.coeffs for q in generalized_cesaro_apply(t, members)]).T
+        scale = np.maximum(1.0, np.max(np.abs(via_apply), axis=0))
+        assert np.all(np.max(np.abs(via_matrix - via_apply), axis=0) <= 1e-13 * scale)
 
     def test_refuses_degree_past_cap_before_allocating(self):
         # accepted, the section would take 16 * (ST_DEGREE_CAP + 2)**2 bytes
