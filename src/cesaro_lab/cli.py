@@ -182,7 +182,7 @@ def _cmd_spectrum(args) -> int:
     degrees = tuple(int(d) for d in args.degrees.split(",")) if args.degrees else None
     config = _config("spectrum", degree=args.degree, degrees=degrees, grid_points=args.grid_points)
     report = spectral_dichotomy_report(args.degree, degrees=degrees, grid_points=args.grid_points)
-    payload = dict(report.payload(), config=config, t_values=list(report.t_values))
+    payload = dict(report.payload(), config=config, t_values=list(report.section_diagonal_errors))
     write_json(args.output, payload)
     return 0
 

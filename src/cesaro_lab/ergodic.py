@@ -202,7 +202,6 @@ class SpectralDichotomyReport:
     illustration, not a proof."""
 
     degrees: tuple
-    t_values: tuple
     section_diagonal_errors: dict
     points: tuple
 
@@ -271,17 +270,18 @@ def spectral_dichotomy_report(
     mirror = [index.get(lam.conjugate(), i) for i, lam in enumerate(lams)]
     solved = [i for i, k in enumerate(mirror) if k >= i]
     # per section degree, the largest ratio over both probes of the v2 norm
-    # of the solution, solved for all lambdas at once, to the v1 norm of h
-    ratios = []
-    for d in degrees:
-        grid = default_radius_grid(d)
-        best = [0.0] * len(lams)
-        for h in (truncate(monomial(0), d), log_one_minus_inv(d)):
-            den = weighted_sup_norm(h, v1, grid, samples).value
-            solutions = resolvent_recurrence([lams[i] for i in solved], h)
-            for i, est in zip(solved, weighted_sup_norm(solutions, v2, grid, samples)):
-                best[i] = max(best[i], est.value / den)
-        ratios.append([best[min(i, k)] for i, k in enumerate(mirror)])
+    # of the solution to the v1 norm of h: each probe is solved once, at the
+    # top degree, as the triangular solve truncates bitwise to lower ones
+    best = [[0.0] * len(lams) for _ in degrees]
+    for h in (truncate(monomial(0), degrees[-1]), log_one_minus_inv(degrees[-1])):
+        solutions = resolvent_recurrence([lams[i] for i in solved], h)
+        for row, d in zip(best, degrees):
+            grid = default_radius_grid(d)
+            den = weighted_sup_norm(truncate(h, d), v1, grid, samples).value
+            cut = [truncate(f, d) for f in solutions]
+            for i, est in zip(solved, weighted_sup_norm(cut, v2, grid, samples)):
+                row[i] = max(row[i], est.value / den)
+    ratios = [[row[min(i, k)] for i, k in enumerate(mirror)] for row in best]
 
     points = []
     for lam, norms in zip(lams, zip(*ratios)):
@@ -296,7 +296,6 @@ def spectral_dichotomy_report(
         )
     return SpectralDichotomyReport(
         degrees=degrees,
-        t_values=SECTION_T_VALUES,
         section_diagonal_errors=section_errors,
         points=tuple(points),
     )

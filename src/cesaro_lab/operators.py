@@ -25,9 +25,9 @@ from .series import (
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
 
-#: Largest degree :func:`s_t_rows` and :func:`finite_section` accept; their
-#: dense matrices take 8*(N+1)**2 and 16*(N+1)**2 bytes, about 34 and 67 MB
-#: at this cap.
+#: Largest degree :func:`s_t_rows` and :func:`finite_section` accept; each
+#: of their dense real matrices takes 8*(N+1)**2 bytes, about 34 MB at this
+#: cap.
 ST_DEGREE_CAP = 2048
 
 
@@ -63,13 +63,14 @@ def generalized_cesaro_apply(t: float, p):
     return images[0] if isinstance(p, Poly) else images
 
 
-def cesaro_inverse_apply(p: Poly) -> Poly:
-    """Exact inverse of :func:`cesaro_apply` on truncations:
-    output coefficient n is (n+1) c_n - n c_{n-1}."""
-    n = np.arange(p.degree + 1)
-    out = (n + 1) * p.coeffs
-    out[1:] -= n[1:] * p.coeffs[:-1]
-    return Poly(out)
+def cesaro_inverse_apply(p):
+    """Exact inverse of :func:`cesaro_apply` on truncations, for a Poly or,
+    as a list, for a sequence of Polys of one degree: output coefficient n
+    is (n+1) c_n - n c_{n-1}, the first difference of (n+1) c_n."""
+    c = np.array([q.coeffs for q in poly_members(p)])
+    weighted = np.arange(1, c.shape[1] + 1) * c
+    images = [Poly(row) for row in np.diff(weighted, axis=1, prepend=0)]
+    return images[0] if isinstance(p, Poly) else images
 
 
 def pascal_rows(a, degree: int):
@@ -122,7 +123,7 @@ def s_t_apply(t: float, p):
 
 def finite_section(t: float, degree: int) -> np.ndarray:
     """Leading (N+1)x(N+1) corner of the coefficient matrix for parameter t,
-    read-only and complex: entry (n, j) is t**(n-j)/(n+1) for j <= n, zero
+    read-only and real: entry (n, j) is t**(n-j)/(n+1) for j <= n, zero
     above the diagonal.  Applying it to a coefficient vector matches
     :func:`generalized_cesaro_apply`.  Degrees above ``ST_DEGREE_CAP`` are
     refused with ValueError before anything is allocated."""
@@ -131,12 +132,11 @@ def finite_section(t: float, degree: int) -> np.ndarray:
         raise ValueError("degree must be nonnegative")
     if degree > ST_DEGREE_CAP:
         raise ValueError(f"degree {degree} exceeds the section cap {ST_DEGREE_CAP}")
-    n = degree + 1
-    powers = tv ** np.arange(n)
-    gap = np.arange(n)[:, None] - np.arange(n)[None, :]
-    entries = np.where(gap >= 0, powers[np.clip(gap, 0, n - 1)], 0.0)
-    entries = entries / np.arange(1, n + 1)[:, None]
-    entries = entries.astype(complex)
+    # row n reversed is the window n of N zeros then t**0..t**N: one view,
+    # so the division is the only (N+1)**2 allocation
+    powers = np.concatenate([np.zeros(degree), tv ** np.arange(degree + 1)])
+    windows = np.lib.stride_tricks.sliding_window_view(powers, degree + 1)
+    entries = windows[:, ::-1] / np.arange(1, degree + 2)[:, None]
     entries.flags.writeable = False
     return entries
 

@@ -287,7 +287,7 @@ class TestSpectrumCommand:
         assert "grid_points" in capsys.readouterr().err
 
     def test_degree_past_cap_exit_two(self, tmp_path, capsys):
-        # refused before the first 67 MB section is built
+        # refused before the first 34 MB section is built
         out = tmp_path / "spec.json"
         tracemalloc.start()
         try:

@@ -233,9 +233,9 @@ class TestSpectralDichotomy:
         monkeypatch.setattr(ergodic, "resolvent_recurrence", counted)
         report = spectral_dichotomy_report(64, degrees=(64, 128), grid_points=17)
         assert len(report.points) == 285
-        assert solved == {(d, h0): 149 for d in (64, 128) for h0 in (1, 0)}
+        assert solved == {(128, h0): 149 for h0 in (1, 0)}
 
-    def test_one_solve_call_per_degree_and_probe(self, monkeypatch):
+    def test_one_solve_call_per_probe_at_the_top_degree(self, monkeypatch):
         calls = []
 
         def counted(lam, h):
@@ -244,7 +244,29 @@ class TestSpectralDichotomy:
 
         monkeypatch.setattr(ergodic, "resolvent_recurrence", counted)
         spectral_dichotomy_report(64, degrees=(64, 128), grid_points=17)
-        assert sorted(calls) == [64, 64, 128, 128]
+        assert calls == [128, 128]
+
+    def test_top_degree_solves_truncate_bitwise_to_lower_degree_solves(self, monkeypatch):
+        # the README sweep's degrees and lambdas: each probe's one solve at
+        # degree 1024, cut to 64 and 256, is bit for bit the solve there
+        solves = []
+
+        def recorded(lam, h):
+            solutions = resolvent_recurrence(lam, h)
+            solves.append((lam, h, solutions))
+            return solutions
+
+        monkeypatch.setattr(ergodic, "resolvent_recurrence", recorded)
+        report = spectral_dichotomy_report(1024, grid_points=17)
+        assert report.degrees == (64, 256, 1024)
+        probes = (lambda d: truncate(monomial(0), d), log_one_minus_inv)
+        for (lams, h, solutions), probe in zip(solves, probes, strict=True):
+            assert h.coeffs.tobytes() == probe(1024).coeffs.tobytes()
+            for d in (64, 256):
+                for own, top in zip(resolvent_recurrence(lams, probe(d)), solutions, strict=True):
+                    assert own.coeffs.tobytes() == top.coeffs[: d + 1].tobytes()
+        # run_spectral_sweep.py prints the norm tuples, so they stay floats
+        assert all(type(v) is float for pt in report.points for v in pt.norms)
 
     @pytest.mark.parametrize("grid_points", [5, 7])
     def test_matches_per_lambda_solves(self, grid_points):
@@ -278,8 +300,8 @@ class TestSpectralDichotomy:
             spectral_dichotomy_report(32)
 
     def test_refuses_budgets_past_caps_before_allocating(self):
-        # accepted, degree 1024 would first build five 16.8 MB sections, and
-        # a degree past the section cap five 67 MB ones
+        # accepted, degree 1024 would first build five 8.4 MB sections, and
+        # a degree past the section cap five 34 MB ones
         past_cap = ST_DEGREE_CAP + 1
         runs = (
             (lambda: spectral_dichotomy_report(1024, grid_points=GRID_POINTS_CAP + 1), "grid"),

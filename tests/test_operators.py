@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -74,10 +76,20 @@ class TestCesaroApply:
 
 
 class TestGeneralizedCesaro:
-    def test_t_one_is_bitwise_cesaro(self):
-        rng = np.random.default_rng(0)
-        p = Poly(rng.normal(size=200) + 1j * rng.normal(size=200))
-        assert np.array_equal(generalized_cesaro_apply(1.0, p).coeffs, cesaro_apply(p).coeffs)
+    @pytest.mark.parametrize("degree", [64, 512, 2048])
+    def test_t_one_matches_exact_partial_sums(self, degree):
+        # Gaussian integers in [-1000, 1000] keep every partial sum S_n exact
+        # in float64, so only the division by n+1 rounds; numpy divides a
+        # complex by a real through a rounded reciprocal, so each part may be
+        # two units of 2**-53 off S_n/(n+1), not one, and exactly 0 where S_n = 0
+        rng = np.random.default_rng(degree)
+        re, im = rng.integers(-1000, 1001, size=(2, degree + 1))
+        re[1], im[1] = -re[0], -im[0]  # S_1 = 0 in both parts
+        got = generalized_cesaro_apply(1.0, Poly(re + 1j * im)).coeffs
+        for part, ints in ((got.real, re), (got.imag, im)):
+            for n, (value, s) in enumerate(zip(part.tolist(), accumulate(ints.tolist()))):
+                exact = Fraction(s, n + 1)
+                assert abs(Fraction(value) - exact) <= Fraction(2, 2**53) * abs(exact)
 
     def test_t_zero_divides_by_index(self):
         p = Poly([4, 9, 16, 25])
@@ -152,6 +164,9 @@ class TestGeneralizedCesaro:
 
 
 class TestInverse:
+    def test_stack_matches_single_calls(self):
+        assert_stack_matches_single_calls(cesaro_inverse_apply)
+
     def test_constant(self):
         out = cesaro_inverse_apply(truncate(monomial(0), 4))
         assert np.array_equal(out.coeffs, [1, -1, 0, 0, 0])
@@ -251,7 +266,7 @@ class TestFiniteSection:
     def test_diagonal_is_reciprocal_integers(self):
         for t in (0.0, 0.3, 1.0):
             fs = finite_section(t, 40)
-            assert np.array_equal(np.diagonal(fs).real, 1.0 / np.arange(1, 42))
+            assert np.array_equal(np.diagonal(fs), 1.0 / np.arange(1, 42))
             assert np.all(np.triu(fs, 1) == 0)
 
     def test_small_section_eigenvalues_via_solver(self):
@@ -281,8 +296,19 @@ class TestFiniteSection:
         scale = np.maximum(1.0, np.max(np.abs(via_apply), axis=0))
         assert np.all(np.max(np.abs(via_matrix - via_apply), axis=0) <= 1e-13 * scale)
 
+    def test_real_read_only_and_built_in_one_allocation(self):
+        # no gap, mask or complex copy beside the 8 (N+1)**2 bytes it returns
+        tracemalloc.start()
+        try:
+            fs = finite_section(0.5, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.dtype == np.float64 and not fs.flags.writeable
+        assert peak <= 1.1 * 8 * 1025**2
+
     def test_refuses_degree_past_cap_before_allocating(self):
-        # accepted, the section would take 16 * (ST_DEGREE_CAP + 2)**2 bytes
+        # accepted, the section would take 8 * (ST_DEGREE_CAP + 2)**2 bytes
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"exceeds the section cap {ST_DEGREE_CAP}"):
