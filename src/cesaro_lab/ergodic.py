@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .operators import (
     ST_DEGREE_CAP,
     cesaro_apply,
@@ -252,7 +253,9 @@ def spectral_dichotomy_report(
     if top > ST_DEGREE_CAP:
         raise ValueError(f"section degree {top} exceeds the cap {ST_DEGREE_CAP}")
 
-    section_errors = {tv: section_shape_error(tv, degree) for tv in SECTION_T_VALUES}
+    section_errors = {
+        tv: section_shape_error(operators.finite_section(tv, degree)) for tv in SECTION_T_VALUES
+    }
 
     diag_values = 1.0 / np.arange(1, max(degrees) + 2)
     axis = np.linspace(-2.0, 2.0, grid_points)

@@ -141,13 +141,15 @@ def finite_section(t: float, degree: int) -> np.ndarray:
     return entries
 
 
-def section_shape_error(t: float, degree: int) -> float:
-    """Largest deviation of the finite section from its expected shape, on
+def section_shape_error(section: np.ndarray) -> float:
+    """Largest deviation of a finite section from its expected shape, on
     the diagonal and above it: its eigenvalues 1/(n+1) on the diagonal and
     zeros above, whatever the memory t."""
-    deviation = np.triu(finite_section(t, degree))
-    deviation[np.diag_indices(degree + 1)] -= 1.0 / np.arange(1, degree + 2)
-    return float(np.max(np.abs(deviation)))
+    deviation = np.triu(section)
+    deviation[np.diag_indices(len(section))] -= 1.0 / np.arange(1, len(section) + 1)
+    # in place: the caller still holds the section, so a third (N+1)**2
+    # array would raise peak memory
+    return float(np.max(np.abs(deviation, out=deviation)))
 
 
 def log_power_identity_check(k: int, degree: int) -> float:

@@ -108,6 +108,16 @@ def require_samples(samples) -> int:
     return int(samples)
 
 
+def _radii(radii) -> np.ndarray:
+    """A nonempty radius grid in [0, 1) as a float array."""
+    rv = np.atleast_1d(np.asarray(radii, dtype=float))
+    if rv.size == 0:
+        raise ValueError("radius grid must be nonempty")
+    if np.any(rv < 0) or np.any(rv >= 1):
+        raise ValueError("radii must lie in [0, 1)")
+    return rv
+
+
 def _scaled_layout(radii: np.ndarray, size: int, samples: int):
     """Powers 0..size-1 of each radius, one row per radius, and the width of
     a zero-tailed row of scaled coefficients: ``samples``, or the folded
@@ -145,11 +155,7 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     or in any stack.
     """
     members = poly_members(p)
-    rv = np.atleast_1d(np.asarray(radii, dtype=float))
-    if rv.size == 0:
-        raise ValueError("radius grid must be nonempty")
-    if np.any(rv < 0) or np.any(rv >= 1):
-        raise ValueError("radii must lie in [0, 1)")
+    rv = _radii(radii)
     samples = require_samples(samples)
     powers, width = _scaled_layout(rv, members[0].degree + 1, samples)
     rows, cols = np.divmod(np.arange(len(members) * rv.size), rv.size)
@@ -180,6 +186,32 @@ def _gathered_rows(members, rows, cols, powers, width, samples) -> np.ndarray:
     return out
 
 
+def _majorant(members, powers, weights, samples) -> np.ndarray:
+    """U = w(r) sum |a_n| r^n (1 + margin) per (member, radius) row of
+    ``powers``: never below the row's computed weighted sampled maximum."""
+    # with u = 2**-53 and A = sum |a_n| p_n over the computed powers p_n that
+    # both sides use, a computed row value exceeds w A by at most, to first
+    # order, (q + 3) u w A for scaling, folding q = width / samples terms
+    # (the exact DFT of the folded row is at most its 1-norm), abs and the
+    # weight product, plus the FFT's error in one bin: at most eps sqrt(S) w A
+    # for pocketfft's normwise relative error eps <= 24 u log2(4 S) (Higham,
+    # Accuracy and Stability of Numerical Algorithms, Thm 24.2: under 8 u per
+    # radix-2 level; Bluestein runs three transforms shorter than 4 S), or
+    # (S + 3) u w A were the DFT summed directly.  The computed bound falls
+    # short of w A (1 + margin) by at most (size + 5) u for |a_n|, the sum of
+    # size nonnegative products and three more roundings.  As q <= size and
+    # 24 log2(4 S) sqrt(S) <= 64 S for S >= 8, a margin of 64 u (size + S)
+    # covers it all; it grows with both because CSV inputs are not capped.
+    margin = 64 * 2.0**-53 * (powers.shape[1] + samples)
+    bound = np.empty((len(members), powers.shape[0]))
+    step = max(1, SERIAL_PRODUCT_SIZE // powers.size)  # powers.size multiply-adds per member
+    for i in range(0, len(members), step):
+        chunk = np.array([q.coeffs for q in members[i : i + step]])
+        bound[i : i + step] = np.abs(chunk) @ powers.T
+    bound *= weights * (1.0 + margin)
+    return bound
+
+
 @dataclass(frozen=True, eq=False)
 class NormEstimate:
     """Result of a weighted sup-norm sweep over a radius grid."""
@@ -206,9 +238,7 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     degree = members[0].degree
     if grid is None:
         grid = default_radius_grid(degree)
-    gv = np.atleast_1d(np.asarray(grid, dtype=float))
-    if gv.size == 0:
-        raise ValueError("radius grid must be nonempty")
+    gv = _radii(grid)
     rmax = reliable_radius(degree)
     if np.any(gv > rmax + 1e-12):
         raise ValueError(
@@ -218,27 +248,7 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     weights = weight_eval(w, gv)
     samples = require_samples(samples)
     powers, width = _scaled_layout(gv, degree + 1, samples)
-    # the bound must never fall below a computed row value.  With u = 2**-53
-    # and A = sum |a_n| p_n over the computed powers p_n that both sides use,
-    # a computed row value exceeds w A by at most, to first order, (q + 3) u
-    # w A for scaling, folding q = width / samples terms (the exact DFT of
-    # the folded row is at most its 1-norm), abs and the weight product, plus
-    # the FFT's error in one bin: at most eps sqrt(S) w A for pocketfft's
-    # normwise relative error eps <= 24 u log2(4 S) (Higham, Accuracy and
-    # Stability of Numerical Algorithms, Thm 24.2: under 8 u per radix-2
-    # level; Bluestein runs three transforms shorter than 4 S), or (S + 3) u
-    # w A were the DFT summed directly.  The computed bound falls short of
-    # w A (1 + margin) by at most (size + 5) u for |a_n|, the sum of size
-    # nonnegative products and three more roundings.  As q <= size and
-    # 24 log2(4 S) sqrt(S) <= 64 S for S >= 8, a margin of 64 u (size + S)
-    # covers it all; it grows with both because CSV inputs are not capped.
-    margin = 64 * 2.0**-53 * (degree + 1 + samples)
-    bound = np.empty((len(members), gv.size))
-    step = max(1, SERIAL_PRODUCT_SIZE // powers.size)  # powers.size multiply-adds per member
-    for i in range(0, len(members), step):
-        chunk = np.array([q.coeffs for q in members[i : i + step]])
-        bound[i : i + step] = np.abs(chunk) @ powers.T
-    bound *= weights * (1.0 + margin)
+    bound = _majorant(members, powers, weights, samples)
 
     def weighted_rows(rows, cols):
         return weights[cols] * _gathered_rows(members, rows, cols, powers, width, samples)
@@ -260,6 +270,27 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
         for row, i in zip(values, np.argmax(values, axis=1))
     ]
     return estimates[0] if isinstance(p, Poly) else estimates
+
+
+def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor=1.0, samples: int = 1024):
+    """Per member of a sequence of Polys of one degree, whether
+    ``weight(r) * M / divisor > limit`` at some radius r, with M the sampled
+    max modulus of :func:`max_modulus_profile` and weight 1 for ``w`` None;
+    and the number of rows transformed.  ``limit`` and ``divisor`` broadcast
+    against the (member, radius) rows.  A row is transformed only when its
+    majorant passes the test: the majorant is never below the computed
+    value, and the division and comparison are monotone, so the verdicts are
+    those of the full profile, bit for bit."""
+    members = poly_members(p)
+    rv = _radii(radii)
+    samples = require_samples(samples)
+    weights = np.ones(rv.size) if w is None else weight_eval(w, rv)
+    powers, width = _scaled_layout(rv, members[0].degree + 1, samples)
+    bound = _majorant(members, powers, weights, samples)
+    rows, cols = np.nonzero(~(bound / divisor <= limit))  # a NaN bound leaves its row open
+    values = np.full(bound.shape, -np.inf)
+    values[rows, cols] = weights[cols] * _gathered_rows(members, rows, cols, powers, width, samples)
+    return (values / divisor > limit).any(axis=1), rows.size
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from cesaro_lab import operators, verify
-from cesaro_lab.ergodic import spectral_dichotomy_report
+from cesaro_lab.ergodic import SECTION_T_VALUES, spectral_dichotomy_report
 from cesaro_lab.series import Poly
 
 
@@ -85,20 +86,33 @@ def test_norm_inequalities_contraction_clause_bites(monkeypatch):
     result = verify.check_norm_inequalities(512)
     assert not result.passed
     assert "contraction-t" in result.detail
+    assert "63 corpus members, 175 violations:" in result.detail
+
+
+#: Violations of the scaled operators below, the same when every sup-norm
+#: was computed in full: the threshold tests must not change a verdict.
+SCALED_VIOLATIONS = {
+    ("cesaro_apply", 1.2): 60,
+    ("cesaro_apply", 1.05): 32,
+    ("resolvent_recurrence", 50.0): 126,
+    ("resolvent_recurrence", 3.0): 77,
+    ("generalized_cesaro_apply", 1.2): 38,
+}
 
 
 @pytest.mark.parametrize(
     "name, factor, clause",
     [
         ("cesaro_apply", 1.2, "growth-estimate"),
+        ("cesaro_apply", 1.05, "growth-estimate"),
         ("resolvent_recurrence", 50.0, "imaginary-axis-b8"),
+        ("resolvent_recurrence", 3.0, "imaginary-axis-b8"),
         ("generalized_cesaro_apply", 1.2, "compact-route"),
     ],
 )
 def test_norm_inequalities_sup_norm_clauses_bite(monkeypatch, name, factor, clause):
     # an operator scaled past its proved bound fails the clause that bounds
-    # it: the growth estimate from the full profiles, the others from the
-    # stacked sup-norms
+    # it, and every threshold test counts the violations a full sweep counts
     exact = getattr(verify, name)
 
     def scaled(*args):
@@ -111,21 +125,27 @@ def test_norm_inequalities_sup_norm_clauses_bite(monkeypatch, name, factor, clau
     result = verify.check_norm_inequalities(512)
     assert not result.passed
     assert clause in result.detail
+    assert f"63 corpus members, {SCALED_VIOLATIONS[name, factor]} violations:" in result.detail
 
 
-def test_norm_inequalities_takes_two_full_profiles(monkeypatch):
-    # every sup-norm comes from weighted_sup_norm; only the radius-by-radius
-    # growth estimate needs the full profiles, of f and of Cf
+def test_norm_inequalities_takes_one_full_profile(monkeypatch):
+    # the right-hand sides need f in full; every left-hand side is a
+    # threshold test that the majorant settles for almost all of its rows
     calls = []
     exact = verify.max_modulus_profile
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return exact(*args, **kwargs)
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return exact(p, *args, **kwargs)
 
     monkeypatch.setattr(verify, "max_modulus_profile", counted)
-    assert verify.check_norm_inequalities(512).passed
-    assert len(calls) == 2
+    result = verify.check_norm_inequalities(512)
+    assert result.passed
+    corpus = [f for _, f in operators.build_corpus(512)]
+    assert len(calls) == 1
+    assert [q.coeffs.tolist() for q in calls[0]] == [f.coeffs.tolist() for f in corpus]
+    found = re.search(r"; ([0-9,]+) of 110,313 rows certified by the bound", result.detail)
+    assert int(found.group(1).replace(",", "")) >= 0.98 * 110_313
 
 
 def test_ergodic_dichotomy():
@@ -141,6 +161,20 @@ def test_growth_classification():
 def test_finite_section_spectrum():
     result = report(verify.check_finite_section_spectrum(512))
     assert result.passed, result.detail
+
+
+def test_finite_section_spectrum_builds_each_section_once(monkeypatch):
+    # the shape deviation is measured on the section the product used
+    calls = []
+    exact = operators.finite_section
+
+    def counted(t, degree):
+        calls.append(t)
+        return exact(t, degree)
+
+    monkeypatch.setattr(operators, "finite_section", counted)
+    assert verify.check_finite_section_spectrum(64).passed
+    assert calls == list(SECTION_T_VALUES)
 
 
 def test_finite_section_spectrum_rejects_entries_above_diagonal(monkeypatch):

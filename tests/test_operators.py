@@ -17,6 +17,7 @@ from cesaro_lab.operators import (
     generalized_cesaro_apply,
     log_power_identity_check,
     s_t_apply,
+    section_shape_error,
 )
 from cesaro_lab.series import (
     Poly,
@@ -306,6 +307,19 @@ class TestFiniteSection:
             tracemalloc.stop()
         assert fs.dtype == np.float64 and not fs.flags.writeable
         assert peak <= 1.1 * 8 * 1025**2
+
+    def test_shape_error_allocates_one_section_beside_its_argument(self):
+        # its callers hold the section while it is measured, so a second
+        # float (N+1)**2 temporary would raise the spectral sweep's peak
+        # memory; np.triu's boolean mask adds an eighth of one
+        fs = finite_section(0.5, 1024)
+        tracemalloc.start()
+        try:
+            assert section_shape_error(fs) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 1025**2
 
     def test_refuses_degree_past_cap_before_allocating(self):
         # accepted, the section would take 8 * (ST_DEGREE_CAP + 2)**2 bytes

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesaro_lab import weights
 from cesaro_lab.ergodic import iterate_trace
 from cesaro_lab.series import Poly, binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
 from cesaro_lab.weights import (
@@ -15,6 +16,7 @@ from cesaro_lab.weights import (
     default_radius_grid,
     growth_classify,
     max_modulus_profile,
+    sup_norm_exceeds,
     weight_eval,
     weighted_sup_norm,
 )
@@ -99,7 +101,8 @@ weight_specs = st.one_of(
     st.integers(min_value=1, max_value=3).map(WeightSpec.log_power),
     st.floats(min_value=0.25, max_value=3.0).map(WeightSpec.standard),
 )
-member_kinds = st.sampled_from(["real", "complex", "positive", "flat", "constant", "zero"])
+member_kinds_all = ["real", "complex", "positive", "flat", "constant", "zero"]
+member_kinds = st.sampled_from(member_kinds_all)
 
 
 class TestWeightEval:
@@ -356,6 +359,70 @@ class TestWeightedSupNorm:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             weighted_sup_norm(Poly([1]), WeightSpec.log_power(1), grid=[])
+
+
+def draw_limits(peaks, rng):
+    """Per entry of ``peaks``: the peak itself, which a tie must not exceed,
+    the next float below it, or the peak scaled by a factor in [0.5, 1.5)."""
+    choice = rng.integers(0, 3, size=peaks.shape)
+    scaled = peaks * rng.uniform(0.5, 1.5, size=peaks.shape)
+    return np.select([choice == 0, choice == 1], [peaks, np.nextafter(peaks, -np.inf)], scaled)
+
+
+class TestSupNormExceeds:
+    @given(
+        st.lists(member_kinds, min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=150),
+        st.sampled_from([8, 9, 63, 64]),
+        st.one_of(st.none(), weight_specs),
+        st.sampled_from(["member", "row", "divided"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_full_profile(self, kinds, size, samples, w, form, seed):
+        # the threshold verdict against the full profile, bit for bit: a
+        # limit per member or per (member, radius) row, or the division form
+        rng = np.random.default_rng(seed)
+        members = [sup_norm_member(kind, size, w or WeightSpec.log_power(1), rng) for kind in kinds]
+        grid = default_radius_grid(size - 1)
+        values = max_modulus_profile(members, grid, samples)
+        if w is not None:
+            values = weight_eval(w, grid) * values
+        divisor = 1.0
+        if form == "row":
+            limit = draw_limits(values, rng)
+        elif form == "member":
+            limit = draw_limits(values.max(axis=1, keepdims=True), rng)
+        else:
+            divisor = rng.uniform(0.1, 10.0, size=(len(members), 1))
+            limit = draw_limits(values.max(axis=1, keepdims=True) / divisor, rng)
+        expected = (values / divisor > limit).any(axis=1)
+        exceeded, _ = sup_norm_exceeds(members, w, grid, limit, divisor, samples)
+        assert exceeded.tolist() == expected.tolist()
+
+    def test_transforms_only_rows_the_bound_leaves_open(self, monkeypatch):
+        # record every (member, radius) row that reaches the FFT kernel:
+        # none may be one whose majorant already fails the test
+        rng = np.random.default_rng(37)
+        w = WeightSpec.log_power(2)
+        members = [sup_norm_member(k, 257, w, rng) for k in member_kinds_all]
+        grid = default_radius_grid(256)
+        values = weight_eval(w, grid) * max_modulus_profile(members, grid)
+        limit = draw_limits(values.max(axis=1, keepdims=True), rng)
+        seen = []
+        exact = weights._gathered_rows
+
+        def recorded(members, rows, cols, *args):
+            seen.extend(zip(rows.tolist(), cols.tolist()))
+            return exact(members, rows, cols, *args)
+
+        monkeypatch.setattr(weights, "_gathered_rows", recorded)
+        exceeded, transformed = sup_norm_exceeds(members, w, grid, limit)
+        powers = grid[:, None] ** np.arange(257)
+        bound = weights._majorant(members, powers, weight_eval(w, grid), 1024)
+        assert transformed == len(seen) < bound.size
+        assert all(bound[m, c] > limit[m, 0] for m, c in seen)
+        assert exceeded.tolist() == (values > limit).any(axis=1).tolist()
 
 
 class TestGrowthClassify:
