@@ -165,8 +165,8 @@ def _cmd_resolvent(args) -> int:
         substitution=True,
         t_max=args.t_max,
     )
-    h = _load_function(args, config)
     quad = QuadratureSpec(nodes=args.nodes, panels=args.panels, t_max=args.t_max)
+    h = _load_function(args, config)
     if args.route == "recurrence":
         write_coeffs_csv(args.output, resolvent_recurrence(lam, h), config)
     elif args.route == "semigroup":

@@ -75,17 +75,18 @@ def cesaro_inverse_apply(p):
 
 def pascal_rows(a, degree: int):
     """Yield the rows P_0..P_degree of :func:`s_t_rows` for all node values
-    in the 1-d array ``a`` at once, row n of shape (a.size, n+1), keeping
-    only the current one: P_n = (1-a)*P_{n-1} + a*shift(P_{n-1}), P_0 = [a]."""
-    a = np.asarray(a, dtype=float)[:, None]
-    row = a.copy()
-    yield row
+    in the 1-d array ``a`` at once, row n as an (n+1, a.size) view of one
+    buffer updated in place, valid only until the next step:
+    P_n[j] = (1-a)*P_{n-1}[j] + a*P_{n-1}[j-1], P_0 = [a]."""
+    a = np.asarray(a, dtype=float)
+    rows = np.zeros((degree + 1, a.size))
+    rows[0] = a
+    yield rows[:1]
     for n in range(1, degree + 1):
-        nxt = np.zeros((a.shape[0], n + 1))
-        nxt[:, :n] = (1.0 - a) * row
-        nxt[:, 1:] += a * row
-        row = nxt
-        yield row
+        shifted = a * rows[:n]
+        rows[:n] *= 1.0 - a
+        rows[1 : n + 1] += shifted
+        yield rows[: n + 1]
 
 
 def s_t_rows(t: float, degree: int) -> np.ndarray:
@@ -97,8 +98,9 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
     a * sum_{k<=n} C(n,k) a**k (1-a)**(n-k) c_k, so row n is a times the
     Binomial(n, a) probabilities: the single-node case of
     :func:`pascal_rows`, whose recurrence takes only convex combinations
-    and so stays stable.  Cost is O(N**2) time and 8*(N+1)**2 bytes, so
-    degrees above ``ST_DEGREE_CAP`` are refused before anything is allocated.
+    and so stays stable; each row is copied out before the next step.
+    Cost is O(N**2) time and 8*(N+1)**2 bytes, so degrees above
+    ``ST_DEGREE_CAP`` are refused before anything is allocated.
     """
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
@@ -107,7 +109,7 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
         raise ValueError(f"degree {degree} exceeds the S_t cap {ST_DEGREE_CAP}")
     rows = np.zeros((degree + 1, degree + 1))
     for n, row in enumerate(pascal_rows([np.exp(-tv)], degree)):
-        rows[n, : n + 1] = row[0]
+        rows[n, : n + 1] = row[:, 0]
     return rows
 
 

@@ -28,6 +28,13 @@ DIAGONAL_GUARD = 1e-12
 #: underestimate of circle maxima (applied on both sides of each bound).
 INEQUALITY_SLACK = 1.0 + 1e-6
 
+#: Budgets past these caps are refused before any work: a Gauss rule costs
+#: an eigensolve (0.8 s at 2048 nodes), the integral kernel 1.6 kB per node
+#: at 100 points (105 MB at both caps).
+NODE_CAP = 1024  # nodes per panel: nodes, time_nodes
+PANEL_CAP = 64  # integral panels, and semigroup time panels up to t_max
+TIME_PANEL = 2.0  # length of a semigroup time panel
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -46,9 +53,12 @@ class QuadratureSpec:
     tail_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.nodes < 16 or self.time_nodes < 16:
-            raise ValueError("quadrature budgets below 16 nodes are rejected")
-        if self.panels < 1 or self.s_max <= 0 or self.tail_tol <= 0:
+        nodes_ok = all(16 <= n <= NODE_CAP for n in (self.nodes, self.time_nodes))
+        if not (nodes_ok and 1 <= self.panels <= PANEL_CAP):
+            raise ValueError(f"budgets must lie in [16, {NODE_CAP}] nodes, [1, {PANEL_CAP}] panels")
+        if self.t_max is not None and not abs(self.t_max) <= TIME_PANEL * PANEL_CAP:
+            raise ValueError(f"t_max must be finite, |t_max| <= {TIME_PANEL * PANEL_CAP:g}")
+        if not (0 < self.s_max < np.inf and self.tail_tol > 0):
             raise ValueError("invalid quadrature settings")
 
 
@@ -63,10 +73,18 @@ def _check_lambda_clear(lams: np.ndarray, degree: int):
             raise ValueError(f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{k + 1}")
 
 
-def _check_integral_preconditions(lam: complex, members):
-    if abs(lam) < DIAGONAL_GUARD:
+def _lambdas(lam) -> np.ndarray:
+    """A number or a non-empty array of lam as a 1-d complex array."""
+    lams = np.array([require_finite_param(v, "lam") for v in np.ravel(lam)], dtype=complex)
+    if lams.size == 0:
+        raise ValueError("lam must be a number or a non-empty array")
+    return lams
+
+
+def _check_integral_preconditions(lams: np.ndarray, members):
+    if np.min(np.abs(lams)) < DIAGONAL_GUARD:
         raise ValueError("lam must be nonzero")
-    if min(vanishing_order(h) for h in members) <= (1.0 / lam).real - 1.0:
+    if min(vanishing_order(h) for h in members) <= np.max((1.0 / lams).real) - 1.0:
         raise ValueError(
             "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
         )
@@ -81,10 +99,8 @@ def resolvent_recurrence(lam, h):
     one lam with a sequence of Polys of one degree, gives a list of Polys,
     one per lam or member, from one loop over n for all of them.
     """
-    lams = np.array([require_finite_param(v, "lam") for v in np.ravel(lam)], dtype=complex)
+    lams = _lambdas(lam)
     members = poly_members(h)
-    if lams.size == 0:
-        raise ValueError("lam must be a number or a non-empty array")
     if lams.size > 1 and len(members) > 1:
         raise ValueError("give an array of lam or a sequence of h, not both")
     _check_lambda_clear(lams, members[0].degree)
@@ -131,7 +147,8 @@ def _validate_points(zs: np.ndarray):
 
 def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -> np.ndarray:
     """Pointwise values of the solution formula at an array of points, for a
-    Poly h or, one row per member, for a sequence of Polys of one degree.
+    Poly h or, one row per member, for a sequence of Polys of one degree,
+    and for one lam or, along a leading axis, an array of them.
 
     After the segment substitution zeta = tau*z the powers of z cancel and
     the integrand becomes tau**(-1/lam) (1 - tau*z)**(1/lam - 1) h(tau*z) on
@@ -142,28 +159,40 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
 
     The Gauss sum is taken in moment form, sum_k h_k z**k m_k(z) with the
     h-free m_k(z) = sum_s w_s damping_s (1 - tau_s z)**(1/lam - 1) tau_s**k,
-    so each member costs one small product.  A stack is refused whole if
-    any member breaks the vanishing-order condition.
+    so each member costs one small product.  The lam-free tau**k,
+    log(1 - tau*z), log(1 - z) and z**k are built once per call, so a lam's
+    row, (member, point) or (point,), equals its own call bit for bit.  The
+    whole call is refused if any lam and member break the order condition.
     """
-    lv = require_finite_param(lam, "lam")
+    lams = _lambdas(lam)
     quad = quad or QuadratureSpec()
     members = poly_members(h)
-    _check_integral_preconditions(lv, members)
+    _check_integral_preconditions(lams, members)
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
-    il = 1.0 / lv
 
     s, w = _gauss_panels(quad.nodes, quad.panels, quad.s_max)
     tau = np.exp(-s)
-    # tau**(-il) * dtau collapses to exp(-s*(1 - il)) ds.
-    damping = np.exp(-s * (1.0 - il))
     k = np.arange(members[0].degree + 1)
-    kernel = (w * damping)[:, None] * np.exp((il - 1.0) * np.log(1.0 - tau[:, None] * zv))
-    moments = real_matmul((tau[:, None] ** k).T, kernel)
-    prefactor = il**2 * np.exp(-il * np.log(1.0 - zv))
-    weights = zv[:, None] ** k * (1.0 / lv + prefactor[:, None] * moments.T)
-    values = np.array([real_matmul(weights, p.coeffs) for p in members])
-    return values[0] if isinstance(h, Poly) else values
+    tau_powers = (tau[:, None] ** k).T
+    log_kernel = np.log(1.0 - tau[:, None] * zv)
+    log_point = np.log(1.0 - zv)
+    z_powers = zv[:, None] ** k
+    values = []
+    for lv in lams.tolist():
+        il = 1.0 / lv
+        # tau**(-il) * dtau collapses to exp(-s*(1 - il)) ds.
+        damping = np.exp(-s * (1.0 - il))
+        # in place, so holding log_kernel adds no kernel-sized temporaries;
+        # swapping either product's operands would move the last bits
+        kernel = np.multiply(log_kernel, il - 1.0)
+        np.multiply((w * damping)[:, None], np.exp(kernel, out=kernel), out=kernel)
+        moments = real_matmul(tau_powers, kernel)
+        prefactor = il**2 * np.exp(-il * log_point)
+        weights = z_powers * (1.0 / lv + prefactor[:, None] * moments.T)
+        values.append([real_matmul(weights, p.coeffs) for p in members])
+    values = np.array(values)[:, 0] if isinstance(h, Poly) else np.array(values)
+    return values[0] if np.ndim(lam) == 0 else values
 
 
 def semigroup_horizon(lam, tail_tol: float) -> float:
@@ -180,9 +209,9 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
 
     Needs Re lam < 0 so the integrand decays; the horizon T is either taken
     from the quadrature spec (and checked against the tail tolerance) or
-    chosen as the smallest one meeting it.  One Pascal recurrence runs over
-    all time nodes a = e^{-t} at once, and its rows, contracted with the
-    weights w*e^{t/lam}, build the h-free quadrature of S_t.
+    chosen as the smallest one meeting it.  One Pascal recurrence runs in
+    place over all time nodes a = e^{-t}; each row, contracted with the
+    weights w*e^{t/lam} before the next step, builds S_t's h-free quadrature.
     """
     lv = require_finite_param(lam, "lam")
     if lv.real >= 0:
@@ -201,10 +230,9 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
                 f"t_max={t_max:g} cannot reach tail tolerance {quad.tail_tol:g} "
                 f"for Re(1/lam)={rate:g}"
             )
-    panel_len = 2.0
     ts, ws = [np.zeros(0)], [np.zeros(0)]  # no nodes when t_max <= 0
-    for i in range(int(np.ceil(t_max / panel_len))):
-        a, b = i * panel_len, min((i + 1) * panel_len, t_max)
+    for i in range(int(np.ceil(t_max / TIME_PANEL))):
+        a, b = i * TIME_PANEL, min((i + 1) * TIME_PANEL, t_max)
         # Coefficient n of S_t h is a Bernstein-type polynomial of degree n
         # in e^{-t}, so early panels need node counts that scale with the
         # degree; the polynomial content dies off like e^{-t} afterwards.
@@ -217,7 +245,7 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
     weights = np.concatenate(ws) * np.exp(t * il)
     rows = np.zeros((degree + 1, degree + 1), dtype=complex)
     for n, row in enumerate(pascal_rows(np.exp(-t), degree)):
-        rows[n, : n + 1] = real_matmul(row.T, weights)
+        rows[n, : n + 1] = real_matmul(row, weights)
     solved = [Poly(p.coeffs / lv + il**2 * real_matmul(rows, p.coeffs)) for p in members]
     return solved[0] if isinstance(h, Poly) else solved
 

@@ -90,16 +90,19 @@ def horner_eval(p, z):
     """Evaluate by nested multiplication; ``z`` may be a scalar or an array.
 
     For a sequence of Polys of one degree the result has one row per
-    member, from one loop over the coefficients for all of them.
+    member, from one loop over the coefficients for all of them: the
+    coefficients are transposed once to a contiguous (degree+1, members)
+    layout, and each step is the in-place ``acc *= z; acc += c_k``.
     """
     members = poly_members(p)
     zs = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zs)):
         raise ValueError("evaluation points must be finite")
-    coeffs = np.array([q.coeffs for q in members]).reshape((len(members), -1) + (1,) * zs.ndim)
-    acc = np.broadcast_to(coeffs[:, -1], (len(members),) + zs.shape).copy()
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * zs + coeffs[:, k]
+    coeffs = np.stack([q.coeffs.reshape((-1,) + (1,) * zs.ndim) for q in members], axis=1)
+    acc = np.broadcast_to(coeffs[-1], (len(members),) + zs.shape).copy()
+    for c in coeffs[-2::-1]:
+        acc *= zs
+        acc += c
     if not isinstance(p, Poly):
         return acc
     return complex(acc[0][()]) if zs.ndim == 0 else acc[0]

@@ -177,9 +177,9 @@ def check_resolvent_routes(degree: int = 128) -> CheckResult:
 
     members = [h for _, h in corpus]
     extended = [truncate(h, oracle_degree) for h in members]
+    lams = (1j, 2j, -1 + 1j, 3.0)
     worst_integral = 0.0
-    for lam in (1j, 2j, -1 + 1j, 3.0):
-        profiles = resolvent_integral_profile(lam, members, zs)
+    for lam, profiles in zip(lams, resolvent_integral_profile(lams, members, zs)):
         reference = horner_eval(resolvent_recurrence(lam, extended), zs)
         worst_integral = max(worst_integral, float(np.max(np.abs(profiles - reference))))
 

@@ -68,6 +68,20 @@ def test_resolvent_route_agreement():
     assert result.passed, result.detail
 
 
+def test_resolvent_routes_makes_one_integral_call(monkeypatch):
+    # the four lam share one lam-free quadrature build
+    calls = []
+    exact = verify.resolvent_integral_profile
+
+    def counted(lam, *args, **kwargs):
+        calls.append(np.ravel(lam).tolist())
+        return exact(lam, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "resolvent_integral_profile", counted)
+    assert verify.check_resolvent_routes().passed
+    assert calls == [[1j, 2j, -1 + 1j, 3.0]]
+
+
 def test_resolvent_defining_identity():
     result = report(verify.check_resolvent_identity(512))
     assert result.passed, result.detail

@@ -7,6 +7,7 @@ import pytest
 from cesaro_lab.cli import main, read_coeffs_csv
 from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
+from cesaro_lab.resolvent import NODE_CAP, PANEL_CAP, TIME_PANEL
 from cesaro_lab.series import binomial_series, log_one_minus_inv
 from cesaro_lab import verify
 from cesaro_lab.verify import CheckResult, run_suite
@@ -185,6 +186,39 @@ class TestResolventCommand:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize(
+        "route, flag, value, message",
+        [
+            ("semigroup", "--t-max", "inf", "t_max must be finite"),
+            ("semigroup", "--t-max", "-inf", "t_max must be finite"),
+            ("semigroup", "--t-max", "nan", "t_max must be finite"),
+            ("semigroup", "--t-max", "1e308", "t_max must be finite"),
+            ("integral", "--nodes", str(NODE_CAP + 1), f"[16, {NODE_CAP}]"),
+            ("integral", "--nodes", "8", f"[16, {NODE_CAP}]"),
+            ("integral", "--panels", str(PANEL_CAP + 1), f"[1, {PANEL_CAP}]"),
+            ("recurrence", "--panels", "0", f"[1, {PANEL_CAP}]"),
+        ],
+    )
+    def test_quadrature_budget_past_cap_exits_two(self, tmp_path, capsys, route, flag, value,
+                                                  message):
+        # refused when the spec is built: no Gauss rule, no time panel loop
+        out = tmp_path / "x.csv"
+        code = main(["resolvent", "--route", route, "--lambda-re", "-1", "--f", "const1",
+                     "--degree", "8", f"{flag}={value}", "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_quadrature_budgets_at_caps_accepted(self, tmp_path):
+        out = tmp_path / "g.csv"
+        code = main(["resolvent", "--route", "semigroup", "--lambda-re", "-1", "--f", "const1",
+                     "--degree", "8", "--t-max", str(TIME_PANEL * PANEL_CAP),
+                     "--output", str(out)])
+        assert code == 0
+        assert read_coeffs_csv(str(out)).degree == 8
 
 
 class TestErgodicCommand:

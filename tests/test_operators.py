@@ -16,7 +16,9 @@ from cesaro_lab.operators import (
     finite_section,
     generalized_cesaro_apply,
     log_power_identity_check,
+    pascal_rows,
     s_t_apply,
+    s_t_rows,
     section_shape_error,
 )
 from cesaro_lab.series import (
@@ -45,6 +47,20 @@ def assert_stack_matches_single_calls(apply):
         single = apply(h)
         assert isinstance(single, Poly)
         assert np.array_equal(image.coeffs, single.coeffs)
+
+
+def allocating_pascal_rows(a, degree):
+    """The Pascal recurrence with a new (nodes, n+1) array per step: the
+    reference whose bits the in-place, node-major buffer keeps."""
+    a = np.asarray(a, dtype=float)[:, None]
+    row = a.copy()
+    yield row
+    for n in range(1, degree + 1):
+        nxt = np.zeros((a.shape[0], n + 1))
+        nxt[:, :n] = (1.0 - a) * row
+        nxt[:, 1:] += a * row
+        row = nxt
+        yield row
 
 
 def brute_generalized(t, c):
@@ -192,6 +208,33 @@ class TestInverse:
         expected[1:] -= inner[:-1]
         got = cesaro_inverse_apply(Poly(log1p))
         np.testing.assert_allclose(got.coeffs[:-1], expected[:-1], atol=1e-14)
+
+
+class TestPascalRows:
+    def test_rows_match_allocating_recurrence_bitwise(self):
+        # the semigroup route's time nodes span a = 1 down to about 1e-9
+        a = np.exp(-np.linspace(0.0, 21.0, 37))
+        reference = allocating_pascal_rows(a, 128)
+        for n, (got, want) in enumerate(zip(pascal_rows(a, 128), reference, strict=True)):
+            assert got.shape == (n + 1, a.size)
+            assert np.array_equal(got, want.T)
+
+    def test_s_t_rows_match_allocating_recurrence_bitwise(self):
+        for t in (0.0, 0.1, 1.0, 5.0):
+            want = np.zeros((65, 65))
+            for n, row in enumerate(allocating_pascal_rows([np.exp(-t)], 64)):
+                want[n, : n + 1] = row[0]
+            assert np.array_equal(s_t_rows(t, 64), want)
+
+    def test_rows_are_views_of_one_buffer_updated_in_place(self):
+        steps = pascal_rows([0.25, 0.5], 3)
+        first = next(steps)
+        kept = first.copy()
+        second = next(steps)
+        assert np.shares_memory(first, second)
+        # a yielded row is valid only until the next step
+        assert not np.array_equal(first, kept)
+        np.testing.assert_allclose(second, [[0.1875, 0.25], [0.0625, 0.25]], rtol=1e-15)
 
 
 class TestCompositionContraction:

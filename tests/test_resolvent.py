@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from cesaro_lab import resolvent, series
 from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
+    NODE_CAP,
+    PANEL_CAP,
+    TIME_PANEL,
     QuadratureSpec,
     off_cut_sample_points,
     resolvent_integral_profile,
@@ -16,6 +20,10 @@ from cesaro_lab.resolvent import (
     semigroup_horizon,
 )
 from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial, truncate
+
+
+#: The four lam of the resolvent-routes check's integral comparison.
+ROUTE_LAMS = np.array([1j, 2j, -1 + 1j, 3.0])
 
 
 def route_probes(degree):
@@ -36,6 +44,23 @@ def cpu_per_wall(run, seconds=1.0):
     while time.perf_counter() - wall0 < seconds:
         run()
     return (time.process_time() - cpu0) / (time.perf_counter() - wall0)
+
+
+def out_of_place_integral(lam, members, zs):
+    """The integral route for one Python complex lam, with every table
+    built in the call and every product out of place: the reference for
+    the bits of the in-place kernel."""
+    lam = complex(lam)
+    il = 1.0 / lam
+    s, w = resolvent._gauss_panels(256, 4, 36.0)
+    tau = np.exp(-s)
+    damping = np.exp(-s * (1.0 - il))
+    k = np.arange(members[0].degree + 1)
+    kernel = (w * damping)[:, None] * np.exp((il - 1.0) * np.log(1.0 - tau[:, None] * zs))
+    moments = series.real_matmul((tau[:, None] ** k).T, kernel)
+    prefactor = il**2 * np.exp(-il * np.log(1.0 - zs))
+    weights = zs[:, None] ** k * (1.0 / lam + prefactor[:, None] * moments.T)
+    return np.array([series.real_matmul(weights, p.coeffs) for p in members])
 
 
 def assert_stack_matches_singles(stacked, singles):
@@ -185,6 +210,31 @@ class TestIntegralRoute:
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=8)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("nodes", NODE_CAP + 1, "budgets must lie"),
+            ("time_nodes", NODE_CAP + 1, "budgets must lie"),
+            ("time_nodes", 15, "budgets must lie"),
+            ("panels", PANEL_CAP + 1, "budgets must lie"),
+            ("panels", 0, "budgets must lie"),
+            ("t_max", float("inf"), "t_max"),
+            ("t_max", float("-inf"), "t_max"),
+            ("t_max", float("nan"), "t_max"),
+            ("t_max", 1e308, "t_max"),
+            ("t_max", TIME_PANEL * PANEL_CAP * (1 + 1e-15), "t_max"),
+            ("s_max", float("inf"), "invalid"),
+            ("tail_tol", float("nan"), "invalid"),
+        ],
+    )
+    def test_rejects_budget_past_caps(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureSpec(**{field: value})
+
+    def test_accepts_budgets_at_caps(self):
+        QuadratureSpec(nodes=NODE_CAP, time_nodes=NODE_CAP, panels=PANEL_CAP, t_max=-128.0)
+        QuadratureSpec(nodes=16, time_nodes=16, panels=1, t_max=TIME_PANEL * PANEL_CAP)
+
     def test_quadrature_leaves_blas_threads_asleep(self):
         members = [h for _, h in build_corpus(128)]
         zs = off_cut_sample_points()
@@ -205,6 +255,72 @@ class TestIntegralRoute:
             resolvent_integral_profile(0.4, stack, 0.5)
         with pytest.raises(ValueError, match="one degree"):
             resolvent_integral_profile(1j, [monomial(0), monomial(1)], 0.5)
+
+    def test_lambda_rows_match_single_calls_bitwise(self):
+        members = [h for _, h in build_corpus(128)]
+        zs = off_cut_sample_points()
+        stacked = resolvent_integral_profile(ROUTE_LAMS, members, zs)
+        single = resolvent_integral_profile(ROUTE_LAMS, members[7], zs)
+        for lam, rows, row in zip(ROUTE_LAMS, stacked, single, strict=True):
+            assert np.array_equal(rows, resolvent_integral_profile(lam, members, zs)), lam
+            assert np.array_equal(row, resolvent_integral_profile(lam, members[7], zs)), lam
+
+    def test_in_place_kernel_keeps_out_of_place_bits(self):
+        members = [h for _, h in build_corpus(128)[::8]]
+        zs = off_cut_sample_points()
+        got = resolvent_integral_profile(ROUTE_LAMS, members, zs)
+        for lam, rows in zip(ROUTE_LAMS, got, strict=True):
+            assert np.array_equal(rows, out_of_place_integral(lam, members, zs)), lam
+
+    def test_lambda_array_shapes(self):
+        members = [truncate(monomial(m), 16) for m in (0, 1, 2)]
+        zs = off_cut_sample_points()
+        assert resolvent_integral_profile(1j, members[0], zs).shape == (100,)
+        assert resolvent_integral_profile(1j, members, zs).shape == (3, 100)
+        assert resolvent_integral_profile(np.array(1j), members[0], 0.5).shape == (1,)
+        assert resolvent_integral_profile(ROUTE_LAMS, members[0], zs).shape == (4, 100)
+        assert resolvent_integral_profile(ROUTE_LAMS, members, zs).shape == (4, 3, 100)
+        assert resolvent_integral_profile([1j], members, 0.5).shape == (1, 3, 1)
+
+    def test_lambda_array_refused_whole_before_quadrature(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a Gauss rule was built for a refused call")
+
+        monkeypatch.setattr(resolvent, "_gauss_panels", no_rule)
+        h = truncate(monomial(0), 16)
+        # Re(1/lam) - 1 = 1.5 at lam = 0.4 only, which a constant term breaks
+        with pytest.raises(ValueError, match="vanishing order"):
+            resolvent_integral_profile(np.array([1j, 2j, 0.4, 3.0]), h, 0.5)
+        with pytest.raises(ValueError, match="vanishing order"):
+            resolvent_integral_profile([1j, 0.4], [truncate(monomial(2), 16), h], 0.5)
+        with pytest.raises(ValueError, match="nonzero"):
+            resolvent_integral_profile(np.array([1j, 0.0]), h, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_integral_profile(np.array([1j, complex(np.nan, 0)]), h, 0.5)
+        with pytest.raises(ValueError, match="non-empty"):
+            resolvent_integral_profile(np.array([]), h, 0.5)
+
+    def test_lambda_array_leaves_blas_threads_asleep(self):
+        members = [h for _, h in build_corpus(128)]
+        zs = off_cut_sample_points()
+        assert cpu_per_wall(lambda: resolvent_integral_profile(ROUTE_LAMS, members, zs)) <= 1.5
+
+    def test_lambda_array_builds_its_kernel_in_place(self):
+        # held across the lam: log(1 - tau z) and one kernel buffer, each
+        # 1,024 nodes x 100 points x 16 bytes; per product, real_matmul's
+        # real and imaginary copies of the kernel (one kernel together); then
+        # tau**k (0.65 of one), z**k and the values.  About 4.4 kernels in
+        # all; one kernel-sized temporary per lam would pass 5.
+        members = [h for _, h in build_corpus(128)]
+        zs = off_cut_sample_points()
+        resolvent_integral_profile(1j, members, zs)  # the Gauss rule is cached
+        tracemalloc.start()
+        try:
+            resolvent_integral_profile(ROUTE_LAMS, members, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 1024 * zs.size * 16
 
     def test_moment_form_makes_no_horner_calls(self, monkeypatch):
         calls = []

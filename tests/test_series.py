@@ -93,6 +93,18 @@ class TestHornerEval:
         with pytest.raises(ValueError, match="one degree"):
             horner_eval([Poly([1]), Poly([1, 2])], 0.5)
 
+    def test_in_place_steps_keep_the_bits(self):
+        # reference: the out-of-place loop acc = acc * z + c_k on the
+        # member-major coefficient array
+        rng = np.random.default_rng(5)
+        members = [Poly(rng.normal(size=40) + 1j * rng.normal(size=40)) for _ in range(6)]
+        zs = 0.95 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, 4)))
+        coeffs = np.array([p.coeffs for p in members])[:, :, None, None]
+        acc = np.broadcast_to(coeffs[:, -1], (6, 3, 4)).copy()
+        for k in range(coeffs.shape[1] - 2, -1, -1):
+            acc = acc * zs + coeffs[:, k]
+        assert np.array_equal(horner_eval(members, zs), acc)
+
     @given(coeff_lists, coeff_lists, finite_complex, finite_complex, finite_complex)
     def test_linearity(self, a, b, alpha, beta, z):
         n = max(len(a), len(b))
