@@ -42,7 +42,7 @@ from .weights import (
     growth_classify,
     max_modulus_profile,
     sup_norm_exceeds,
-    weighted_sup_norm,
+    weight_eval,
 )
 
 
@@ -225,10 +225,12 @@ def check_resolvent_identity(degree: int = 512) -> CheckResult:
 def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResult:
     """Zero violations of the five proved norm bounds over the corpus.
 
-    Only the right-hand sides are computed in full: the sup-norms of f, one
-    stacked :func:`weighted_sup_norm` call per weight, and the profile of f
-    for the radius-by-radius growth estimate.  Each left-hand side is a
-    threshold test, :func:`sup_norm_exceeds`, which transforms only the
+    Only the right-hand sides, all of f, are computed in full, from one
+    profile of f over the whole grid: a radial weight's norm is
+    sup_r w(r) M(f, r), so each sup-norm of f is a row max of the weighted
+    profile, the value :func:`weights.weighted_sup_norm` returns, and the
+    growth estimate reads the profile radius by radius.  Each left-hand side
+    is a threshold test, :func:`sup_norm_exceeds`, which transforms only the
     (member, radius) rows that the majorant cannot settle; the detail counts
     the clause rows the majorant certified.
     """
@@ -240,10 +242,11 @@ def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResu
     log_factor = -np.log1p(-radii) / radii
     continuity_const = 1.0 / (1.0 - 1.0 / np.e)
     counts = []  # (clause rows, rows transformed) of each threshold test
+    profile_f = max_modulus_profile(members, grid, samples)
 
-    def norm(stack, w):
-        """One column, one row per member, to broadcast against the rows."""
-        return np.array([[e.value] for e in weighted_sup_norm(stack, w, grid, samples)])
+    def norm(w):
+        """f's sup-norm, one row per member, to broadcast against the rows."""
+        return (weight_eval(w, grid) * profile_f).max(axis=1, keepdims=True)
 
     def exceeds(stack, w, limit, divisor=1.0, over=grid):
         exceeded, sampled = sup_norm_exceeds(stack, w, over, limit, divisor, samples)
@@ -255,14 +258,14 @@ def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResu
         return [f"{name}:{c}" for i, (name, _) in enumerate(corpus) for c in bad if bad[c][i]]
 
     vw = {k: WeightSpec.log_power(k) for k in (1, 2, 3, 4)}
-    norm_f = {k: norm(members, vw[k]) for k in (1, 2, 3)}
+    norm_f = {k: norm(vw[k]) for k in (1, 2, 3)}
     cf = cesaro_apply(members)
-    growth_limit = max_modulus_profile(members, radii, samples) * log_factor * INEQUALITY_SLACK
+    growth_limit = profile_f[:, grid > 0] * log_factor * INEQUALITY_SLACK
     bad = {"growth-estimate": exceeds(cf, None, growth_limit, over=radii)}
     for k in (1, 2, 3):
         rhs = continuity_const * norm_f[k] * INEQUALITY_SLACK
         bad[f"step-shift-k{k}"] = exceeds(cf, vw[k + 1], rhs)
-    norm_w1 = norm(members, WeightSpec.standard(1.0))
+    norm_w1 = norm(WeightSpec.standard(1.0))
     for t in (0.0, 0.5, 0.9):
         ratio = INEQUALITY_SLACK / ((1.0 - t) * (1.0 - 1.0 / np.e))
         c_t = generalized_cesaro_apply(t, members)

@@ -169,19 +169,19 @@ def _gathered_rows(members, rows, cols, powers, width, samples) -> np.ndarray:
     go through :func:`_circle_max` apart, in blocks of half
     ``STACK_BLOCK_BYTES``, so a real member always takes the half-spectrum
     transform."""
-    real = np.array([not q.coeffs.imag.any() for q in members])
+    stack = np.array([q.coeffs for q in members])
+    real = ~stack.imag.any(axis=1)
     out = np.empty(len(rows))
     size = powers.shape[1]
     step = max(1, STACK_BLOCK_BYTES // (32 * width))
     for is_real in (True, False):
         picked = np.flatnonzero(real[rows] == is_real)
         block = np.zeros((min(step, picked.size), width), dtype=float if is_real else complex)
+        source = stack.real if is_real else stack
         for i in range(0, picked.size, step):
             part = picked[i : i + step]
-            coeffs = np.array([members[k].coeffs for k in rows[part]])
             scaled = block[: part.size]
-            source = coeffs.real if is_real else coeffs
-            np.multiply(source, powers[cols[part]], out=scaled[:, :size])
+            np.multiply(source[rows[part]], powers[cols[part]], out=scaled[:, :size])
             out[part] = _circle_max(scaled, samples)
     return out
 

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from cesaro_lab import operators, verify
+from cesaro_lab import operators, verify, weights
 from cesaro_lab.ergodic import SECTION_T_VALUES, spectral_dichotomy_report
 from cesaro_lab.series import Poly
 
@@ -143,21 +143,38 @@ def test_norm_inequalities_sup_norm_clauses_bite(monkeypatch, name, factor, clau
 
 
 def test_norm_inequalities_takes_one_full_profile(monkeypatch):
-    # the right-hand sides need f in full; every left-hand side is a
-    # threshold test that the majorant settles for almost all of its rows
+    # every right-hand side comes from one profile of f over the whole grid;
+    # every left-hand side is a threshold test that the majorant settles for
+    # almost all of its rows
     calls = []
     exact = verify.max_modulus_profile
 
-    def counted(p, *args, **kwargs):
-        calls.append(p)
-        return exact(p, *args, **kwargs)
+    def counted(p, radii, *args, **kwargs):
+        calls.append((p, radii))
+        return exact(p, radii, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sup-norms of f are row maxima of its profile")
+
+    rows = []
+    gathered = weights._gathered_rows
+
+    def gathered_counted(members, picked, *args):
+        rows.append(len(picked))
+        return gathered(members, picked, *args)
 
     monkeypatch.setattr(verify, "max_modulus_profile", counted)
+    monkeypatch.setattr(weights, "weighted_sup_norm", refused)
+    monkeypatch.setattr(verify, "weighted_sup_norm", refused, raising=False)
+    monkeypatch.setattr(weights, "_gathered_rows", gathered_counted)
     result = verify.check_norm_inequalities(512)
     assert result.passed
     corpus = [f for _, f in operators.build_corpus(512)]
     assert len(calls) == 1
-    assert [q.coeffs.tolist() for q in calls[0]] == [f.coeffs.tolist() for f in corpus]
+    assert [q.coeffs.tolist() for q in calls[0][0]] == [f.coeffs.tolist() for f in corpus]
+    assert np.array_equal(calls[0][1], weights.default_radius_grid(512))
+    # 63 members x 73 radii of the profile, and 1,464 open clause rows
+    assert sum(rows) == 6_063
     found = re.search(r"; ([0-9,]+) of 110,313 rows certified by the bound", result.detail)
     assert int(found.group(1).replace(",", "")) >= 0.98 * 110_313
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cesaro_lab import weights
 from cesaro_lab.ergodic import iterate_trace
+from cesaro_lab.operators import build_corpus
 from cesaro_lab.series import Poly, binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
 from cesaro_lab.weights import (
     JUNCTION_RADIUS,
@@ -77,6 +78,24 @@ def assert_matches_full_profile(members, w, samples):
             assert (got.value, got.argmax_radius) == (values[i], grid[i])
         if not p.coeffs[1:].any():  # the constant and zero polynomials
             assert est.argmax_radius == 0.0
+
+
+#: The weights whose sup-norms of f the norm-inequalities check takes from
+#: one profile of f.
+RHS_WEIGHTS = [*(WeightSpec.log_power(k) for k in (1, 2, 3)), WeightSpec.standard(1.0)]
+
+
+def assert_profile_gives_sup_norms(members, samples=1024):
+    """For each of ``RHS_WEIGHTS``, the row max and first argmax radius of
+    the weight times the stacked profile are the stacked sup-norms, bit for
+    bit."""
+    grid = default_radius_grid(members[0].degree)
+    profile = max_modulus_profile(members, grid, samples)
+    for w in RHS_WEIGHTS:
+        values = weight_eval(w, grid) * profile
+        expected = list(zip(values.max(axis=1), grid[np.argmax(values, axis=1)]))
+        got = [(e.value, e.argmax_radius) for e in weighted_sup_norm(members, w, grid, samples)]
+        assert got == expected, w
 
 
 def sup_norm_member(kind, size, w, rng):
@@ -335,6 +354,24 @@ class TestWeightedSupNorm:
         rng = np.random.default_rng(31)
         members = [sup_norm_member(kind, 5000, w, rng) for kind in ("complex", "positive", "flat")]
         assert_matches_full_profile(members, w, 8)
+
+    def test_profile_gives_sup_norms_on_corpus(self):
+        # the identity the norm-inequalities check takes its right-hand sides by
+        assert_profile_gives_sup_norms([f for _, f in build_corpus(512)])
+
+    @given(
+        st.lists(member_kinds, max_size=4),
+        st.integers(min_value=1, max_value=150),
+        st.sampled_from([8, 9, 63, 64]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_profile_gives_sup_norms_on_mixed_stack(self, kinds, size, samples, seed):
+        # real and complex members in one stack take the two transforms apart
+        rng = np.random.default_rng(seed)
+        w = WeightSpec.standard(1.0)
+        members = [sup_norm_member(k, size, w, rng) for k in ["real", "complex", *kinds]]
+        assert_profile_gives_sup_norms(members, samples)
 
     def test_trace_transforms_at_most_two_rows_per_member(self, monkeypatch):
         # the full sweep transforms all 73 radii of each member; tier-1 runs
