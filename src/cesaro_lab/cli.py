@@ -125,12 +125,6 @@ def _load_function(args, config: dict) -> Poly:
     return build(args.degree)
 
 
-def _weight_from(args) -> WeightSpec:
-    if args.weight_kind == "standard":
-        return WeightSpec.standard(args.weight_order)
-    return WeightSpec.log_power(int(args.weight_order))
-
-
 def _cmd_apply(args) -> int:
     config = _config("apply", op=args.op)
     p = _load_function(args, config)
@@ -197,8 +191,9 @@ def _cmd_ergodic(args) -> int:
         samples=args.samples,
     )
     require_trace_budget(args.n_max, args.samples)
+    weight = WeightSpec(args.weight_kind, args.weight_order)
     f = _load_function(args, config)
-    trace = iterate_trace(args.t, f, _weight_from(args), args.n_max, samples=args.samples)
+    trace = iterate_trace(args.t, f, weight, args.n_max, samples=args.samples)
     payload = {
         "config": config,
         "iterate_norms": list(trace.iterate_norms),
@@ -220,8 +215,9 @@ def _cmd_classify(args) -> int:
         weight_order=args.weight_order,
         function=args.function,
     )
+    weight = WeightSpec(args.weight_kind, args.weight_order)
     family = [build(d) for d in degrees]
-    report = growth_classify(family, weight=_weight_from(args))
+    report = growth_classify(family, weight=weight)
     payload = {
         "config": config,
         "log_order": report.log_order,

@@ -24,7 +24,7 @@ from .operators import (
 )
 from .resolvent import resolvent_recurrence
 from .series import Poly, log_one_minus_inv, monomial, shifted_pole, truncate
-from .weights import WeightSpec, default_radius_grid, require_samples, weighted_sup_norm
+from .weights import WeightSpec, require_samples, weighted_sup_norm
 
 #: Relative eigen-residual tolerated for constructed eigenpairs; the maps
 #: are triangular, so anything above rounding noise indicates a bug.
@@ -138,25 +138,23 @@ def iterate_trace(
     f: Poly,
     weight: WeightSpec,
     n_max: int,
-    grid=None,
     samples: int = 1024,
 ) -> ErgodicTrace:
     """Iterate the memory-t operator on f and record the averaging history.
 
     Projection errors compare T_[n] f against f(0) * g0 truncated to deg f
     and are recorded only for t < 1, where that is the ergodic limit.  The
-    iterates, the averages and their differences are normed as stacks of up
-    to ``STACK_BATCH`` vectors, or all the averages at once.
+    iterates, the averages and their differences are normed on the default
+    radius grid as stacks of up to ``STACK_BATCH`` vectors, or all the
+    averages at once.
     """
     require_trace_budget(n_max, samples)
     if not np.any(np.abs(f.coeffs) > 0):
         raise ValueError("f must be nonzero")
     tv = require_memory_t(t)
-    if grid is None:
-        grid = default_radius_grid(f.degree)
 
     def norms(stack) -> tuple:
-        return tuple(e.value for e in weighted_sup_norm(stack, weight, grid, samples))
+        return tuple(e.value for e in weighted_sup_norm(stack, weight, samples=samples))
 
     target = f.coeffs[0] * tv ** np.arange(f.degree + 1)
     current, mean = f, np.zeros_like(f.coeffs)
@@ -230,7 +228,6 @@ def spectral_dichotomy_report(
     degree: int,
     degrees=None,
     grid_points: int = 17,
-    samples: int = 1024,
 ) -> SpectralDichotomyReport:
     """Tabulate section diagonals at ``SECTION_T_VALUES`` and resolvent norm
     estimates on a grid over [-2, 2] x [-2, 2], excluding lambdas within
@@ -238,7 +235,6 @@ def spectral_dichotomy_report(
     ``ST_DEGREE_CAP`` are refused before anything is built."""
     if not 1 <= grid_points <= GRID_POINTS_CAP:
         raise ValueError(f"grid_points must lie in 1..{GRID_POINTS_CAP}, got {grid_points}")
-    require_samples(samples)
     if degree < 64:
         raise ValueError("degree must be at least 64")
     if degrees is None:
@@ -279,10 +275,9 @@ def spectral_dichotomy_report(
     for h in (truncate(monomial(0), degrees[-1]), log_one_minus_inv(degrees[-1])):
         solutions = resolvent_recurrence([lams[i] for i in solved], h)
         for row, d in zip(best, degrees):
-            grid = default_radius_grid(d)
-            den = weighted_sup_norm(truncate(h, d), v1, grid, samples).value
+            den = weighted_sup_norm(truncate(h, d), v1).value
             cut = [truncate(f, d) for f in solutions]
-            for i, est in zip(solved, weighted_sup_norm(cut, v2, grid, samples)):
+            for i, est in zip(solved, weighted_sup_norm(cut, v2)):
                 row[i] = max(row[i], est.value / den)
     ratios = [[row[min(i, k)] for i, k in enumerate(mirror)] for row in best]
 

@@ -12,11 +12,12 @@ import numpy as np
 
 from .series import (
     Poly,
+    as_given,
     binomial_series,
     cauchy_product,
     log_one_minus_inv,
     monomial,
-    poly_members,
+    poly_stack,
     real_matmul,
     shifted_pole,
     truncate,
@@ -53,24 +54,22 @@ def generalized_cesaro_apply(t: float, p):
     cumsum), so a member's bits do not depend on its stack, and s_0 is exact.
     """
     tv = require_memory_t(t)
-    s = np.array([q.coeffs for q in poly_members(p)])
+    s = poly_stack(p)
     if tv == 1.0:
         s = np.cumsum(s, axis=1)
     else:
         for k in (2**i for i in range((s.shape[1] - 1).bit_length())):
             s[:, k:] += tv**k * s[:, :-k]
-    images = [Poly(row) for row in s / np.arange(1, s.shape[1] + 1)]
-    return images[0] if isinstance(p, Poly) else images
+    return as_given(p, [Poly(row) for row in s / np.arange(1, s.shape[1] + 1)])
 
 
 def cesaro_inverse_apply(p):
     """Exact inverse of :func:`cesaro_apply` on truncations, for a Poly or,
     as a list, for a sequence of Polys of one degree: output coefficient n
     is (n+1) c_n - n c_{n-1}, the first difference of (n+1) c_n."""
-    c = np.array([q.coeffs for q in poly_members(p)])
+    c = poly_stack(p)
     weighted = np.arange(1, c.shape[1] + 1) * c
-    images = [Poly(row) for row in np.diff(weighted, axis=1, prepend=0)]
-    return images[0] if isinstance(p, Poly) else images
+    return as_given(p, [Poly(row) for row in np.diff(weighted, axis=1, prepend=0)])
 
 
 def pascal_rows(a, degree: int):
@@ -117,10 +116,9 @@ def s_t_apply(t: float, p):
     """The weighted composition semigroup S_t applied to a Poly or, as a
     list, to a stack: the matrix of :func:`s_t_rows`, built once, times
     each member in the product a single Poly takes, so the bits agree."""
-    members = poly_members(p)
-    rows = s_t_rows(t, members[0].degree)
-    images = [Poly(real_matmul(rows, q.coeffs)) for q in members]
-    return images[0] if isinstance(p, Poly) else images
+    stack = poly_stack(p)
+    rows = s_t_rows(t, stack.shape[1] - 1)
+    return as_given(p, [Poly(real_matmul(rows, c)) for c in stack])
 
 
 def finite_section(t: float, degree: int) -> np.ndarray:
@@ -175,7 +173,7 @@ def log_power_identity_check(k: int, degree: int) -> float:
     return float(np.max(np.abs(lhs.coeffs - rhs)))
 
 
-def build_corpus(degree: int, seed: int = CORPUS_SEED, include_structured: bool = True):
+def build_corpus(degree: int, include_structured: bool = True):
     """The reproducible test corpus: 50 pseudo-random polynomials with
     coefficients uniform in the unit disc, plus a structured family mixing
     bounded, logarithmic, and standard-order growth.
@@ -185,7 +183,7 @@ def build_corpus(degree: int, seed: int = CORPUS_SEED, include_structured: bool 
     """
     if degree < 4:
         raise ValueError("corpus degree must be at least 4")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CORPUS_SEED)
     corpus = []
     for i in range(50):
         radius = np.sqrt(rng.random(degree + 1))

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import pascal_rows
-from .series import Poly, poly_members, real_matmul, require_finite_param, vanishing_order
+from .series import Poly, as_given, poly_stack, real_matmul, require_finite_param, vanishing_order
 
 #: Refuse recurrence solves when lam is this close to a diagonal value
 #: 1/(n+1): those are genuine poles of the finite sections.
@@ -81,10 +81,10 @@ def _lambdas(lam) -> np.ndarray:
     return lams
 
 
-def _check_integral_preconditions(lams: np.ndarray, members):
+def _check_integral_preconditions(lams: np.ndarray, h):
     if np.min(np.abs(lams)) < DIAGONAL_GUARD:
         raise ValueError("lam must be nonzero")
-    if min(vanishing_order(h) for h in members) <= np.max((1.0 / lams).real) - 1.0:
+    if vanishing_order(h) <= np.max((1.0 / lams).real) - 1.0:
         raise ValueError(
             "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
         )
@@ -100,18 +100,17 @@ def resolvent_recurrence(lam, h):
     one per lam or member, from one loop over n for all of them.
     """
     lams = _lambdas(lam)
-    members = poly_members(h)
-    if lams.size > 1 and len(members) > 1:
+    c = poly_stack(h).T
+    if lams.size > 1 and c.shape[1] > 1:
         raise ValueError("give an array of lam or a sequence of h, not both")
-    _check_lambda_clear(lams, members[0].degree)
-    c = np.array([p.coeffs for p in members]).T
-    f = np.empty((c.shape[0], max(lams.size, len(members))), dtype=complex)
+    _check_lambda_clear(lams, c.shape[0] - 1)
+    f = np.empty((c.shape[0], max(lams.size, c.shape[1])), dtype=complex)
     running = np.zeros(f.shape[1], dtype=complex)
     for n in range(c.shape[0]):
         f[n] = (c[n] + running / (n + 1)) / (lams - 1.0 / (n + 1))
         running += f[n]
     solved = [Poly(column) for column in f.T]
-    return solved[0] if np.ndim(lam) == 0 and isinstance(h, Poly) else solved
+    return as_given(h, solved) if np.ndim(lam) == 0 else solved
 
 
 def off_cut_sample_points() -> np.ndarray:
@@ -166,14 +165,14 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     """
     lams = _lambdas(lam)
     quad = quad or QuadratureSpec()
-    members = poly_members(h)
-    _check_integral_preconditions(lams, members)
+    _check_integral_preconditions(lams, h)
+    stack = poly_stack(h)
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
 
     s, w = _gauss_panels(quad.nodes, quad.panels, quad.s_max)
     tau = np.exp(-s)
-    k = np.arange(members[0].degree + 1)
+    k = np.arange(stack.shape[1])
     tau_powers = (tau[:, None] ** k).T
     log_kernel = np.log(1.0 - tau[:, None] * zv)
     log_point = np.log(1.0 - zv)
@@ -190,8 +189,8 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
         moments = real_matmul(tau_powers, kernel)
         prefactor = il**2 * np.exp(-il * log_point)
         weights = z_powers * (1.0 / lv + prefactor[:, None] * moments.T)
-        values.append([real_matmul(weights, p.coeffs) for p in members])
-    values = np.array(values)[:, 0] if isinstance(h, Poly) else np.array(values)
+        values.append(as_given(h, [real_matmul(weights, c) for c in stack]))
+    values = np.array(values)
     return values[0] if np.ndim(lam) == 0 else values
 
 
@@ -217,8 +216,8 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
     if lv.real >= 0:
         raise ValueError("semigroup route needs Re lam < 0")
     quad = quad or QuadratureSpec()
-    members = poly_members(h)
-    degree = members[0].degree
+    stack = poly_stack(h)
+    degree = stack.shape[1] - 1
     il = 1.0 / lv
     rate = il.real
     if quad.t_max is None:
@@ -246,8 +245,7 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
     rows = np.zeros((degree + 1, degree + 1), dtype=complex)
     for n, row in enumerate(pascal_rows(np.exp(-t), degree)):
         rows[n, : n + 1] = real_matmul(row, weights)
-    solved = [Poly(p.coeffs / lv + il**2 * real_matmul(rows, p.coeffs)) for p in members]
-    return solved[0] if isinstance(h, Poly) else solved
+    return as_given(h, [Poly(c / lv + il**2 * real_matmul(rows, c)) for c in stack])
 
 
 def imaginary_axis_constant(b: float) -> float:

@@ -77,13 +77,20 @@ def truncate(p: Poly, degree: int) -> Poly:
     return Poly(np.concatenate([p.coeffs, np.zeros(degree - p.degree, dtype=complex)]))
 
 
-def poly_members(h) -> list:
-    """[h] for a Poly h, else h as a list of Polys of one degree: the stack
-    that every array-first kernel takes."""
+def poly_stack(h) -> np.ndarray:
+    """The (members, degree+1) complex coefficients of a Poly h, one row, or
+    of a non-empty sequence of Polys of one degree: the one boundary that
+    every array-first kernel crosses, and the only code that knows it."""
     members = [h] if isinstance(h, Poly) else list(h)
     if not all(isinstance(p, Poly) for p in members) or len({p.degree for p in members}) != 1:
         raise ValueError("h must be a Poly or a non-empty sequence of Polys of one degree")
-    return members
+    return np.array([p.coeffs for p in members])
+
+
+def as_given(h, results):
+    """The first of the per-member ``results`` for a Poly h, else all of
+    them: the shape in which the caller gave h to :func:`poly_stack`."""
+    return results[0] if isinstance(h, Poly) else results
 
 
 def horner_eval(p, z):
@@ -94,18 +101,17 @@ def horner_eval(p, z):
     coefficients are transposed once to a contiguous (degree+1, members)
     layout, and each step is the in-place ``acc *= z; acc += c_k``.
     """
-    members = poly_members(p)
+    stack = poly_stack(p)
     zs = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zs)):
         raise ValueError("evaluation points must be finite")
-    coeffs = np.stack([q.coeffs.reshape((-1,) + (1,) * zs.ndim) for q in members], axis=1)
-    acc = np.broadcast_to(coeffs[-1], (len(members),) + zs.shape).copy()
+    coeffs = np.ascontiguousarray(stack.T).reshape(stack.shape[::-1] + (1,) * zs.ndim)
+    acc = np.broadcast_to(coeffs[-1], (len(stack),) + zs.shape).copy()
     for c in coeffs[-2::-1]:
         acc *= zs
         acc += c
-    if not isinstance(p, Poly):
-        return acc
-    return complex(acc[0][()]) if zs.ndim == 0 else acc[0]
+    values = as_given(p, acc)
+    return complex(values) if values.ndim == 0 else values
 
 
 def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -171,10 +177,9 @@ def log_one_minus_inv(degree: int) -> Poly:
     return Poly(c)
 
 
-def vanishing_order(p: Poly) -> int:
-    """Smallest n with |c_n| > ``ZERO_THRESHOLD``; degree+1 for the zero
-    polynomial."""
-    idx = np.nonzero(np.abs(p.coeffs) > ZERO_THRESHOLD)[0]
-    if idx.size == 0:
-        return p.degree + 1
-    return int(idx[0])
+def vanishing_order(p) -> int:
+    """Smallest n with |c_n| > ``ZERO_THRESHOLD`` in a Poly, or in some
+    member of a stack; degree+1 when every coefficient is a structural zero."""
+    stack = poly_stack(p)
+    idx = np.flatnonzero((np.abs(stack) > ZERO_THRESHOLD).any(axis=0))
+    return int(idx[0]) if idx.size else stack.shape[1]

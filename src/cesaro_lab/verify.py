@@ -35,7 +35,15 @@ from .resolvent import (
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from .series import Poly, horner_eval, log_one_minus_inv, monomial, real_matmul, truncate
+from .series import (
+    Poly,
+    horner_eval,
+    log_one_minus_inv,
+    monomial,
+    poly_stack,
+    real_matmul,
+    truncate,
+)
 from .weights import (
     WeightSpec,
     default_radius_grid,
@@ -148,7 +156,7 @@ def check_inverse_roundtrip(degree: int = 512) -> CheckResult:
     start = time.perf_counter()
     members = [f for _, f in build_corpus(degree, include_structured=False)]
     back = cesaro_inverse_apply(cesaro_apply(members))
-    worst = float(np.max(np.abs([b.coeffs - f.coeffs for b, f in zip(back, members)])))
+    worst = float(np.max(np.abs(poly_stack(back) - poly_stack(members))))
     return _result(
         "inverse-roundtrip", start, worst <= 1e-12, 1.0, f"max coefficient error {worst:.2e}"
     )
@@ -164,13 +172,14 @@ def check_log_power_identity() -> CheckResult:
     )
 
 
-def check_resolvent_routes(degree: int = 128) -> CheckResult:
+def check_resolvent_routes() -> CheckResult:
     """Integral and semigroup routes against the triangular oracle.
 
     The oracle is solved to four times the corpus degree so that its own
     truncation tail at |z| <= 0.8 sits well below the comparison tolerance.
     """
     start = time.perf_counter()
+    degree = 128
     corpus = build_corpus(degree)
     zs = off_cut_sample_points()
     oracle_degree = 4 * degree
@@ -222,7 +231,7 @@ def check_resolvent_identity(degree: int = 512) -> CheckResult:
     )
 
 
-def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResult:
+def check_norm_inequalities(degree: int = 512) -> CheckResult:
     """Zero violations of the five proved norm bounds over the corpus.
 
     Only the right-hand sides, all of f, are computed in full, from one
@@ -242,14 +251,14 @@ def check_norm_inequalities(degree: int = 512, samples: int = 1024) -> CheckResu
     log_factor = -np.log1p(-radii) / radii
     continuity_const = 1.0 / (1.0 - 1.0 / np.e)
     counts = []  # (clause rows, rows transformed) of each threshold test
-    profile_f = max_modulus_profile(members, grid, samples)
+    profile_f = max_modulus_profile(members, grid)
 
     def norm(w):
         """f's sup-norm, one row per member, to broadcast against the rows."""
         return (weight_eval(w, grid) * profile_f).max(axis=1, keepdims=True)
 
     def exceeds(stack, w, limit, divisor=1.0, over=grid):
-        exceeded, sampled = sup_norm_exceeds(stack, w, over, limit, divisor, samples)
+        exceeded, sampled = sup_norm_exceeds(stack, w, over, limit, divisor)
         counts.append((len(members) * len(over), sampled))
         return exceeded
 
@@ -359,12 +368,12 @@ def check_finite_section_spectrum(degree: int = 512) -> CheckResult:
     """
     start = time.perf_counter()
     members = [f for _, f in build_corpus(degree)]
-    coeffs = np.array([f.coeffs for f in members]).T
+    coeffs = poly_stack(members).T
     tolerance = 8 * (degree + 2) * 2.0**-53
     worst = shape = 0.0
     for t in SECTION_T_VALUES:
         section = operators.finite_section(t, degree)
-        kernel = np.array([q.coeffs for q in generalized_cesaro_apply(t, members)]).T
+        kernel = poly_stack(generalized_cesaro_apply(t, members)).T
         error = np.abs(real_matmul(section, coeffs) - kernel)
         bound = real_matmul(np.abs(section), np.abs(coeffs)).real
         worst = max(worst, float(np.max(error / np.maximum(bound, np.finfo(float).tiny))))

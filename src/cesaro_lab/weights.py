@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SERIAL_PRODUCT_SIZE, Poly, poly_members
+from .series import SERIAL_PRODUCT_SIZE, as_given, poly_stack
 
 #: Radius where the logarithmic weight switches from the constant branch.
 JUNCTION_RADIUS = 1.0 - 1.0 / np.e
@@ -41,7 +41,7 @@ class WeightSpec:
             if not (np.isfinite(self.order) and self.order > 0):
                 raise ValueError("standard weight needs order gamma > 0")
         else:
-            if self.order != int(self.order) or self.order < 1:
+            if not (float(self.order).is_integer() and self.order >= 1):
                 raise ValueError("log weight needs an integer order k >= 1")
 
     @classmethod
@@ -79,7 +79,7 @@ def reliable_radius(degree: int) -> float:
     return max(0.5, 1.0 - 10.0 / degree)
 
 
-def default_radius_grid(degree: int, points: int = 64, include_zero: bool = True) -> np.ndarray:
+def default_radius_grid(degree: int, include_zero: bool = True) -> np.ndarray:
     """Radii geometrically spaced in 1-r from 0.5 down to the reliability
     gap, preceded by a coarse linear band below 0.5.
 
@@ -92,7 +92,7 @@ def default_radius_grid(degree: int, points: int = 64, include_zero: bool = True
     if gap_min >= 0.5:
         outer = np.array([0.5])
     else:
-        outer = np.sort(1.0 - np.geomspace(0.5, gap_min, points))
+        outer = np.sort(1.0 - np.geomspace(0.5, gap_min, 64))
     low = np.linspace(0.0, 0.5, 9, endpoint=False)
     if not include_zero:
         low = low[1:]
@@ -154,22 +154,21 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     :func:`weighted_sup_norm` too, so a member's profile is the same alone
     or in any stack.
     """
-    members = poly_members(p)
+    stack = poly_stack(p)
     rv = _radii(radii)
     samples = require_samples(samples)
-    powers, width = _scaled_layout(rv, members[0].degree + 1, samples)
-    rows, cols = np.divmod(np.arange(len(members) * rv.size), rv.size)
-    out = _gathered_rows(members, rows, cols, powers, width, samples).reshape(len(members), -1)
-    return out[0] if isinstance(p, Poly) else out
+    powers, width = _scaled_layout(rv, stack.shape[1], samples)
+    rows, cols = np.divmod(np.arange(len(stack) * rv.size), rv.size)
+    out = _gathered_rows(stack, rows, cols, powers, width, samples).reshape(len(stack), -1)
+    return as_given(p, out)
 
 
-def _gathered_rows(members, rows, cols, powers, width, samples) -> np.ndarray:
-    """Sampled max modulus of member ``rows[k]`` at the radius of
+def _gathered_rows(stack, rows, cols, powers, width, samples) -> np.ndarray:
+    """Sampled max modulus of ``stack[rows[k]]`` at the radius of
     ``powers[cols[k]]`` for each k.  The rows of real and of complex members
     go through :func:`_circle_max` apart, in blocks of half
     ``STACK_BLOCK_BYTES``, so a real member always takes the half-spectrum
     transform."""
-    stack = np.array([q.coeffs for q in members])
     real = ~stack.imag.any(axis=1)
     out = np.empty(len(rows))
     size = powers.shape[1]
@@ -186,7 +185,7 @@ def _gathered_rows(members, rows, cols, powers, width, samples) -> np.ndarray:
     return out
 
 
-def _majorant(members, powers, weights, samples) -> np.ndarray:
+def _majorant(stack, powers, weights, samples) -> np.ndarray:
     """U = w(r) sum |a_n| r^n (1 + margin) per (member, radius) row of
     ``powers``: never below the row's computed weighted sampled maximum."""
     # with u = 2**-53 and A = sum |a_n| p_n over the computed powers p_n that
@@ -203,11 +202,10 @@ def _majorant(members, powers, weights, samples) -> np.ndarray:
     # 24 log2(4 S) sqrt(S) <= 64 S for S >= 8, a margin of 64 u (size + S)
     # covers it all; it grows with both because CSV inputs are not capped.
     margin = 64 * 2.0**-53 * (powers.shape[1] + samples)
-    bound = np.empty((len(members), powers.shape[0]))
+    bound = np.empty((len(stack), powers.shape[0]))
     step = max(1, SERIAL_PRODUCT_SIZE // powers.size)  # powers.size multiply-adds per member
-    for i in range(0, len(members), step):
-        chunk = np.array([q.coeffs for q in members[i : i + step]])
-        bound[i : i + step] = np.abs(chunk) @ powers.T
+    for i in range(0, len(stack), step):
+        bound[i : i + step] = np.abs(stack[i : i + step]) @ powers.T
     bound *= weights * (1.0 + margin)
     return bound
 
@@ -234,8 +232,8 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     ties) are those of ``weight_eval(w, grid) * max_modulus_profile(member,
     grid, samples)``.
     """
-    members = poly_members(p)
-    degree = members[0].degree
+    stack = poly_stack(p)
+    degree = stack.shape[1] - 1
     if grid is None:
         grid = default_radius_grid(degree)
     gv = _radii(grid)
@@ -248,17 +246,17 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     weights = weight_eval(w, gv)
     samples = require_samples(samples)
     powers, width = _scaled_layout(gv, degree + 1, samples)
-    bound = _majorant(members, powers, weights, samples)
+    bound = _majorant(stack, powers, weights, samples)
 
     def weighted_rows(rows, cols):
-        return weights[cols] * _gathered_rows(members, rows, cols, powers, width, samples)
+        return weights[cols] * _gathered_rows(stack, rows, cols, powers, width, samples)
 
     # round 1: each member's row of largest bound gives a lower bound on its
     # maximum.  Round 2: a row whose bound lies below that cannot hold the
     # maximum or tie with it, so only the other rows are transformed; the
     # skipped ones keep -inf
     values = np.full(bound.shape, -np.inf)
-    all_members = np.arange(len(members))
+    all_members = np.arange(len(stack))
     first = np.argmax(bound, axis=1)
     lower = values[all_members, first] = weighted_rows(all_members, first)
     open_rows = ~(bound < lower[:, None])
@@ -269,28 +267,28 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
         NormEstimate(value=float(row[i]), argmax_radius=float(gv[i]))
         for row, i in zip(values, np.argmax(values, axis=1))
     ]
-    return estimates[0] if isinstance(p, Poly) else estimates
+    return as_given(p, estimates)
 
 
 def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor=1.0, samples: int = 1024):
-    """Per member of a sequence of Polys of one degree, whether
-    ``weight(r) * M / divisor > limit`` at some radius r, with M the sampled
+    """For a Poly or, per member, for a sequence of Polys of one degree,
+    whether ``weight(r) * M / divisor > limit`` at some radius r, with M the sampled
     max modulus of :func:`max_modulus_profile` and weight 1 for ``w`` None;
     and the number of rows transformed.  ``limit`` and ``divisor`` broadcast
     against the (member, radius) rows.  A row is transformed only when its
     majorant passes the test: the majorant is never below the computed
     value, and the division and comparison are monotone, so the verdicts are
     those of the full profile, bit for bit."""
-    members = poly_members(p)
+    stack = poly_stack(p)
     rv = _radii(radii)
     samples = require_samples(samples)
     weights = np.ones(rv.size) if w is None else weight_eval(w, rv)
-    powers, width = _scaled_layout(rv, members[0].degree + 1, samples)
-    bound = _majorant(members, powers, weights, samples)
+    powers, width = _scaled_layout(rv, stack.shape[1], samples)
+    bound = _majorant(stack, powers, weights, samples)
     rows, cols = np.nonzero(~(bound / divisor <= limit))  # a NaN bound leaves its row open
     values = np.full(bound.shape, -np.inf)
-    values[rows, cols] = weights[cols] * _gathered_rows(members, rows, cols, powers, width, samples)
-    return (values / divisor > limit).any(axis=1), rows.size
+    values[rows, cols] = weights[cols] * _gathered_rows(stack, rows, cols, powers, width, samples)
+    return as_given(p, (values / divisor > limit).any(axis=1)), rows.size
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,25 @@ class TestClassifyCommand:
         assert payload["config"]["function"] == "log-inv"
 
 
+class TestLogWeightOrder:
+    @pytest.mark.parametrize("order", ["1.5", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--f", "log-inv", "--degrees", "64,128,256"],
+            ["ergodic", "--t", "0.5", "--n-max", "16", "--f", "const1", "--degree", "64"],
+        ],
+    )
+    def test_non_integer_order_exits_two(self, tmp_path, capsys, argv, order):
+        # no log weight has order 1.5 or inf: refused before any work, so a
+        # file never records an order other than the one computed with
+        out = tmp_path / "out.json"
+        code = main(argv + ["--weight-order", order, "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "integer order k >= 1" in capsys.readouterr().err
+
+
 class TestSpectrumCommand:
     def test_report_payload(self, tmp_path):
         out = tmp_path / "spec.json"

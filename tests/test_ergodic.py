@@ -305,7 +305,6 @@ class TestSpectralDichotomy:
         past_cap = ST_DEGREE_CAP + 1
         runs = (
             (lambda: spectral_dichotomy_report(1024, grid_points=GRID_POINTS_CAP + 1), "grid"),
-            (lambda: spectral_dichotomy_report(1024, samples=SAMPLES_CAP + 1), "samples"),
             (lambda: spectral_dichotomy_report(past_cap), f"degree {past_cap} exceeds"),
             (lambda: spectral_dichotomy_report(64, degrees=(64, past_cap)), "exceeds the cap"),
         )

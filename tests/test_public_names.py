@@ -1,10 +1,13 @@
-"""Every public top-level name of a package module is used by the program.
+"""Every public top-level name of a package module is used by the program,
+and every parameter default of a package function is overridden somewhere.
 
 A public function, class or constant that only the tests call is code the
 program carries for nothing.  This guard walks the syntax trees of the
 package and the scripts with the standard library and lists the public
 names that nothing in them reads; a name's own definition and its re-export
-in ``__init__.py`` do not count as uses.
+in ``__init__.py`` do not count as uses.  Likewise a defaulted parameter
+that no call in the package, the scripts or the tests sets is a choice
+nothing makes: the second guard lists those.
 """
 
 import ast
@@ -69,3 +72,81 @@ def test_every_public_name_is_used():
     scripts = [p.read_text(encoding="utf-8") for p in SCRIPTS]
     assert unused_public_names(modules, scripts) == []
 
+
+def defaulted_parameters(source: str):
+    """(function, parameter, position) for each parameter with a default of
+    each function defined anywhere in a module; the position a call passes
+    it at, after a method's self or cls, and None for a keyword-only one."""
+    tree = ast.parse(source)
+    methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        shift = 1 if node in methods else 0
+        for i, arg in enumerate(positional[first:], start=first):
+            yield node.name, arg.arg, i - shift
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def passed_arguments(sources: list) -> dict:
+    """Per called name, the positions and keywords its calls pass, or None
+    once a call unpacks ``*`` or ``**`` arguments into it."""
+    passed = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            if unpacked:
+                passed[name] = None
+            elif passed.get(name, set()) is not None:
+                passed.setdefault(name, set()).update(range(len(node.args)))
+                passed[name].update(k.arg for k in node.keywords)
+    return passed
+
+
+def unset_parameters(modules: dict, users: list) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    function in ``modules`` (name -> source) that no call in ``modules`` or
+    ``users`` sets, by position or by keyword."""
+    passed = passed_arguments(list(modules.values()) + users)
+    unset = []
+    for module, source in modules.items():
+        for function, parameter, position in defaulted_parameters(source):
+            given = passed.get(function, set())
+            if given is not None and parameter not in given and position not in given:
+                unset.append(f"{module}.{function}({parameter})")
+    return sorted(unset)
+
+
+def test_guard_finds_unset_parameters():
+    modules = {
+        "core": "def scale(x, factor=2.0, offset=0.0, *, clip=None):\n    return x\n"
+        "def spread(*xs, width=1):\n    return xs\n"
+        "class Box:\n    def grow(self, by=1, to=None):\n        return by\n",
+        "front": "from .core import scale, spread, Box\nscale(1.0, 3.0)\nspread(1, 2)\n"
+        "Box().grow(2)\n",
+    }
+    tests = "from core import scale\nscale(1.0, clip=4)\nargs = {}\nspread(**args)\n"
+    assert unset_parameters(modules, []) == [
+        "core.grow(to)",
+        "core.scale(clip)",
+        "core.scale(offset)",
+        "core.spread(width)",
+    ]
+    assert unset_parameters(modules, [tests]) == ["core.grow(to)", "core.scale(offset)"]
+
+
+def test_every_default_is_set_somewhere():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    users = [p.read_text(encoding="utf-8") for p in SCRIPTS]
+    users += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert unset_parameters(modules, users) == []

@@ -17,6 +17,20 @@ from cesaro_lab.series import (
     truncate,
     vanishing_order,
 )
+from cesaro_lab.operators import cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
+from cesaro_lab.resolvent import (
+    off_cut_sample_points,
+    resolvent_integral_profile,
+    resolvent_recurrence,
+    resolvent_semigroup,
+)
+from cesaro_lab.weights import (
+    NormEstimate,
+    WeightSpec,
+    max_modulus_profile,
+    sup_norm_exceeds,
+    weighted_sup_norm,
+)
 
 from oracles import compose, mobius_coeffs
 
@@ -285,3 +299,55 @@ class TestVanishingOrder:
 
     def test_threshold_separates_noise(self):
         assert vanishing_order(Poly([1e-15, 1.0])) == 1
+
+
+#: Every array-first kernel, as a function of its Poly-or-stack argument.
+KERNELS = {
+    "horner_eval": lambda h: horner_eval(h, off_cut_sample_points()),
+    "generalized_cesaro_apply": lambda h: generalized_cesaro_apply(0.5, h),
+    "cesaro_inverse_apply": cesaro_inverse_apply,
+    "s_t_apply": lambda h: s_t_apply(0.3, h),
+    "resolvent_recurrence": lambda h: resolvent_recurrence(2j, h),
+    "resolvent_integral_profile": lambda h: resolvent_integral_profile(2j, h, [0.5j, 0.3]),
+    "resolvent_semigroup": lambda h: resolvent_semigroup(-1.0, h),
+    "max_modulus_profile": lambda h: max_modulus_profile(h, [0.0, 0.3, 0.6]),
+    "weighted_sup_norm": lambda h: weighted_sup_norm(h, WeightSpec.log_power(1)),
+    "sup_norm_exceeds": lambda h: sup_norm_exceeds(h, None, [0.3, 0.6], 2.0)[0],
+}
+
+
+def result_bits(value):
+    """The type, shape and bytes of one kernel result."""
+    if isinstance(value, Poly):
+        value = value.coeffs
+    elif isinstance(value, NormEstimate):
+        value = np.array([value.value, value.argmax_radius])
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+class TestStackBoundary:
+    """One Poly or a sequence of Polys of one degree, for every kernel."""
+
+    member = Poly(np.random.default_rng(41).normal(size=(33, 2)) @ [1.0, 1j])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_poly_gives_first_result_of_its_stack(self, kernel):
+        single = KERNELS[kernel](self.member)
+        stacked = KERNELS[kernel]([self.member])
+        assert len(stacked) == 1
+        assert result_bits(single) == result_bits(stacked[0])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("given", ["empty", "mixed degrees", "bare array"])
+    def test_refuses_anything_else(self, kernel, given):
+        h = {
+            "empty": [],
+            "mixed degrees": [self.member, truncate(self.member, 16)],
+            "bare array": self.member.coeffs,
+        }[given]
+        with pytest.raises(ValueError, match="one degree"):
+            KERNELS[kernel](h)
+
+    def test_vanishing_order_of_a_stack_is_its_members_least(self):
+        assert vanishing_order([Poly([0, 0, 3]), Poly([0, 1e-15, 2]), Poly([0, 4, 0])]) == 1
+        assert vanishing_order([Poly(np.zeros(4)), Poly(np.zeros(4))]) == 4

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from cesaro_lab import weights
 from cesaro_lab.ergodic import iterate_trace
 from cesaro_lab.operators import build_corpus
-from cesaro_lab.series import Poly, binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
+from cesaro_lab.series import (
+    Poly,
+    binomial_series,
+    horner_eval,
+    log_one_minus_inv,
+    monomial,
+    poly_stack,
+    truncate,
+)
 from cesaro_lab.weights import (
     JUNCTION_RADIUS,
     SAMPLES_CAP,
@@ -177,6 +185,9 @@ class TestWeightEval:
             WeightSpec.log_power(0)
         with pytest.raises(ValueError):
             WeightSpec("log", 1.5)
+        for order in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="integer order"):
+                WeightSpec("log", order)
 
 
 class TestMaxModulus:
@@ -449,14 +460,14 @@ class TestSupNormExceeds:
         seen = []
         exact = weights._gathered_rows
 
-        def recorded(members, rows, cols, *args):
+        def recorded(stack, rows, cols, *args):
             seen.extend(zip(rows.tolist(), cols.tolist()))
-            return exact(members, rows, cols, *args)
+            return exact(stack, rows, cols, *args)
 
         monkeypatch.setattr(weights, "_gathered_rows", recorded)
         exceeded, transformed = sup_norm_exceeds(members, w, grid, limit)
         powers = grid[:, None] ** np.arange(257)
-        bound = weights._majorant(members, powers, weight_eval(w, grid), 1024)
+        bound = weights._majorant(poly_stack(members), powers, weight_eval(w, grid), 1024)
         assert transformed == len(seen) < bound.size
         assert all(bound[m, c] > limit[m, 0] for m, c in seen)
         assert exceeded.tolist() == (values > limit).any(axis=1).tolist()
