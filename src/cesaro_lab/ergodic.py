@@ -40,12 +40,6 @@ GRID_POINTS_CAP = 33
 #: ``finite-section-spectrum`` check measure.
 SECTION_T_VALUES = (0.0, 0.3, 0.5, 0.9, 1.0)
 
-#: Most iterates a trace holds before norming them as one stack: norming
-#: all 256 of a README trace at once raised the peak RSS of the README
-#: examples from 86 to 89 MB.
-STACK_BATCH = 64
-
-
 @dataclass(frozen=True, eq=False)
 class EigenPair:
     """An eigenvector truncation, its exact eigenvalue and its checked
@@ -144,9 +138,9 @@ def iterate_trace(
 
     Projection errors compare T_[n] f against f(0) * g0 truncated to deg f
     and are recorded only for t < 1, where that is the ergodic limit.  The
-    iterates, the averages and their differences are normed on the default
-    radius grid as stacks of up to ``STACK_BATCH`` vectors, or all the
-    averages at once.
+    iterates fill one array and the averages another, and each of them, the
+    projection differences and the increments is normed on the default
+    radius grid as one stack.
     """
     require_trace_budget(n_max, samples)
     if not np.any(np.abs(f.coeffs) > 0):
@@ -156,30 +150,20 @@ def iterate_trace(
     def norms(stack) -> tuple:
         return tuple(e.value for e in weighted_sup_norm(stack, weight, samples=samples))
 
+    iterates = np.empty((n_max, f.degree + 1), dtype=complex)
+    means = np.empty_like(iterates)
+    current, mean = f.coeffs[None], np.zeros_like(f.coeffs)
+    for n in range(1, n_max + 1):
+        current = iterates[n - 1 : n] = generalized_cesaro_apply(tv, current)
+        mean = means[n - 1] = mean + (current[0] - mean) / n
     target = f.coeffs[0] * tv ** np.arange(f.degree + 1)
-    current, mean = f, np.zeros_like(f.coeffs)
-    means, iterate_norms, projection_errors = [], (), ()
-    for first in range(1, n_max + 1, STACK_BATCH):
-        iterates = []
-        for n in range(first, min(first + STACK_BATCH, n_max + 1)):
-            current = generalized_cesaro_apply(tv, current)
-            mean = mean + (current.coeffs - mean) / n
-            iterates.append(current)
-            means.append(Poly(mean))
-        iterate_norms += norms(iterates)
-        if tv < 1.0:
-            projection_errors += norms([Poly(m.coeffs - target) for m in means[first - 1 :]])
-    mean_norms = norms(means)
-    increments = [
-        Poly(means[2 * n - 1].coeffs - means[n - 1].coeffs) for n in range(1, n_max // 2 + 1)
-    ]
     return ErgodicTrace(
         t=tv,
         weight=weight,
-        iterate_norms=iterate_norms,
-        mean_norms=mean_norms,
-        mean_increments=norms(increments),
-        projection_errors=projection_errors,
+        iterate_norms=norms(iterates),
+        mean_norms=norms(means),
+        mean_increments=norms(means[1::2] - means[: n_max // 2]),
+        projection_errors=norms(means - target) if tv < 1.0 else (),
     )
 
 
@@ -276,8 +260,7 @@ def spectral_dichotomy_report(
         solutions = resolvent_recurrence([lams[i] for i in solved], h)
         for row, d in zip(best, degrees):
             den = weighted_sup_norm(truncate(h, d), v1).value
-            cut = [truncate(f, d) for f in solutions]
-            for i, est in zip(solved, weighted_sup_norm(cut, v2)):
+            for i, est in zip(solved, weighted_sup_norm(solutions[:, : d + 1], v2)):
                 row[i] = max(row[i], est.value / den)
     ratios = [[row[min(i, k)] for i, k in enumerate(mirror)] for row in best]
 

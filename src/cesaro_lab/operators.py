@@ -12,7 +12,6 @@ import numpy as np
 
 from .series import (
     Poly,
-    as_given,
     binomial_series,
     cauchy_product,
     log_one_minus_inv,
@@ -20,6 +19,7 @@ from .series import (
     poly_stack,
     real_matmul,
     shifted_pole,
+    stack_as_given,
     truncate,
 )
 
@@ -47,7 +47,7 @@ def require_memory_t(t) -> float:
 
 def generalized_cesaro_apply(t: float, p):
     """Output coefficient n is (t**n c_0 + t**(n-1) c_1 + ... + c_n)/(n+1),
-    for a Poly or, as a list, for a sequence of Polys of one degree.
+    for a Poly or, as an array, for a stack of one degree.
 
     The sums s_n = t*s_{n-1} + c_n are one elementwise doubling scan,
     s[k:] += t**k * s[:-k] for k = 1, 2, 4, ... up to N (at t = 1 the plain
@@ -60,16 +60,16 @@ def generalized_cesaro_apply(t: float, p):
     else:
         for k in (2**i for i in range((s.shape[1] - 1).bit_length())):
             s[:, k:] += tv**k * s[:, :-k]
-    return as_given(p, [Poly(row) for row in s / np.arange(1, s.shape[1] + 1)])
+    return stack_as_given(p, s / np.arange(1, s.shape[1] + 1))
 
 
 def cesaro_inverse_apply(p):
     """Exact inverse of :func:`cesaro_apply` on truncations, for a Poly or,
-    as a list, for a sequence of Polys of one degree: output coefficient n
-    is (n+1) c_n - n c_{n-1}, the first difference of (n+1) c_n."""
+    as an array, for a stack of one degree: output coefficient n is
+    (n+1) c_n - n c_{n-1}, the first difference of (n+1) c_n."""
     c = poly_stack(p)
     weighted = np.arange(1, c.shape[1] + 1) * c
-    return as_given(p, [Poly(row) for row in np.diff(weighted, axis=1, prepend=0)])
+    return stack_as_given(p, np.diff(weighted, axis=1, prepend=0))
 
 
 def pascal_rows(a, degree: int):
@@ -113,12 +113,14 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
 
 
 def s_t_apply(t: float, p):
-    """The weighted composition semigroup S_t applied to a Poly or, as a
-    list, to a stack: the matrix of :func:`s_t_rows`, built once, times
+    """The weighted composition semigroup S_t applied to a Poly or, as an
+    array, to a stack: the matrix of :func:`s_t_rows`, built once, times
     each member in the product a single Poly takes, so the bits agree."""
     stack = poly_stack(p)
     rows = s_t_rows(t, stack.shape[1] - 1)
-    return as_given(p, [Poly(real_matmul(rows, c)) for c in stack])
+    for c in stack:
+        c[:] = real_matmul(rows, c)
+    return stack_as_given(p, stack)
 
 
 def finite_section(t: float, degree: int) -> np.ndarray:

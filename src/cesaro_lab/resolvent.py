@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import pascal_rows
-from .series import Poly, as_given, poly_stack, real_matmul, require_finite_param, vanishing_order
+from .series import as_given, poly_stack, real_matmul, require_finite_param, stack_as_given
+from .series import vanishing_order
 
 #: Refuse recurrence solves when lam is this close to a diagonal value
 #: 1/(n+1): those are genuine poles of the finite sections.
@@ -81,10 +82,10 @@ def _lambdas(lam) -> np.ndarray:
     return lams
 
 
-def _check_integral_preconditions(lams: np.ndarray, h):
+def _check_integral_preconditions(lams: np.ndarray, stack: np.ndarray):
     if np.min(np.abs(lams)) < DIAGONAL_GUARD:
         raise ValueError("lam must be nonzero")
-    if vanishing_order(h) <= np.max((1.0 / lams).real) - 1.0:
+    if vanishing_order(stack) <= np.max((1.0 / lams).real) - 1.0:
         raise ValueError(
             "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
         )
@@ -96,8 +97,8 @@ def resolvent_recurrence(lam, h):
     Coefficient n satisfies f_n*(lam - 1/(n+1)) = h_n + mean of f_0..f_{n-1}
     scaled by 1/(n+1); values of lam within 1e-12 of a diagonal entry are
     rejected rather than regularized.  An array of lam with one Poly h, or
-    one lam with a sequence of Polys of one degree, gives a list of Polys,
-    one per lam or member, from one loop over n for all of them.
+    one lam with a stack of one degree, gives an array of coefficients,
+    one row per lam or member, from one loop over n for all of them.
     """
     lams = _lambdas(lam)
     c = poly_stack(h).T
@@ -109,8 +110,8 @@ def resolvent_recurrence(lam, h):
     for n in range(c.shape[0]):
         f[n] = (c[n] + running / (n + 1)) / (lams - 1.0 / (n + 1))
         running += f[n]
-    solved = [Poly(column) for column in f.T]
-    return as_given(h, solved) if np.ndim(lam) == 0 else solved
+    solved = np.ascontiguousarray(f.T)
+    return stack_as_given(h, solved) if np.ndim(lam) == 0 else solved
 
 
 def off_cut_sample_points() -> np.ndarray:
@@ -146,7 +147,7 @@ def _validate_points(zs: np.ndarray):
 
 def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -> np.ndarray:
     """Pointwise values of the solution formula at an array of points, for a
-    Poly h or, one row per member, for a sequence of Polys of one degree,
+    Poly h or, one row per member, for a stack of one degree,
     and for one lam or, along a leading axis, an array of them.
 
     After the segment substitution zeta = tau*z the powers of z cancel and
@@ -165,8 +166,8 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     """
     lams = _lambdas(lam)
     quad = quad or QuadratureSpec()
-    _check_integral_preconditions(lams, h)
     stack = poly_stack(h)
+    _check_integral_preconditions(lams, stack)
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
 
@@ -204,13 +205,15 @@ def semigroup_horizon(lam, tail_tol: float) -> float:
 
 def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
     """Coefficientwise quadrature of h/lam + (1/lam^2) * int_0^T e^(t/lam) S_t h dt,
-    for a Poly h or, as a list, for a sequence of Polys of one degree.
+    for a Poly h or, as an array, for a stack of one degree.
 
     Needs Re lam < 0 so the integrand decays; the horizon T is either taken
     from the quadrature spec (and checked against the tail tolerance) or
-    chosen as the smallest one meeting it.  One Pascal recurrence runs in
-    place over all time nodes a = e^{-t}; each row, contracted with the
-    weights w*e^{t/lam} before the next step, builds S_t's h-free quadrature.
+    chosen as the smallest one meeting it; a horizon whose time panels take
+    more than ``NODE_CAP * PANEL_CAP`` nodes is refused before any is built.
+    One Pascal recurrence runs in place over all time nodes a = e^{-t}; each
+    row, contracted with the weights w*e^{t/lam} before the next step,
+    builds S_t's h-free quadrature.
     """
     lv = require_finite_param(lam, "lam")
     if lv.real >= 0:
@@ -229,8 +232,11 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
                 f"t_max={t_max:g} cannot reach tail tolerance {quad.tail_tol:g} "
                 f"for Re(1/lam)={rate:g}"
             )
+    panels = int(np.ceil(t_max / TIME_PANEL))
+    if panels * quad.time_nodes > NODE_CAP * PANEL_CAP:
+        raise ValueError(f"{panels} time panels of {quad.time_nodes} nodes exceed the node budget")
     ts, ws = [np.zeros(0)], [np.zeros(0)]  # no nodes when t_max <= 0
-    for i in range(int(np.ceil(t_max / TIME_PANEL))):
+    for i in range(panels):
         a, b = i * TIME_PANEL, min((i + 1) * TIME_PANEL, t_max)
         # Coefficient n of S_t h is a Bernstein-type polynomial of degree n
         # in e^{-t}, so early panels need node counts that scale with the
@@ -245,7 +251,7 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
     rows = np.zeros((degree + 1, degree + 1), dtype=complex)
     for n, row in enumerate(pascal_rows(np.exp(-t), degree)):
         rows[n, : n + 1] = real_matmul(row, weights)
-    return as_given(h, [Poly(c / lv + il**2 * real_matmul(rows, c)) for c in stack])
+    return stack_as_given(h, np.array([c / lv + il**2 * real_matmul(rows, c) for c in stack]))
 
 
 def imaginary_axis_constant(b: float) -> float:

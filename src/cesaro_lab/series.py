@@ -78,13 +78,20 @@ def truncate(p: Poly, degree: int) -> Poly:
 
 
 def poly_stack(h) -> np.ndarray:
-    """The (members, degree+1) complex coefficients of a Poly h, one row, or
-    of a non-empty sequence of Polys of one degree: the one boundary that
-    every array-first kernel crosses, and the only code that knows it."""
-    members = [h] if isinstance(h, Poly) else list(h)
-    if not all(isinstance(p, Poly) for p in members) or len({p.degree for p in members}) != 1:
-        raise ValueError("h must be a Poly or a non-empty sequence of Polys of one degree")
-    return np.array([p.coeffs for p in members])
+    """The (members, degree+1) complex coefficients of a Poly h, one row, of
+    a non-empty sequence of Polys of one degree, or of a finite non-empty
+    2-d array, as a new C-ordered array that a kernel may change in place:
+    the one boundary that every array-first kernel crosses."""
+    if isinstance(h, np.ndarray):
+        stack = np.array(h, dtype=complex, order="C")
+        valid = stack.ndim == 2 and stack.size > 0 and np.all(np.isfinite(stack))
+    else:
+        members = [h] if isinstance(h, Poly) else list(h)
+        valid = all(isinstance(p, Poly) for p in members) and len({p.degree for p in members}) == 1
+        stack = np.array([p.coeffs for p in members]) if valid else None
+    if not valid:
+        raise ValueError("h must be a Poly or a stack of one degree: Polys or a finite 2-d array")
+    return stack
 
 
 def as_given(h, results):
@@ -93,13 +100,18 @@ def as_given(h, results):
     return results[0] if isinstance(h, Poly) else results
 
 
+def stack_as_given(h, stack: np.ndarray):
+    """A kernel's coefficient stack as h came: a Poly for a Poly h, else the array."""
+    return Poly(stack[0]) if isinstance(h, Poly) else stack
+
+
 def horner_eval(p, z):
     """Evaluate by nested multiplication; ``z`` may be a scalar or an array.
 
-    For a sequence of Polys of one degree the result has one row per
-    member, from one loop over the coefficients for all of them: the
-    coefficients are transposed once to a contiguous (degree+1, members)
-    layout, and each step is the in-place ``acc *= z; acc += c_k``.
+    For a stack of one degree the result has one row per member, from one
+    loop over the coefficients for all of them: the coefficients are
+    transposed once to a contiguous (degree+1, members) layout, and each
+    step is the in-place ``acc *= z; acc += c_k``.
     """
     stack = poly_stack(p)
     zs = np.asarray(z, dtype=complex)

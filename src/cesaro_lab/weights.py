@@ -147,7 +147,7 @@ def _circle_max(scaled: np.ndarray, samples: int) -> np.ndarray:
 
 def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius,
-    for a Poly or, one row per member, for a sequence of Polys of one degree.
+    for a Poly or, one row per member, for a stack of one degree.
 
     The radius powers are built once per call; every (member, radius) row
     then goes through :func:`_gathered_rows`, the row feeder of
@@ -220,7 +220,7 @@ class NormEstimate:
 
 def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     """max over the grid of weight(r) * sampled max-modulus at r, for a Poly
-    or, as a list of estimates, for a sequence of Polys of one degree.
+    or, as a list of estimates, for a stack of one degree.
 
     Radii beyond :func:`reliable_radius` of the polynomial's degree are
     rejected: there the discarded tail of a typical truncation is no longer
@@ -271,7 +271,7 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
 
 
 def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor=1.0, samples: int = 1024):
-    """For a Poly or, per member, for a sequence of Polys of one degree,
+    """For a Poly or, per member, for a stack of one degree,
     whether ``weight(r) * M / divisor > limit`` at some radius r, with M the sampled
     max modulus of :func:`max_modulus_profile` and weight 1 for ``w`` None;
     and the number of rows transformed.  ``limit`` and ``divisor`` broadcast

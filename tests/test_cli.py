@@ -212,6 +212,18 @@ class TestResolventCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_semigroup_horizon_past_node_budget_exits_two(self, tmp_path, capsys):
+        # the derived horizon T = 3.45e7 would take 1.7e7 time panels; argparse
+        # reads a bare "-1e-6" as a flag, so the value is attached with "="
+        argv = ["resolvent", "--route", "semigroup", "--lambda-re=-1e-6", "--lambda-im", "1",
+                "--f", "const1", "--degree", "8"]
+        code, peak, written = past_cap_run(tmp_path, argv)
+        assert code == 2
+        assert peak < 1_000_000
+        assert not written
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "time panels of 24 nodes exceed the node budget" in err
+
     def test_quadrature_budgets_at_caps_accepted(self, tmp_path):
         out = tmp_path / "g.csv"
         code = main(["resolvent", "--route", "semigroup", "--lambda-re", "-1", "--f", "const1",

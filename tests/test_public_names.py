@@ -7,7 +7,9 @@ package and the scripts with the standard library and lists the public
 names that nothing in them reads; a name's own definition and its re-export
 in ``__init__.py`` do not count as uses.  Likewise a defaulted parameter
 that no call in the package, the scripts or the tests sets is a choice
-nothing makes: the second guard lists those.
+nothing makes: the second guard lists those.  The third keeps the one
+Poly-or-stack rule in ``series``: no other module asks whether a value is a
+``Poly``.
 """
 
 import ast
@@ -150,3 +152,40 @@ def test_every_default_is_set_somewhere():
     users = [p.read_text(encoding="utf-8") for p in SCRIPTS]
     users += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
     assert unset_parameters(modules, users) == []
+
+
+def poly_type_tests(source: str) -> list[int]:
+    """Line numbers of the ``isinstance`` calls in a module that test for
+    ``Poly``, alone or in a tuple of types, by bare or dotted name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            types = node.args[1:]
+            if types and isinstance(types[0], ast.Tuple):
+                types = types[0].elts
+            names = {getattr(t, "id", None) or getattr(t, "attr", None) for t in types}
+            if "Poly" in names:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_finds_poly_type_tests():
+    toy = (
+        "from . import series\n"
+        "from .series import Poly\n"
+        "def kernel(h):\n"
+        "    if isinstance(h, Poly):\n"
+        "        return h\n"
+        "    ok = isinstance(h, (list, series.Poly))\n"
+        "    return isinstance(h, list) or Poly(h)\n"
+    )
+    assert poly_type_tests(toy) == [4, 6]
+
+
+def test_only_series_asks_for_a_poly():
+    found = {
+        p.name: poly_type_tests(p.read_text(encoding="utf-8"))
+        for p in PACKAGE.glob("*.py")
+        if p.name != "series.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

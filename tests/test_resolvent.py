@@ -118,13 +118,15 @@ class TestRecurrence:
         for h in (truncate(monomial(0), 128), log_one_minus_inv(128)):
             solved = resolvent_recurrence(np.array(lams), h)
             for lam, f in zip(lams, solved, strict=True):
-                assert np.array_equal(f.coeffs, resolvent_recurrence(lam, h).coeffs), lam
+                assert np.array_equal(f, resolvent_recurrence(lam, h).coeffs), lam
 
     def test_stack_matches_single_calls(self):
         members = [h for _, h in build_corpus(128)]
         for lam in (1j, -1.0, 3.0):
-            for f, h in zip(resolvent_recurrence(lam, members), members, strict=True):
-                assert np.array_equal(f.coeffs, resolvent_recurrence(lam, h).coeffs)
+            solved = resolvent_recurrence(lam, members)
+            assert isinstance(solved, np.ndarray) and solved.flags.c_contiguous
+            for f, h in zip(solved, members, strict=True):
+                assert np.array_equal(f, resolvent_recurrence(lam, h).coeffs)
 
     def test_stacked_oracle_matches_per_member_oracle(self):
         # the resolvent-routes oracle: recurrence at degree 512, then Horner
@@ -385,6 +387,32 @@ class TestSemigroupRoute:
         t = semigroup_horizon(-1.0, 1e-9)
         assert np.exp(-t) == pytest.approx(1e-9, rel=1e-6)
 
+    def test_refuses_derived_horizon_past_node_budget_before_building_nodes(self):
+        # Re(1/lam) = -1e-6 derives T = 3.45e7: 1.7e7 time panels, some 4e8 nodes
+        lam, h = -1e-6 + 1j, truncate(monomial(0), 8)
+        assert semigroup_horizon(lam, 1e-9) > 3e7
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="time panels of 24 nodes exceed the node budget"):
+                resolvent_semigroup(lam, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_node_budget_counts_panels_times_time_nodes(self):
+        # lam = -10 takes 116 time panels and lam = -100 takes 1,267: at 24
+        # nodes each both fit NODE_CAP * PANEL_CAP = 65,536, at 1,024 neither
+        h = truncate(monomial(0), 8)
+        for lam, panels in ((-10.0, 116), (-100.0, 1267)):
+            assert np.ceil(semigroup_horizon(lam, 1e-9) / TIME_PANEL) == panels
+            got = resolvent_semigroup(lam, h)
+            assert np.max(np.abs(got.coeffs - resolvent_recurrence(lam, h).coeffs)) <= 1e-6
+            with pytest.raises(ValueError, match=f"{panels} time panels of {NODE_CAP} nodes"):
+                resolvent_semigroup(lam, h, QuadratureSpec(time_nodes=NODE_CAP))
+        # 116 panels of 512 nodes is 59,392, inside the budget
+        resolvent_semigroup(-10.0, h, QuadratureSpec(time_nodes=512))
+
     def test_rejects_nonnegative_real_part(self):
         with pytest.raises(ValueError):
             resolvent_semigroup(0.5, Poly([1]))
@@ -398,13 +426,13 @@ class TestSemigroupRoute:
     def test_beta_oracle_degree_512_stacked(self):
         probes = route_probes(512)
         for h, solved in zip(probes, resolvent_semigroup(-1.0, probes), strict=True):
-            assert np.max(np.abs(solved.coeffs - laplace_beta_oracle(-1.0, h))) <= 1e-6
+            assert np.max(np.abs(solved - laplace_beta_oracle(-1.0, h))) <= 1e-6
 
     def test_stack_matches_single_calls(self):
         members = [h for _, h in build_corpus(128)]
         stacked = resolvent_semigroup(-0.5 + 0.3j, members)
         singles = [resolvent_semigroup(-0.5 + 0.3j, h) for h in members]
-        assert_stack_matches_singles([p.coeffs for p in stacked], [p.coeffs for p in singles])
+        assert_stack_matches_singles(stacked, [p.coeffs for p in singles])
 
     def test_quadrature_leaves_blas_threads_asleep(self):
         probes = route_probes(128)

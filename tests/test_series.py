@@ -326,9 +326,12 @@ def result_bits(value):
 
 
 class TestStackBoundary:
-    """One Poly or a sequence of Polys of one degree, for every kernel."""
+    """One Poly, a sequence of Polys of one degree or a finite 2-d array,
+    for every kernel."""
 
     member = Poly(np.random.default_rng(41).normal(size=(33, 2)) @ [1.0, 1j])
+    # a complex, a real and a conjugated member
+    members = [member, Poly(member.coeffs.real), Poly(member.coeffs.conj())]
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_poly_gives_first_result_of_its_stack(self, kernel):
@@ -338,12 +341,44 @@ class TestStackBoundary:
         assert result_bits(single) == result_bits(stacked[0])
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("given", ["empty", "mixed degrees", "bare array"])
+    def test_array_gives_the_bits_of_its_list(self, kernel):
+        # Fortran order, so the kernel sees only the C-ordered copy
+        listed = KERNELS[kernel](self.members)
+        arrayed = KERNELS[kernel](np.asfortranarray([p.coeffs for p in self.members]))
+        assert type(arrayed) is type(listed)
+        assert [result_bits(x) for x in arrayed] == [result_bits(x) for x in listed]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_array_argument_is_left_unchanged(self, kernel):
+        # the kernels work in place on their own copy, never on the caller's
+        given = np.array([p.coeffs for p in self.members])
+        before = given.tobytes()
+        KERNELS[kernel](given)
+        assert given.tobytes() == before
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "given",
+        [
+            "empty",
+            "mixed degrees",
+            "bare array",
+            "3-d array",
+            "non-finite array",
+            "no members",
+            "no coefficients",
+        ],
+    )
     def test_refuses_anything_else(self, kernel, given):
+        stack = np.array([p.coeffs for p in self.members])
         h = {
             "empty": [],
             "mixed degrees": [self.member, truncate(self.member, 16)],
             "bare array": self.member.coeffs,
+            "3-d array": stack[None],
+            "non-finite array": np.where(np.arange(33) == 5, np.nan, stack),
+            "no members": stack[:0],
+            "no coefficients": stack[:, :0],
         }[given]
         with pytest.raises(ValueError, match="one degree"):
             KERNELS[kernel](h)
@@ -351,3 +386,4 @@ class TestStackBoundary:
     def test_vanishing_order_of_a_stack_is_its_members_least(self):
         assert vanishing_order([Poly([0, 0, 3]), Poly([0, 1e-15, 2]), Poly([0, 4, 0])]) == 1
         assert vanishing_order([Poly(np.zeros(4)), Poly(np.zeros(4))]) == 4
+        assert vanishing_order(np.array([[0, 0, 3], [0, 1e-15, 2], [0, 4, 0]])) == 1
