@@ -32,7 +32,6 @@ from .operators import (
     cesaro_inverse_apply,
     finite_section,
     generalized_cesaro_apply,
-    log_power_identity_check,
     s_t_apply,
 )
 from .resolvent import (
@@ -43,10 +42,8 @@ from .resolvent import (
     resolvent_semigroup,
 )
 from .ergodic import (
-    EigenPair,
     ErgodicTrace,
     SpectralDichotomyReport,
-    eigenpair_cesaro,
     eigenvector_ct,
     iterate_trace,
     spectral_dichotomy_report,
@@ -78,17 +75,14 @@ __all__ = [
     "cesaro_inverse_apply",
     "finite_section",
     "generalized_cesaro_apply",
-    "log_power_identity_check",
     "s_t_apply",
     "QuadratureSpec",
     "off_cut_sample_points",
     "resolvent_integral_profile",
     "resolvent_recurrence",
     "resolvent_semigroup",
-    "EigenPair",
     "ErgodicTrace",
     "SpectralDichotomyReport",
-    "eigenpair_cesaro",
     "eigenvector_ct",
     "iterate_trace",
     "spectral_dichotomy_report",

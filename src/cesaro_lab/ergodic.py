@@ -1,4 +1,4 @@
-"""Eigenvector constructions, iterate/average experiments, and the
+"""Memory-t eigenvectors, iterate/average experiments, and the
 spectral dichotomy between the compact regime t < 1 and the boundary case
 t = 1.
 
@@ -17,18 +17,13 @@ import numpy as np
 from . import operators
 from .operators import (
     ST_DEGREE_CAP,
-    cesaro_apply,
     generalized_cesaro_apply,
     require_memory_t,
     section_shape_error,
 )
 from .resolvent import resolvent_recurrence
-from .series import Poly, log_one_minus_inv, monomial, shifted_pole, truncate
+from .series import Poly, log_one_minus_inv, monomial, truncate
 from .weights import WeightSpec, require_samples, weighted_sup_norm
-
-#: Relative eigen-residual tolerated for constructed eigenpairs; the maps
-#: are triangular, so anything above rounding noise indicates a bug.
-EIGEN_RESIDUAL_TOL = 1e-12
 
 #: Most iterations a trace takes: it keeps every running average.
 N_MAX_CAP = 1024
@@ -40,40 +35,8 @@ GRID_POINTS_CAP = 33
 #: ``finite-section-spectrum`` check measure.
 SECTION_T_VALUES = (0.0, 0.3, 0.5, 0.9, 1.0)
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """An eigenvector truncation, its exact eigenvalue and its checked
-    relative residual max|A x - mu x| / max(max|x|, 1)."""
 
-    index: int
-    t: float
-    coeffs: Poly
-    eigenvalue: float
-    residual: float
-
-
-def _verify_residual(image: np.ndarray, coeffs: Poly, eigenvalue: float) -> float:
-    """The relative residual of an eigenpair, refused above the tolerance."""
-    scale = float(np.max(np.abs(coeffs.coeffs)))
-    residual = float(np.max(np.abs(image - eigenvalue * coeffs.coeffs)))
-    if residual > EIGEN_RESIDUAL_TOL * max(scale, 1.0):
-        raise ArithmeticError(
-            f"eigen residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL:g} * {scale:.3e}"
-        )
-    return residual / max(scale, 1.0)
-
-
-def eigenpair_cesaro(n: int, degree: int) -> EigenPair:
-    """Eigenvector z**(n-1) * (1-z)**(-n) of the averaging operator, with
-    eigenvalue 1/n; the truncation satisfies the eigen-identity exactly."""
-    if degree < n:
-        raise ValueError("degree must be at least n")
-    x = shifted_pole(n, degree)
-    residual = _verify_residual(cesaro_apply(x).coeffs, x, 1.0 / n)
-    return EigenPair(index=n, t=1.0, coeffs=x, eigenvalue=1.0 / n, residual=residual)
-
-
-def eigenvector_ct(t: float, m: int, degree: int) -> EigenPair:
+def eigenvector_ct(t: float, m: int, degree: int) -> Poly:
     """Eigenvector of the memory-t operator for eigenvalue 1/(m+1).
 
     Normalized with coefficient 1 at z**m; below m everything vanishes and
@@ -94,9 +57,7 @@ def eigenvector_ct(t: float, m: int, degree: int) -> EigenPair:
         s = tv * running
         x[n] = -(s / (n + 1)) / (1.0 / (n + 1) - mu)
         running = s + x[n]
-    p = Poly(x)
-    residual = _verify_residual(generalized_cesaro_apply(tv, p).coeffs, p, mu)
-    return EigenPair(index=m, t=tv, coeffs=p, eigenvalue=mu, residual=residual)
+    return Poly(x)
 
 
 @dataclass(frozen=True, eq=False)

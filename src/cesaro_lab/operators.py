@@ -154,27 +154,6 @@ def section_shape_error(section: np.ndarray) -> float:
     return float(np.max(np.abs(deviation, out=deviation)))
 
 
-def log_power_identity_check(k: int, degree: int) -> float:
-    """Max coefficient discrepancy in the closed-form image of log(1-z)**k.
-
-    Both sides are exact truncations: averaging g**k against the shifted
-    coefficients of -g**(k+1)/(k+1), where g = log(1-z).  g has vanishing
-    order 1, so g**k to degree N determines g**(k+1) to degree N+1.
-    """
-    if not (1 <= k <= 6):
-        raise ValueError("k must lie in 1..6")
-    if degree < 64:
-        raise ValueError("degree must be at least 64")
-    g = Poly(-log_one_minus_inv(degree + 1).coeffs)
-    gk = truncate(g, degree)
-    for _ in range(k - 1):
-        gk = cauchy_product(gk, g, degree=degree)
-    lhs = cesaro_apply(gk)
-    gk1 = cauchy_product(gk, g, degree=degree + 1)
-    rhs = -gk1.coeffs[1:] / (k + 1)
-    return float(np.max(np.abs(lhs.coeffs - rhs)))
-
-
 def build_corpus(degree: int, include_structured: bool = True):
     """The reproducible test corpus: 50 pseudo-random polynomials with
     coefficients uniform in the unit disc, plus a structured family mixing

@@ -32,7 +32,8 @@ INEQUALITY_SLACK = 1.0 + 1e-6
 #: Budgets past these caps are refused before any work: a Gauss rule costs
 #: an eigensolve (0.8 s at 2048 nodes), the integral kernel 1.6 kB per node
 #: at 100 points (105 MB at both caps).
-NODE_CAP = 1024  # nodes per panel: nodes, time_nodes
+NODE_CAP = 1024  # nodes per integral panel
+TIME_NODE_CAP = 280  # semigroup nodes per time panel: time_nodes, and each panel rule
 PANEL_CAP = 64  # integral panels, and semigroup time panels up to t_max
 TIME_PANEL = 2.0  # length of a semigroup time panel
 
@@ -54,9 +55,12 @@ class QuadratureSpec:
     tail_tol: float = 1e-9
 
     def __post_init__(self):
-        nodes_ok = all(16 <= n <= NODE_CAP for n in (self.nodes, self.time_nodes))
+        nodes_ok = 16 <= self.nodes <= NODE_CAP and 16 <= self.time_nodes <= TIME_NODE_CAP
         if not (nodes_ok and 1 <= self.panels <= PANEL_CAP):
-            raise ValueError(f"budgets must lie in [16, {NODE_CAP}] nodes, [1, {PANEL_CAP}] panels")
+            raise ValueError(
+                f"budgets must lie in [16, {NODE_CAP}] nodes, [16, {TIME_NODE_CAP}] time nodes, "
+                f"[1, {PANEL_CAP}] panels"
+            )
         if self.t_max is not None and not abs(self.t_max) <= TIME_PANEL * PANEL_CAP:
             raise ValueError(f"t_max must be finite, |t_max| <= {TIME_PANEL * PANEL_CAP:g}")
         if not (0 < self.s_max < np.inf and self.tail_tol > 0):
@@ -243,7 +247,7 @@ def resolvent_semigroup(lam, h, quad: QuadratureSpec | None = None):
         # degree; the polynomial content dies off like e^{-t} afterwards.
         local = quad.time_nodes + int(np.ceil((degree + 1) * np.exp(-a)))
         # cached per node count: a new rule costs a threaded LAPACK eigensolve
-        x, w = _gauss_panels(min(local, 280), 1, 1.0)
+        x, w = _gauss_panels(min(local, TIME_NODE_CAP), 1, 1.0)
         ts.append(a + (b - a) * x)
         ws.append((b - a) * w)
     t = np.concatenate(ts)

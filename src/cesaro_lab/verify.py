@@ -16,16 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .ergodic import SECTION_T_VALUES, eigenpair_cesaro, eigenvector_ct, iterate_trace
+from .ergodic import SECTION_T_VALUES, eigenvector_ct, iterate_trace
 from .operators import (
     build_corpus,
     cesaro_apply,
     cesaro_inverse_apply,
     generalized_cesaro_apply,
-    log_power_identity_check,
     s_t_apply,
     section_shape_error,
     CORPUS_SEED,
+    ST_DEGREE_CAP,
 )
 from .resolvent import (
     INEQUALITY_SLACK,
@@ -37,11 +37,13 @@ from .resolvent import (
 )
 from .series import (
     Poly,
+    cauchy_product,
     horner_eval,
     log_one_minus_inv,
     monomial,
     poly_stack,
     real_matmul,
+    shifted_pole,
     truncate,
 )
 from .weights import (
@@ -74,18 +76,26 @@ def _result(name, start, ok, limit, detail) -> CheckResult:
     )
 
 
+def _eigen_residual(image: Poly, x: Poly, mu: float) -> float:
+    """Relative residual max|A x - mu x| / max(max|x|, 1) of an eigenvector
+    x of eigenvalue mu, given its image A x."""
+    residual = float(np.max(np.abs(image.coeffs - mu * x.coeffs)))
+    return residual / max(float(np.max(np.abs(x.coeffs))), 1.0)
+
+
 def check_eigen_cesaro(degree: int = 512) -> CheckResult:
-    """Eigen-identity for the averaging operator, indices 1..8."""
+    """Eigen-identity for the averaging operator at z**(n-1) (1-z)**-n, n = 1..8."""
     start = time.perf_counter()
-    worst = max(eigenpair_cesaro(n, degree).residual for n in range(1, 9))
+    poles = [shifted_pole(n, degree) for n in range(1, 9)]
+    worst = max(_eigen_residual(cesaro_apply(x), x, 1.0 / n) for n, x in enumerate(poles, 1))
     return _result(
         "eigen-cesaro", start, worst <= 1e-12, 1.0, f"max relative residual {worst:.2e}"
     )
 
 
 def _binomial_tail(t: float, m: int, first: int, last: int) -> float:
-    """Closed-form sum of C(n, m) t**(n-m) over first <= n <= last."""
-    return math.fsum(math.comb(n, m) * t ** (n - m) for n in range(first, last + 1))
+    """Closed-form sum of C(n, m) t**(n-m) over first <= n <= last; C(n, m) = 0 for n < m."""
+    return math.fsum(math.comb(n, m) * t ** (n - m) for n in range(max(first, m), last + 1))
 
 
 def _binomial_remainder(t: float, m: int, degree: int) -> float:
@@ -117,13 +127,12 @@ def check_eigen_ct(degree: int = 512) -> CheckResult:
     """
     start = time.perf_counter()
     half = degree // 2
-    worst_res = 0.0
-    tail_errs, norm_errs = [], []
+    res_errs, tail_errs, norm_errs = [], [], []
     for t in (0.0, 0.3, 0.9):
         for m in range(6):
-            pair = eigenvector_ct(t, m, degree)
-            worst_res = max(worst_res, pair.residual)
-            abs_x = np.abs(pair.coeffs.coeffs)
+            x = eigenvector_ct(t, m, degree)
+            res_errs.append((_eigen_residual(generalized_cesaro_apply(t, x), x, 1 / (m + 1)), t, m))
+            abs_x = np.abs(x.coeffs)
             increment = float(np.sum(abs_x[half + 1 :]))
             expected = _binomial_tail(t, m, half + 1, degree)
             if expected == 0.0:
@@ -136,12 +145,12 @@ def check_eigen_ct(degree: int = 512) -> CheckResult:
             norm_errs.append((abs(total - norm) / norm, t, m))
             if (t, m) == (0.9, 5):
                 shown = f"t=0.9 m=5 tail {increment:.6e} (closed form {expected:.6e})"
-    clauses = (("residual", [(worst_res,)]), ("tail", tail_errs), ("l1-norm", norm_errs))
+    clauses = (("residual", res_errs), ("tail", tail_errs), ("l1-norm", norm_errs))
     failed = [clause for clause, errs in clauses if not all(e[0] <= 1e-12 for e in errs)]
     tail_err, tail_t, tail_m = max(tail_errs)
     norm_err, norm_t, norm_m = max(norm_errs)
     detail = (
-        f"max relative residual {worst_res:.2e}; "
+        f"max relative residual {max(res_errs)[0]:.2e}; "
         f"tail vs closed form max rel err {tail_err:.2e} at t={tail_t:g} m={tail_m}; "
         f"l1 norm vs (1-t)^-(m+1) max rel err {norm_err:.2e} at t={norm_t:g} m={norm_m}; "
         f"{shown}"
@@ -163,10 +172,22 @@ def check_inverse_roundtrip(degree: int = 512) -> CheckResult:
 
 
 def check_log_power_identity() -> CheckResult:
-    """Closed-form image of log(1-z)**k for k = 1..4 at degree 256."""
+    """Closed-form image of log(1-z)**k for k = 1..4 at degree 256.
+
+    Both sides are exact truncations: averaging g**k against the shifted
+    coefficients of -g**(k+1)/(k+1), where g = log(1-z).  g has vanishing
+    order 1, so g**k to degree N determines g**(k+1) to degree N+1, and
+    g**(k+1) cut back to degree N is the next g**k.
+    """
     start = time.perf_counter()
-    errs = {k: log_power_identity_check(k, 256) for k in (1, 2, 3, 4)}
-    worst = max(errs.values())
+    degree = 256
+    g = Poly(-log_one_minus_inv(degree + 1).coeffs)
+    gk1, worst = g, 0.0
+    for k in (1, 2, 3, 4):
+        gk = truncate(gk1, degree)
+        gk1 = cauchy_product(gk, g, degree=degree + 1)
+        rhs = -gk1.coeffs[1:] / (k + 1)
+        worst = max(worst, float(np.max(np.abs(cesaro_apply(gk).coeffs - rhs))))
     return _result(
         "log-power-identity", start, worst <= 1e-10, 1.0, f"max coefficient error {worst:.2e}"
     )
@@ -396,7 +417,10 @@ SUITES = {
 
 
 def run_suite(suite: str = "all", degree: int = 512):
-    """Run one named check or, for ``all``, every check in order."""
+    """Run one named check or, for ``all``, every check in order; a degree
+    above ``ST_DEGREE_CAP`` is refused before any check runs."""
+    if degree > ST_DEGREE_CAP:
+        raise ValueError(f"degree {degree} exceeds the cap {ST_DEGREE_CAP}")
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:

@@ -8,13 +8,13 @@ tolerance and runtime budget.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from cesaro_lab import operators, verify, weights
+from cesaro_lab.cli import main
 from cesaro_lab.ergodic import SECTION_T_VALUES, spectral_dichotomy_report
 from cesaro_lab.series import Poly
 
@@ -23,6 +23,23 @@ def report(result):
     line = f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}"
     print(line)
     return result
+
+
+def scaled(exact, factor):
+    """``exact`` with every image, of a Poly or of a stack, scaled by ``factor``."""
+
+    def apply(*args):
+        images = exact(*args)
+        if isinstance(images, Poly):
+            return Poly(factor * images.coeffs)
+        return factor * images
+
+    return apply
+
+
+#: A kernel off by this relative factor: far below any sampled-norm slack,
+#: far above the rounding of the identities that the checks test.
+DRIFT = 1 + 1e-9
 
 
 def test_eigen_identity_cesaro():
@@ -35,16 +52,52 @@ def test_eigen_identity_ct():
     assert result.passed, result.detail
 
 
+def test_eigen_cesaro_rejects_a_drifted_kernel(monkeypatch):
+    # the check's own residual gate decides, and it reports the residual
+    monkeypatch.setattr(verify, "cesaro_apply", scaled(verify.cesaro_apply, DRIFT))
+    result = report(verify.check_eigen_cesaro(512))
+    assert not result.passed
+    assert "max relative residual" in result.detail
+
+
+def test_eigen_ct_residual_clause_rejects_a_drifted_kernel(monkeypatch):
+    # a drifted kernel leaves the eigenvectors, and so their tails and l1
+    # norms, exact: only the residual clause can fail
+    exact = verify.generalized_cesaro_apply
+    monkeypatch.setattr(verify, "generalized_cesaro_apply", scaled(exact, DRIFT))
+    result = report(verify.check_eigen_ct(512))
+    assert not result.passed
+    assert re.search(r"failed clauses: residual \[", result.detail)
+
+
+def test_verify_all_reports_every_check_under_drifted_kernels(monkeypatch, capsys):
+    # the command prints one line per check and exits 1, not a traceback
+    for name in ("cesaro_apply", "generalized_cesaro_apply"):
+        monkeypatch.setattr(verify, name, scaled(getattr(verify, name), DRIFT))
+    code = main(["verify", "--suite", "all", "--degree", "64"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0].split()[1] for line in lines] == list(verify.SUITES)
+    for name in ("eigen-cesaro", "eigen-ct", "log-power-identity"):
+        assert any(line.startswith(f"FAIL {name}:") for line in lines)
+
+
+def test_eigen_ct_at_degrees_where_the_tail_starts_below_m():
+    # from degree 7 down the tail starts below m = 5, where C(n, m) = 0 and
+    # the closed form's t**(n-m) would divide by zero at t = 0
+    for degree in (5, 6, 7):
+        assert report(verify.check_eigen_ct(degree)).passed
+
+
 def test_eigen_ct_tail_clause_rejects_truncated_eigenvector(monkeypatch):
     # zeroing the coefficients above 3/4 of the degree leaves the tail
     # increment about 1e-5 short of its closed form at t = 0.9, m = 5
     exact = verify.eigenvector_ct
 
     def truncated(t, m, degree):
-        pair = exact(t, m, degree)
-        x = pair.coeffs.coeffs.copy()
+        x = exact(t, m, degree).coeffs.copy()
         x[3 * degree // 4 + 1 :] = 0.0
-        return dataclasses.replace(pair, coeffs=Poly(x))
+        return Poly(x)
 
     monkeypatch.setattr(verify, "eigenvector_ct", truncated)
     result = verify.check_eigen_ct(512)
@@ -59,8 +112,14 @@ def test_inverse_identity():
 
 
 def test_log_power_identity():
+    # the check passes only if every k = 1..4 meets the bound 1e-10
     result = report(verify.check_log_power_identity())
     assert result.passed, result.detail
+
+
+def test_log_power_identity_rejects_a_drifted_kernel(monkeypatch):
+    monkeypatch.setattr(verify, "cesaro_apply", scaled(verify.cesaro_apply, DRIFT))
+    assert not report(verify.check_log_power_identity()).passed
 
 
 def test_resolvent_route_agreement():
@@ -127,15 +186,7 @@ SCALED_VIOLATIONS = {
 def test_norm_inequalities_sup_norm_clauses_bite(monkeypatch, name, factor, clause):
     # an operator scaled past its proved bound fails the clause that bounds
     # it, and every threshold test counts the violations a full sweep counts
-    exact = getattr(verify, name)
-
-    def scaled(*args):
-        images = exact(*args)
-        if isinstance(images, Poly):
-            return Poly(factor * images.coeffs)
-        return factor * images
-
-    monkeypatch.setattr(verify, name, scaled)
+    monkeypatch.setattr(verify, name, scaled(getattr(verify, name), factor))
     result = verify.check_norm_inequalities(512)
     assert not result.passed
     assert clause in result.detail
@@ -229,11 +280,7 @@ def test_finite_section_spectrum_rejects_a_drifted_kernel(monkeypatch):
     # the sections keep their exact shape; only their product with the
     # corpus can see a memory-t kernel off by a relative 1e-9
     exact = verify.generalized_cesaro_apply
-    monkeypatch.setattr(
-        verify,
-        "generalized_cesaro_apply",
-        lambda t, p: (1 + 1e-9) * exact(t, p),
-    )
+    monkeypatch.setattr(verify, "generalized_cesaro_apply", scaled(exact, DRIFT))
     result = report(verify.check_finite_section_spectrum(64))
     assert not result.passed
     assert "zero above: 0.00e+00" in result.detail

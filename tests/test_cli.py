@@ -410,3 +410,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL eigen-ct" in out
         assert "forced failure" in out
+
+    def test_degree_past_cap_exit_two_before_any_check(self, capsys, monkeypatch):
+        # at degree 1e7 the corpus alone would take about 10 GB
+        ran = []
+
+        def sentinel(degree):
+            ran.append(degree)
+            return CheckResult(name="sentinel", passed=True, runtime_s=0.0, detail="ran")
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, sentinel)
+        for degree in (ST_DEGREE_CAP + 1, 10**7):
+            code = main(["verify", "--suite", "all", "--degree", str(degree)])
+            assert code == 2
+            assert f"degree {degree} exceeds the cap {ST_DEGREE_CAP}" in capsys.readouterr().err
+        assert ran == []
+        assert main(["verify", "--suite", "eigen-ct", "--degree", str(ST_DEGREE_CAP)]) == 0
+        assert ran == [ST_DEGREE_CAP]

@@ -8,14 +8,13 @@ from cesaro_lab import ergodic
 from cesaro_lab.ergodic import (
     GRID_POINTS_CAP,
     N_MAX_CAP,
-    eigenpair_cesaro,
     eigenvector_ct,
     iterate_trace,
     spectral_dichotomy_report,
 )
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply, generalized_cesaro_apply
 from cesaro_lab.resolvent import resolvent_recurrence
-from cesaro_lab.series import Poly, log_one_minus_inv, monomial, truncate
+from cesaro_lab.series import Poly, log_one_minus_inv, monomial, shifted_pole, truncate
 from cesaro_lab.weights import (
     SAMPLES_CAP,
     WeightSpec,
@@ -39,66 +38,70 @@ def refusal_peak_bytes(run, match):
 
 
 class TestCesaroEigenpairs:
+    # series.shifted_pole(n, N) truncates the eigenvector z**(n-1) (1-z)**-n
+    # of the averaging operator, for the eigenvalue 1/n
     def test_first_eigenvector_is_geometric(self):
-        pair = eigenpair_cesaro(1, 32)
-        assert pair.eigenvalue == 1.0
-        assert np.array_equal(pair.coeffs.coeffs, np.ones(33))
-        image = cesaro_apply(pair.coeffs)
-        np.testing.assert_allclose(image.coeffs, pair.coeffs.coeffs, rtol=1e-15)
+        x = shifted_pole(1, 32)
+        assert np.array_equal(x.coeffs, np.ones(33))
+        image = cesaro_apply(x)
+        np.testing.assert_allclose(image.coeffs, 1.0 * x.coeffs, rtol=1e-15)
 
     def test_second_eigenvector_arithmetic_series(self):
-        pair = eigenpair_cesaro(2, 24)
+        x = shifted_pole(2, 24)
         n = np.arange(25)
-        assert np.allclose(pair.coeffs.coeffs, n)
+        assert np.allclose(x.coeffs, n)
         # averaged partial sums of 0,1,..,n: (n(n+1)/2)/(n+1) = n/2
-        image = cesaro_apply(pair.coeffs)
+        image = cesaro_apply(x)
         np.testing.assert_allclose(image.coeffs, n / 2.0, atol=1e-14)
-        assert pair.eigenvalue == 0.5
+        np.testing.assert_allclose(image.coeffs, 0.5 * x.coeffs, atol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_residual_tiny_at_large_degree(self, n):
-        pair = eigenpair_cesaro(n, 512)
-        image = cesaro_apply(pair.coeffs).coeffs
-        scale = np.max(np.abs(pair.coeffs.coeffs))
-        residual = np.max(np.abs(image - pair.eigenvalue * pair.coeffs.coeffs))
+        x = shifted_pole(n, 512)
+        image = cesaro_apply(x).coeffs
+        scale = np.max(np.abs(x.coeffs))
+        residual = np.max(np.abs(image - (1.0 / n) * x.coeffs))
         assert residual <= 1e-12 * scale
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            eigenpair_cesaro(0, 16)
+            shifted_pole(0, 16)
         with pytest.raises(ValueError):
-            eigenpair_cesaro(8, 4)
+            shifted_pole(8, 4)
 
 
 class TestMemoryEigenvectors:
     def test_m_zero_is_geometric_in_t(self):
-        pair = eigenvector_ct(0.5, 0, 16)
-        np.testing.assert_allclose(pair.coeffs.coeffs, 0.5 ** np.arange(17), rtol=1e-14)
-        assert pair.eigenvalue == 1.0
+        x = eigenvector_ct(0.5, 0, 16)
+        np.testing.assert_allclose(x.coeffs, 0.5 ** np.arange(17), rtol=1e-14)
+        # eigenvalue 1/(m+1) = 1
+        image = generalized_cesaro_apply(0.5, x)
+        np.testing.assert_allclose(image.coeffs, 1.0 * x.coeffs, rtol=1e-14)
 
     def test_hardy_case_is_unit_vector(self):
-        pair = eigenvector_ct(0.0, 3, 8)
+        x = eigenvector_ct(0.0, 3, 8)
         expected = np.zeros(9)
         expected[3] = 1.0
-        assert np.array_equal(pair.coeffs.coeffs, expected)
-        assert pair.eigenvalue == 0.25
+        assert np.array_equal(x.coeffs, expected)
+        # eigenvalue 1/(m+1) = 0.25, exact: the Hardy operator is diagonal
+        assert np.array_equal(generalized_cesaro_apply(0.0, x).coeffs, 0.25 * expected)
 
     @pytest.mark.parametrize("t,m", [(0.3, 1), (0.5, 2), (0.9, 4)])
     def test_matches_binomial_closed_form(self, t, m):
         # the eigen-equation integrates to x_n = C(n, m) * t**(n-m)
-        pair = eigenvector_ct(t, m, 64)
+        x = eigenvector_ct(t, m, 64)
         expected = np.array(
             [comb(n, m) * t ** (n - m) if n >= m else 0.0 for n in range(65)]
         )
         scale = np.max(np.abs(expected))
-        np.testing.assert_allclose(pair.coeffs.coeffs, expected, atol=1e-12 * scale, rtol=0)
+        np.testing.assert_allclose(x.coeffs, expected, atol=1e-12 * scale, rtol=0)
 
     def test_residual_and_l1_tail_small_memory(self):
-        pair = eigenvector_ct(0.5, 2, 512)
-        image = generalized_cesaro_apply(0.5, pair.coeffs).coeffs
-        scale = np.max(np.abs(pair.coeffs.coeffs))
-        assert np.max(np.abs(image - pair.eigenvalue * pair.coeffs.coeffs)) <= 1e-12 * scale
-        tail = np.sum(np.abs(pair.coeffs.coeffs[257:]))
+        x = eigenvector_ct(0.5, 2, 512)
+        image = generalized_cesaro_apply(0.5, x).coeffs
+        scale = np.max(np.abs(x.coeffs))
+        assert np.max(np.abs(image - (1.0 / 3) * x.coeffs)) <= 1e-12 * scale
+        tail = np.sum(np.abs(x.coeffs[257:]))
         assert tail <= 1e-10
 
     def test_rejects_bad_arguments(self):

@@ -15,7 +15,6 @@ from cesaro_lab.operators import (
     cesaro_inverse_apply,
     finite_section,
     generalized_cesaro_apply,
-    log_power_identity_check,
     pascal_rows,
     s_t_apply,
     s_t_rows,
@@ -377,15 +376,16 @@ class TestFiniteSection:
 
 
 class TestLogPowerIdentity:
+    # the averaging operator maps g**k to the shifted -g**(k+1)/(k+1) for
+    # g = log(1-z); the log-power-identity check bounds k = 1..4 together
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_discrepancy_small(self, k):
-        assert log_power_identity_check(k, 256) <= 1e-10
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            log_power_identity_check(7, 256)
-        with pytest.raises(ValueError):
-            log_power_identity_check(1, 32)
+        g = -log_one_minus_inv(257).coeffs
+        gk1 = g
+        for _ in range(k):
+            gk = gk1[:257]
+            gk1 = np.convolve(gk, g)[:258]
+        assert np.max(np.abs(cesaro_apply(Poly(gk)).coeffs + gk1[1:] / (k + 1))) <= 1e-10
 
 
 class TestCorpus:

@@ -11,6 +11,7 @@ from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
     NODE_CAP,
     PANEL_CAP,
+    TIME_NODE_CAP,
     TIME_PANEL,
     QuadratureSpec,
     off_cut_sample_points,
@@ -217,6 +218,7 @@ class TestIntegralRoute:
         [
             ("nodes", NODE_CAP + 1, "budgets must lie"),
             ("time_nodes", NODE_CAP + 1, "budgets must lie"),
+            ("time_nodes", TIME_NODE_CAP + 1, "budgets must lie"),
             ("time_nodes", 15, "budgets must lie"),
             ("panels", PANEL_CAP + 1, "budgets must lie"),
             ("panels", 0, "budgets must lie"),
@@ -234,7 +236,7 @@ class TestIntegralRoute:
             QuadratureSpec(**{field: value})
 
     def test_accepts_budgets_at_caps(self):
-        QuadratureSpec(nodes=NODE_CAP, time_nodes=NODE_CAP, panels=PANEL_CAP, t_max=-128.0)
+        QuadratureSpec(nodes=NODE_CAP, time_nodes=TIME_NODE_CAP, panels=PANEL_CAP, t_max=-128.0)
         QuadratureSpec(nodes=16, time_nodes=16, panels=1, t_max=TIME_PANEL * PANEL_CAP)
 
     def test_quadrature_leaves_blas_threads_asleep(self):
@@ -402,16 +404,41 @@ class TestSemigroupRoute:
 
     def test_node_budget_counts_panels_times_time_nodes(self):
         # lam = -10 takes 116 time panels and lam = -100 takes 1,267: at 24
-        # nodes each both fit NODE_CAP * PANEL_CAP = 65,536, at 1,024 neither
+        # nodes each both fit NODE_CAP * PANEL_CAP = 65,536; at TIME_NODE_CAP
+        # lam = -10 takes 32,480 nodes and lam = -100 would take 354,760
         h = truncate(monomial(0), 8)
         for lam, panels in ((-10.0, 116), (-100.0, 1267)):
             assert np.ceil(semigroup_horizon(lam, 1e-9) / TIME_PANEL) == panels
             got = resolvent_semigroup(lam, h)
             assert np.max(np.abs(got.coeffs - resolvent_recurrence(lam, h).coeffs)) <= 1e-6
-            with pytest.raises(ValueError, match=f"{panels} time panels of {NODE_CAP} nodes"):
-                resolvent_semigroup(lam, h, QuadratureSpec(time_nodes=NODE_CAP))
-        # 116 panels of 512 nodes is 59,392, inside the budget
-        resolvent_semigroup(-10.0, h, QuadratureSpec(time_nodes=512))
+        resolvent_semigroup(-10.0, h, QuadratureSpec(time_nodes=TIME_NODE_CAP))
+        with pytest.raises(ValueError, match=f"1267 time panels of {TIME_NODE_CAP} nodes"):
+            resolvent_semigroup(-100.0, h, QuadratureSpec(time_nodes=TIME_NODE_CAP))
+        # the product decides: 1,267 x 51 = 64,617 fits, 1,267 x 52 = 65,884 does not
+        resolvent_semigroup(-100.0, h, QuadratureSpec(time_nodes=51))
+        with pytest.raises(ValueError, match="1267 time panels of 52 nodes"):
+            resolvent_semigroup(-100.0, h, QuadratureSpec(time_nodes=52))
+
+    def test_every_panel_takes_at_least_the_requested_time_nodes(self, monkeypatch):
+        # a panel's rule is time_nodes plus the degree's share, capped at
+        # TIME_NODE_CAP, which no accepted time_nodes exceeds
+        rules = []
+        exact = resolvent._gauss_panels
+
+        def recorded(nodes, panels, length):
+            rules.append(nodes)
+            return exact(nodes, panels, length)
+
+        monkeypatch.setattr(resolvent, "_gauss_panels", recorded)
+        h = truncate(monomial(0), 300)
+        for time_nodes in (16, TIME_NODE_CAP):
+            rules.clear()
+            # four panels, from a = 0, where the degree's share exceeds the cap
+            quad = QuadratureSpec(time_nodes=time_nodes, t_max=8.0, tail_tol=1e-3)
+            resolvent_semigroup(-1.0, h, quad)
+            assert len(rules) == 4
+            assert min(rules) >= time_nodes
+            assert max(rules) == TIME_NODE_CAP
 
     def test_rejects_nonnegative_real_part(self):
         with pytest.raises(ValueError):
