@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
@@ -23,7 +24,7 @@ from .resolvent import (
     resolvent_semigroup,
 )
 from .series import Poly, binomial_series, log_one_minus_inv, monomial, shifted_pole, truncate
-from .verify import run_suite
+from .verify import run_suite, suite_names
 from .weights import WeightSpec, growth_classify
 
 DEFAULT_SEED = 0x5EED
@@ -231,9 +232,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, args.degree)
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+    results = []
+    # one check at a time, each line printed as its check returns, so a
+    # later check that raises keeps them
+    for name in suite_names(args.suite, args.degree):
+        [r] = run_suite(name, args.degree)
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}", flush=True)
+        results.append(r)
     if args.output:
         payload = {
             "config": _config("verify", suite=args.suite, degree=args.degree),
@@ -246,8 +251,18 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through ``add_subparsers`` its subparsers,
+    that read ``-1e-6`` or ``-2.5E-1`` as a negative number: argparse's own
+    negative-number pattern has no exponent, so it took them for flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cesaro-lab",
         description="Numerical laboratory for Cesaro-type operators on truncated Taylor series.",
     )

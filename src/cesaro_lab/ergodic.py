@@ -117,14 +117,23 @@ def iterate_trace(
     for n in range(1, n_max + 1):
         current = iterates[n - 1 : n] = generalized_cesaro_apply(tv, current)
         mean = means[n - 1] = mean + (current[0] - mean) / n
-    target = f.coeffs[0] * tv ** np.arange(f.degree + 1)
+    # each array goes once it is normed, and the projection differences
+    # overwrite the means, so no trace array is alive beside two others
+    iterate_norms = norms(iterates)
+    del iterates
+    mean_norms = norms(means)
+    mean_increments = norms(means[1::2] - means[: n_max // 2])
+    projection_errors = ()
+    if tv < 1.0:
+        means -= f.coeffs[0] * tv ** np.arange(f.degree + 1)
+        projection_errors = norms(means)
     return ErgodicTrace(
         t=tv,
         weight=weight,
-        iterate_norms=norms(iterates),
-        mean_norms=norms(means),
-        mean_increments=norms(means[1::2] - means[: n_max // 2]),
-        projection_errors=norms(means - target) if tv < 1.0 else (),
+        iterate_norms=iterate_norms,
+        mean_norms=mean_norms,
+        mean_increments=mean_increments,
+        projection_errors=projection_errors,
     )
 
 

@@ -147,11 +147,18 @@ def section_shape_error(section: np.ndarray) -> float:
     """Largest deviation of a finite section from its expected shape, on
     the diagonal and above it: its eigenvalues 1/(n+1) on the diagonal and
     zeros above, whatever the memory t."""
-    deviation = np.triu(section)
-    deviation[np.diag_indices(len(section))] -= 1.0 / np.arange(1, len(section) + 1)
-    # in place: the caller still holds the section, so a third (N+1)**2
-    # array would raise peak memory
-    return float(np.max(np.abs(deviation, out=deviation)))
+    size = len(section)
+    worst = [np.max(np.abs(np.diagonal(section) - 1.0 / np.arange(1, size + 1)))]
+    # the caller still holds the section, so it is read in eight blocks of
+    # rows, each cut to its columns from the block's first diagonal entry
+    # on: the masked copy of one block is the only large temporary
+    rows = -(-size // 8)
+    for start in range(0, size, rows):
+        above = np.triu(section[start : start + rows, start:], k=1)
+        worst.append(np.max(np.abs(above, out=above)))
+        del above  # before the next block is cut
+    # np.max, not max: a NaN anywhere on or above the diagonal is the answer
+    return float(np.max(worst))
 
 
 def build_corpus(degree: int, include_structured: bool = True):

@@ -3,8 +3,11 @@
 ``compose`` evaluates p(q(z)) by nested convolutions, and ``mobius_coeffs``
 gives the disc automorphism behind the composition semigroup S_t; together
 they define S_t directly, against which the closed-form Binomial rows of
-``cesaro_lab.operators.s_t_rows`` are checked.
+``cesaro_lab.operators.s_t_rows`` are checked.  ``traced_peak`` measures
+the memory a call allocates, for the tests that bound it.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -48,3 +51,13 @@ def mobius_coeffs(t: float, degree: int) -> Poly:
     c[1:] = a * (1.0 - a) ** np.arange(degree)
     return Poly(c)
 
+
+def traced_peak(run):
+    """The value of ``run()`` and the peak bytes ``tracemalloc`` traced
+    while it ran."""
+    tracemalloc.start()
+    try:
+        value = run()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

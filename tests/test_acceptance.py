@@ -82,6 +82,14 @@ def test_verify_all_reports_every_check_under_drifted_kernels(monkeypatch, capsy
         assert any(line.startswith(f"FAIL {name}:") for line in lines)
 
 
+def test_every_check_passes_at_the_degree_floor():
+    # run_suite refuses a lower degree, so the floor must be one where
+    # every check runs
+    results = verify.run_suite("all", verify.DEGREE_FLOOR)
+    assert [r.name for r in results] == list(verify.SUITES)
+    assert all(r.passed for r in results)
+
+
 def test_eigen_ct_at_degrees_where_the_tail_starts_below_m():
     # from degree 7 down the tail starts below m = 5, where C(n, m) = 0 and
     # the closed form's t**(n-m) would divide by zero at t = 0

@@ -1,10 +1,9 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from cesaro_lab.cli import main, read_coeffs_csv
+from cesaro_lab.cli import build_parser, main, read_coeffs_csv
 from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
 from cesaro_lab.resolvent import NODE_CAP, PANEL_CAP, TIME_PANEL
@@ -12,6 +11,8 @@ from cesaro_lab.series import binomial_series, log_one_minus_inv
 from cesaro_lab import verify
 from cesaro_lab.verify import CheckResult, run_suite
 from cesaro_lab.weights import SAMPLES_CAP
+
+from oracles import traced_peak
 
 
 def write_constant_csv(path, degree):
@@ -24,12 +25,7 @@ def past_cap_run(tmp_path, argv):
     """Exit code and peak traced bytes of ``main(argv + --output f)``, and
     whether f exists afterwards."""
     out = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--output", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv + ["--output", str(out)]))
     return code, peak, out.exists()
 
 
@@ -133,6 +129,27 @@ class TestResolventCommand:
         got = read_coeffs_csv(str(out))
         assert got.coeffs[0] == pytest.approx(-0.5)
         assert got.coeffs[1] == pytest.approx(1 / 6)
+
+    def test_negative_lambda_with_an_exponent_is_a_value(self, tmp_path):
+        # argparse's own negative-number pattern has no exponent, so it took
+        # -1e-6 for a flag and exited 2 with "expected one argument"
+        written = []
+        for lam in (["--lambda-re", "-1e-6"], ["--lambda-re=-1e-6"]):
+            out = tmp_path / f"res{len(written)}.csv"
+            code = main(["resolvent", "--route", "recurrence", *lam, "--lambda-im", "1",
+                         "--f", "const1", "--degree", "8", "--output", str(out)])
+            assert code == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    def test_parser_reads_exponent_forms_as_numbers(self):
+        args = build_parser().parse_args(
+            ["resolvent", "--route", "recurrence", "--lambda-re", "-2.5E-1", "--lambda-im",
+             "-1e+2", "--t-max", "-.5e1", "--f", "const1"]
+        )
+        assert (args.lambda_re, args.lambda_im, args.t_max) == (-0.25, -100.0, -5.0)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resolvent", "--route", "recurrence", "--lambda-re", "-e5"])
 
     def test_integral_samples_file(self, tmp_path):
         out = tmp_path / "samples.csv"
@@ -259,13 +276,10 @@ class TestErgodicCommand:
     def test_budget_past_cap_exits_two(self, tmp_path, capsys, flag, value):
         # refused before the 16 MB input function is built
         out = tmp_path / "t.json"
-        tracemalloc.start()
-        try:
-            code = main(["ergodic", "--t", "0.5", flag, str(value), "--f", "const1",
-                         "--degree", "1000000", "--output", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            lambda: main(["ergodic", "--t", "0.5", flag, str(value), "--f", "const1",
+                          "--degree", "1000000", "--output", str(out)])
+        )
         assert code == 2
         assert peak < 1_000_000
         assert not out.exists()
@@ -354,12 +368,9 @@ class TestSpectrumCommand:
     def test_degree_past_cap_exit_two(self, tmp_path, capsys):
         # refused before the first 34 MB section is built
         out = tmp_path / "spec.json"
-        tracemalloc.start()
-        try:
-            code = main(["spectrum", "--degree", str(ST_DEGREE_CAP + 1), "--output", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            lambda: main(["spectrum", "--degree", str(ST_DEGREE_CAP + 1), "--output", str(out)])
+        )
         assert code == 2
         assert peak < 1_000_000
         assert not out.exists()
@@ -428,3 +439,38 @@ class TestVerifyCommand:
         assert ran == []
         assert main(["verify", "--suite", "eigen-ct", "--degree", str(ST_DEGREE_CAP)]) == 0
         assert ran == [ST_DEGREE_CAP]
+
+    def test_degree_below_floor_exit_two_before_any_check(self, capsys, monkeypatch):
+        # below degree 7 a check refused its own inputs with a message that
+        # named neither the check nor the degree, or printed NaN ratios
+        ran = []
+
+        def sentinel(degree):
+            ran.append(degree)
+            return CheckResult(name="sentinel", passed=True, runtime_s=0.0, detail="ran")
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, sentinel)
+        for degree in (-1, 0, 4, 6):
+            assert main(["verify", "--suite", "all", "--degree", str(degree)]) == 2
+            assert f"degree {degree} is below the floor 7" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="degree 6 is below the floor 7"):
+            run_suite("eigen-ct", 6)
+        assert ran == []
+        assert main(["verify", "--suite", "all", "--degree", "7"]) == 0
+        assert ran == [7] * len(verify.SUITES)
+
+    def test_each_line_is_printed_as_its_check_returns(self, capsys, monkeypatch):
+        # a late check that raises must not discard the lines of the checks
+        # that finished before it
+        seen = []
+
+        def late(degree):
+            seen.append(capsys.readouterr().out)
+            raise ZeroDivisionError("late check")
+
+        first = CheckResult(name="first", passed=True, runtime_s=0.0, detail="done")
+        monkeypatch.setattr(verify, "SUITES", {"first": lambda degree: first, "late": late})
+        with pytest.raises(ZeroDivisionError, match="late check"):
+            main(["verify", "--suite", "all", "--degree", "64"])
+        assert seen == ["PASS first: done\n"]

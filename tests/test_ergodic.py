@@ -1,4 +1,3 @@
-import tracemalloc
 from math import comb
 
 import numpy as np
@@ -24,17 +23,18 @@ from cesaro_lab.weights import (
     weighted_sup_norm,
 )
 
+from oracles import traced_peak
+
 
 def refusal_peak_bytes(run, match):
     """Peak bytes allocated while ``run()`` raises a ValueError matching
     ``match``: a budget refused before any work allocates almost nothing."""
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(ValueError, match=match):
             run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    return traced_peak(refused)[1]
 
 
 class TestCesaroEigenpairs:
@@ -183,6 +183,16 @@ class TestIterateTrace:
         for run, match in runs:
             assert refusal_peak_bytes(run, match) < 100_000
 
+    def test_frees_each_array_once_it_is_normed(self):
+        # the iterates and the means take 2.1 MB each at degree 512 and 256
+        # iterations; the iterates go before the means are normed, and the
+        # projection differences overwrite the means, so no third array of
+        # that size is alive beside the norm's own work
+        f = truncate(monomial(0), 512)
+        w = WeightSpec.log_power(1)
+        _, peak = traced_peak(lambda: iterate_trace(0.5, f, w, 256))
+        assert peak <= 8.5e6
+
     def test_accepts_readme_budgets(self):
         f = truncate(monomial(0), 16)
         trace = iterate_trace(0.5, f, WeightSpec.log_power(1), 256, samples=1024)
@@ -296,6 +306,12 @@ class TestSpectralDichotomy:
                     ))
                 np.testing.assert_allclose(pt.norms, expected, rtol=1e-14, atol=0)
                 assert pt.growth_ratio == pytest.approx(expected[-1] / expected[0], rel=1e-14)
+
+    def test_holds_one_section_at_a_time(self):
+        # each section is measured without a second (N+1)**2 array beside
+        # it, and the sweep that follows needs less than one section
+        _, peak = traced_peak(lambda: spectral_dichotomy_report(1024))
+        assert peak <= 1.25 * 8 * 1025**2
 
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):

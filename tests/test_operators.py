@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -29,7 +28,7 @@ from cesaro_lab.series import (
     truncate,
 )
 
-from oracles import compose, mobius_coeffs
+from oracles import compose, mobius_coeffs, traced_peak
 from cesaro_lab.weights import WeightSpec, default_radius_grid, max_modulus_profile, weighted_sup_norm
 
 finite_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -341,38 +340,50 @@ class TestFiniteSection:
 
     def test_real_read_only_and_built_in_one_allocation(self):
         # no gap, mask or complex copy beside the 8 (N+1)**2 bytes it returns
-        tracemalloc.start()
-        try:
-            fs = finite_section(0.5, 1024)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fs, peak = traced_peak(lambda: finite_section(0.5, 1024))
         assert fs.dtype == np.float64 and not fs.flags.writeable
         assert peak <= 1.1 * 8 * 1025**2
 
-    def test_shape_error_allocates_one_section_beside_its_argument(self):
-        # its callers hold the section while it is measured, so a second
-        # float (N+1)**2 temporary would raise the spectral sweep's peak
-        # memory; np.triu's boolean mask adds an eighth of one
+    def test_shape_error_allocates_a_quarter_section_beside_its_argument(self):
+        # its callers hold the section while it is measured, so it is read
+        # in blocks of rows: a second (N+1)**2 array, or two blocks alive
+        # at once, would raise the spectral sweep's peak memory
         fs = finite_section(0.5, 1024)
-        tracemalloc.start()
-        try:
-            assert section_shape_error(fs) == 0.0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 8 * 1025**2
+        error, peak = traced_peak(lambda: section_shape_error(fs))
+        assert error == 0.0
+        assert peak <= 8 * 1025**2 / 4
+
+    @given(
+        memory_params,
+        st.integers(min_value=0, max_value=40),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0),
+                st.integers(min_value=0),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_shape_error_matches_the_masked_copy_bitwise(self, t, degree, mutations):
+        # entries set above, on and below the diagonal; the maximum of
+        # absolute values is exact, so the blocks give the bits of one max
+        section = finite_section(t, degree).copy()
+        for row, col, value in mutations:
+            section[row % (degree + 1), col % (degree + 1)] = value
+        deviation = np.triu(section)
+        deviation[np.diag_indices(degree + 1)] -= 1.0 / np.arange(1, degree + 2)
+        expected = float(np.max(np.abs(deviation)))
+        assert section_shape_error(section).hex() == expected.hex()
 
     def test_refuses_degree_past_cap_before_allocating(self):
         # accepted, the section would take 8 * (ST_DEGREE_CAP + 2)**2 bytes
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(ValueError, match=f"exceeds the section cap {ST_DEGREE_CAP}"):
                 finite_section(0.5, ST_DEGREE_CAP + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+
+        assert traced_peak(refused)[1] < 100_000
 
 
 class TestLogPowerIdentity:

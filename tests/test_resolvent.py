@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from cesaro_lab.resolvent import (
     semigroup_horizon,
 )
 from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial, truncate
+
+from oracles import traced_peak
 
 
 #: The four lam of the resolvent-routes check's integral comparison.
@@ -318,12 +319,7 @@ class TestIntegralRoute:
         members = [h for _, h in build_corpus(128)]
         zs = off_cut_sample_points()
         resolvent_integral_profile(1j, members, zs)  # the Gauss rule is cached
-        tracemalloc.start()
-        try:
-            resolvent_integral_profile(ROUTE_LAMS, members, zs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: resolvent_integral_profile(ROUTE_LAMS, members, zs))
         assert peak < 5 * 1024 * zs.size * 16
 
     def test_moment_form_makes_no_horner_calls(self, monkeypatch):
@@ -393,14 +389,12 @@ class TestSemigroupRoute:
         # Re(1/lam) = -1e-6 derives T = 3.45e7: 1.7e7 time panels, some 4e8 nodes
         lam, h = -1e-6 + 1j, truncate(monomial(0), 8)
         assert semigroup_horizon(lam, 1e-9) > 3e7
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match="time panels of 24 nodes exceed the node budget"):
                 resolvent_semigroup(lam, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+
+        assert traced_peak(refused)[1] < 1_000_000
 
     def test_node_budget_counts_panels_times_time_nodes(self):
         # lam = -10 takes 116 time panels and lam = -100 takes 1,267: at 24

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +27,8 @@ from cesaro_lab.weights import (
     weight_eval,
     weighted_sup_norm,
 )
+
+from oracles import traced_peak
 from test_resolvent import cpu_per_wall
 
 
@@ -60,16 +60,6 @@ def count_fft_rows(monkeypatch):
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return rows
-
-
-def traced_peak(run):
-    """Peak bytes traced by ``tracemalloc`` while ``run()`` runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def assert_matches_full_profile(members, w, samples):
@@ -271,14 +261,11 @@ class TestMaxModulus:
             max_modulus_profile(Poly([1]), [0.5], samples=4)
 
     def test_rejects_sample_count_above_cap(self):
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(ValueError, match=f"at most {SAMPLES_CAP} samples"):
                 max_modulus_profile(Poly([1]), [0.5], samples=SAMPLES_CAP + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+
+        assert traced_peak(refused)[1] < 100_000
         assert max_modulus_profile(Poly([1]), [0.5], samples=SAMPLES_CAP)[0] == 1.0
 
     def test_stack_matches_single_calls(self):
@@ -312,7 +299,7 @@ class TestMaxModulus:
         mixed = [p for pair in zip(random_stack(150, 513), random_real_stack(150, 513)) for p in pair]
         grid = default_radius_grid(512)
         for members in (random_stack(300, 513), mixed):
-            assert traced_peak(lambda: max_modulus_profile(members, grid)) <= 3 * STACK_BLOCK_BYTES
+            assert traced_peak(lambda: max_modulus_profile(members, grid))[1] <= 3 * STACK_BLOCK_BYTES
 
     def test_stacked_norms_leave_blas_threads_asleep(self):
         members = random_stack(63, 513)
@@ -398,7 +385,7 @@ class TestWeightedSupNorm:
         grid = default_radius_grid(512)
         w = WeightSpec.log_power(1)
         for members in (random_stack(300, 513), random_real_stack(300, 513)):
-            assert traced_peak(lambda: weighted_sup_norm(members, w, grid)) <= 3 * STACK_BLOCK_BYTES
+            assert traced_peak(lambda: weighted_sup_norm(members, w, grid))[1] <= 3 * STACK_BLOCK_BYTES
 
     def test_rejects_radii_beyond_reliability(self):
         with pytest.raises(ValueError):
