@@ -158,14 +158,13 @@ def _cmd_resolvent(args) -> int:
         panels=args.panels,
         # a literal: the benchmark reference requires it in f.csv, g.csv and vals.csv
         substitution=True,
-        t_max=args.t_max,
     )
-    quad = QuadratureSpec(nodes=args.nodes, panels=args.panels, t_max=args.t_max)
+    quad = QuadratureSpec(nodes=args.nodes, panels=args.panels)
     h = _load_function(args, config)
     if args.route == "recurrence":
         write_coeffs_csv(args.output, resolvent_recurrence(lam, h), config)
     elif args.route == "semigroup":
-        write_coeffs_csv(args.output, resolvent_semigroup(lam, h, quad), config)
+        write_coeffs_csv(args.output, resolvent_semigroup(lam, h), config)
     else:
         zs = off_cut_sample_points()
         values = resolvent_integral_profile(lam, h, zs, quad)
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--lambda-im", type=float, default=0.0)
     p_res.add_argument("--nodes", type=int, default=256, help="quadrature nodes per panel")
     p_res.add_argument("--panels", type=int, default=4)
-    p_res.add_argument("--t-max", type=float, default=None, help="semigroup horizon override")
     add_function_args(p_res)
 
     p_spec = sub.add_parser("spectrum", help="finite-section diagonals and resolvent-norm sweep")

@@ -72,22 +72,6 @@ def cesaro_inverse_apply(p):
     return stack_as_given(p, np.diff(weighted, axis=1, prepend=0))
 
 
-def pascal_rows(a, degree: int):
-    """Yield the rows P_0..P_degree of :func:`s_t_rows` for all node values
-    in the 1-d array ``a`` at once, row n as an (n+1, a.size) view of one
-    buffer updated in place, valid only until the next step:
-    P_n[j] = (1-a)*P_{n-1}[j] + a*P_{n-1}[j-1], P_0 = [a]."""
-    a = np.asarray(a, dtype=float)
-    rows = np.zeros((degree + 1, a.size))
-    rows[0] = a
-    yield rows[:1]
-    for n in range(1, degree + 1):
-        shifted = a * rows[:n]
-        rows[:n] *= 1.0 - a
-        rows[1 : n + 1] += shifted
-        yield rows[: n + 1]
-
-
 def s_t_rows(t: float, degree: int) -> np.ndarray:
     """The real (degree+1)x(degree+1) matrix of the weighted composition
     (phi_t(z)/z) * p(phi_t(z)) truncated to the degree, with
@@ -95,9 +79,9 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
 
     Closed form: coefficient n of the image is
     a * sum_{k<=n} C(n,k) a**k (1-a)**(n-k) c_k, so row n is a times the
-    Binomial(n, a) probabilities: the single-node case of
-    :func:`pascal_rows`, whose recurrence takes only convex combinations
-    and so stays stable; each row is copied out before the next step.
+    Binomial(n, a) probabilities, written from row n-1 by the Pascal
+    recurrence P_n[j] = (1-a)*P_{n-1}[j] + a*P_{n-1}[j-1], P_0 = [a], which
+    takes only convex combinations and so stays stable.
     Cost is O(N**2) time and 8*(N+1)**2 bytes, so degrees above
     ``ST_DEGREE_CAP`` are refused before anything is allocated.
     """
@@ -106,9 +90,12 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
         raise ValueError("t must be a finite nonnegative real")
     if degree > ST_DEGREE_CAP:
         raise ValueError(f"degree {degree} exceeds the S_t cap {ST_DEGREE_CAP}")
+    a = np.exp(-tv)
     rows = np.zeros((degree + 1, degree + 1))
-    for n, row in enumerate(pascal_rows([np.exp(-tv)], degree)):
-        rows[n, : n + 1] = row[:, 0]
+    rows[0, 0] = a
+    for n in range(1, degree + 1):
+        rows[n, :n] = (1.0 - a) * rows[n - 1, :n]
+        rows[n, 1 : n + 1] += a * rows[n - 1, :n]
     return rows
 
 

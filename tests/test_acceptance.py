@@ -149,6 +149,15 @@ def test_resolvent_routes_makes_one_integral_call(monkeypatch):
     assert calls == [[1j, 2j, -1 + 1j, 3.0]]
 
 
+@pytest.mark.parametrize("drift, passed", [(1e-6, False), (1e-9, True)])
+def test_resolvent_routes_semigroup_side_bites(monkeypatch, drift, passed):
+    # the semigroup side reads about 7e-16 against its 1e-6 tolerance: a
+    # drift of 1e-6 fails, and one of 1e-9 passes, which is its slack
+    exact = verify.resolvent_semigroup
+    monkeypatch.setattr(verify, "resolvent_semigroup", scaled(exact, 1 + drift))
+    assert report(verify.check_resolvent_routes()).passed is passed
+
+
 def test_resolvent_defining_identity():
     result = report(verify.check_resolvent_identity(512))
     assert result.passed, result.detail

@@ -6,8 +6,8 @@ import pytest
 from cesaro_lab.cli import build_parser, main, read_coeffs_csv
 from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
-from cesaro_lab.resolvent import NODE_CAP, PANEL_CAP, TIME_PANEL
-from cesaro_lab.series import binomial_series, log_one_minus_inv
+from cesaro_lab.resolvent import NODE_CAP, PANEL_CAP, resolvent_recurrence
+from cesaro_lab.series import binomial_series, log_one_minus_inv, monomial, truncate
 from cesaro_lab import verify
 from cesaro_lab.verify import CheckResult, run_suite
 from cesaro_lab.weights import SAMPLES_CAP
@@ -143,11 +143,13 @@ class TestResolventCommand:
         assert written[0] == written[1]
 
     def test_parser_reads_exponent_forms_as_numbers(self):
-        args = build_parser().parse_args(
-            ["resolvent", "--route", "recurrence", "--lambda-re", "-2.5E-1", "--lambda-im",
-             "-1e+2", "--t-max", "-.5e1", "--f", "const1"]
-        )
-        assert (args.lambda_re, args.lambda_im, args.t_max) == (-0.25, -100.0, -5.0)
+        forms = [(("-2.5E-1", "-1e+2"), (-0.25, -100.0)), (("-.5e1", "-1E-3"), (-5.0, -1e-3))]
+        for lam, want in forms:
+            args = build_parser().parse_args(
+                ["resolvent", "--route", "recurrence", "--lambda-re", lam[0], "--lambda-im",
+                 lam[1], "--f", "const1"]
+            )
+            assert (args.lambda_re, args.lambda_im) == want
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resolvent", "--route", "recurrence", "--lambda-re", "-e5"])
 
@@ -208,10 +210,6 @@ class TestResolventCommand:
     @pytest.mark.parametrize(
         "route, flag, value, message",
         [
-            ("semigroup", "--t-max", "inf", "t_max must be finite"),
-            ("semigroup", "--t-max", "-inf", "t_max must be finite"),
-            ("semigroup", "--t-max", "nan", "t_max must be finite"),
-            ("semigroup", "--t-max", "1e308", "t_max must be finite"),
             ("integral", "--nodes", str(NODE_CAP + 1), f"[16, {NODE_CAP}]"),
             ("integral", "--nodes", "8", f"[16, {NODE_CAP}]"),
             ("integral", "--panels", str(PANEL_CAP + 1), f"[1, {PANEL_CAP}]"),
@@ -220,7 +218,7 @@ class TestResolventCommand:
     )
     def test_quadrature_budget_past_cap_exits_two(self, tmp_path, capsys, route, flag, value,
                                                   message):
-        # refused when the spec is built: no Gauss rule, no time panel loop
+        # refused when the spec is built: no Gauss rule
         out = tmp_path / "x.csv"
         code = main(["resolvent", "--route", route, "--lambda-re", "-1", "--f", "const1",
                      "--degree", "8", f"{flag}={value}", "--output", str(out)])
@@ -229,22 +227,42 @@ class TestResolventCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    def test_semigroup_horizon_past_node_budget_exits_two(self, tmp_path, capsys):
-        # the derived horizon T = 3.45e7 would take 1.7e7 time panels; argparse
-        # reads a bare "-1e-6" as a flag, so the value is attached with "="
-        argv = ["resolvent", "--route", "semigroup", "--lambda-re=-1e-6", "--lambda-im", "1",
-                "--f", "const1", "--degree", "8"]
-        code, peak, written = past_cap_run(tmp_path, argv)
-        assert code == 2
-        assert peak < 1_000_000
-        assert not written
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "time panels of 24 nodes exceed the node budget" in err
+    @pytest.mark.parametrize("value", ["3", "inf", "-inf", "nan", "1e308"])
+    def test_t_max_is_an_unknown_option(self, tmp_path, capsys, value):
+        # the semigroup route takes its transform in closed form: no horizon to set
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resolvent", "--route", "semigroup", "--lambda-re", "-1", "--f", "const1",
+                  "--degree", "8", f"--t-max={value}", "--output", str(out)])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+        assert "unrecognized arguments: --t-max" in capsys.readouterr().err
+
+    def test_semigroup_near_the_imaginary_axis_matches_recurrence(self, tmp_path):
+        # Re(1/lam) = -1e-6: the integrand e^(t/lam) S_t h barely decays in t
+        out = tmp_path / "g.csv"
+        code = main(["resolvent", "--route", "semigroup", "--lambda-re=-1e-6", "--lambda-im", "1",
+                     "--f", "const1", "--degree", "8", "--output", str(out)])
+        assert code == 0
+        got = read_coeffs_csv(str(out)).coeffs
+        want = resolvent_recurrence(-1e-6 + 1j, truncate(monomial(0), 8)).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_semigroup_refuses_lambda_below_the_guard(self, tmp_path, capsys):
+        # the same guard and message as the recurrence route
+        for route in ("semigroup", "recurrence"):
+            out = tmp_path / f"{route}.csv"
+            code = main(["resolvent", "--route", route, "--lambda-re=-1e-13", "--f", "const1",
+                         "--degree", "4", "--output", str(out)])
+            assert code == 2
+            assert not out.exists()
+            assert capsys.readouterr().err == "error: lam must be nonzero\n"
 
     def test_quadrature_budgets_at_caps_accepted(self, tmp_path):
+        # the semigroup route validates the integral route's budgets and reads none
         out = tmp_path / "g.csv"
         code = main(["resolvent", "--route", "semigroup", "--lambda-re", "-1", "--f", "const1",
-                     "--degree", "8", "--t-max", str(TIME_PANEL * PANEL_CAP),
+                     "--degree", "8", "--nodes", str(NODE_CAP), "--panels", str(PANEL_CAP),
                      "--output", str(out)])
         assert code == 0
         assert read_coeffs_csv(str(out)).degree == 8
