@@ -9,6 +9,7 @@ failure, 2 invalid usage or configuration, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -218,15 +219,7 @@ def _cmd_classify(args) -> int:
     weight = WeightSpec(args.weight_kind, args.weight_order)
     family = [build(d) for d in degrees]
     report = growth_classify(family, weight=weight)
-    payload = {
-        "config": config,
-        "log_order": report.log_order,
-        "standard_order": report.standard_order,
-        "residuals": report.residuals,
-        "divergence_flag": report.divergence_flag,
-        "norms_by_degree": list(report.norms_by_degree),
-    }
-    write_json(args.output, payload)
+    write_json(args.output, dict(dataclasses.asdict(report), config=config))
     return 0
 
 
@@ -241,10 +234,7 @@ def _cmd_verify(args) -> int:
     if args.output:
         payload = {
             "config": _config("verify", suite=args.suite, degree=args.degree),
-            "results": [
-                {"name": r.name, "passed": r.passed, "runtime_s": r.runtime_s, "detail": r.detail}
-                for r in results
-            ],
+            "results": [dataclasses.asdict(r) for r in results],
         }
         write_json(args.output, payload)
     return 0 if all(r.passed for r in results) else 1

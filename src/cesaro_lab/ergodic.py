@@ -150,9 +150,11 @@ class SpectralPoint:
 @dataclass(frozen=True, eq=False)
 class SpectralDichotomyReport:
     """Finite-section shape check plus a resolvent-norm sweep over a
-    lambda grid, tabulating where the estimates blow up across degrees
-    (right half-plane) versus stabilize (elsewhere).  A numerical
-    illustration, not a proof."""
+    lambda grid.  A point is "growing" if its norm estimate at the largest
+    section degree is more than ``GROWTH_RATIO_THRESHOLD`` times the one at
+    the smallest, and "stable" otherwise.  At degree 1024 the 4 growing
+    points all have Re(1/lambda) > 1, and 129 of the 133 points with
+    Re lambda > 0 are stable.  A numerical illustration, not a proof."""
 
     degrees: tuple
     section_diagonal_errors: dict

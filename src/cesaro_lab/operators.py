@@ -88,6 +88,8 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
         raise ValueError("t must be a finite nonnegative real")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     if degree > ST_DEGREE_CAP:
         raise ValueError(f"degree {degree} exceeds the S_t cap {ST_DEGREE_CAP}")
     a = np.exp(-tv)
@@ -148,13 +150,13 @@ def section_shape_error(section: np.ndarray) -> float:
     return float(np.max(worst))
 
 
-def build_corpus(degree: int, include_structured: bool = True):
+def build_corpus(degree: int):
     """The reproducible test corpus: 50 pseudo-random polynomials with
     coefficients uniform in the unit disc, plus a structured family mixing
     bounded, logarithmic, and standard-order growth.
 
-    Returns a list of (name, Poly) pairs; the random members are named
-    ``random-NN``.
+    Returns a list of (name, Poly) pairs; the random members come first,
+    named ``random-NN``.
     """
     if degree < 4:
         raise ValueError("corpus degree must be at least 4")
@@ -164,8 +166,6 @@ def build_corpus(degree: int, include_structured: bool = True):
         radius = np.sqrt(rng.random(degree + 1))
         angle = 2.0 * np.pi * rng.random(degree + 1)
         corpus.append((f"random-{i:02d}", Poly(radius * np.exp(1j * angle))))
-    if not include_structured:
-        return corpus
     corpus.append(("one", truncate(monomial(0), degree)))
     corpus.append(("log-inv", log_one_minus_inv(degree)))
     g = Poly(-log_one_minus_inv(degree).coeffs)

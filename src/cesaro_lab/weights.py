@@ -79,7 +79,7 @@ def reliable_radius(degree: int) -> float:
     return max(0.5, 1.0 - 10.0 / degree)
 
 
-def default_radius_grid(degree: int, include_zero: bool = True) -> np.ndarray:
+def default_radius_grid(degree: int) -> np.ndarray:
     """Radii geometrically spaced in 1-r from 0.5 down to the reliability
     gap, preceded by a coarse linear band below 0.5.
 
@@ -94,8 +94,6 @@ def default_radius_grid(degree: int, include_zero: bool = True) -> np.ndarray:
     else:
         outer = np.sort(1.0 - np.geomspace(0.5, gap_min, 64))
     low = np.linspace(0.0, 0.5, 9, endpoint=False)
-    if not include_zero:
-        low = low[1:]
     return np.concatenate([low, outer])
 
 
@@ -326,7 +324,7 @@ def growth_classify(truncations, weight: WeightSpec | None = None) -> GrowthRepo
         weight = WeightSpec.log_power(1)
 
     largest = truncations[-1]
-    grid = default_radius_grid(largest.degree, include_zero=False)
+    grid = default_radius_grid(largest.degree)[1:]
     if grid.size < 4:
         raise ValueError("degenerate radius grid: fewer than 4 radii")
     m_vals = max_modulus_profile(largest, grid)

@@ -1,9 +1,12 @@
-"""End-to-end acceptance suite: one test per verification criterion.
+"""End-to-end acceptance suite: every verification criterion, and tests
+that each check's own gate bites.
 
-Each test delegates to the corresponding check in ``cesaro_lab.verify``
-(so the command-line ``verify`` subcommand and this module always agree),
-prints one pass/fail line, and asserts the check passed at its stated
-tolerance and runtime budget.
+``test_check_passes_within_its_budget`` runs each check of
+``cesaro_lab.verify.SUITES`` through ``run_suite`` (so the command-line
+``verify`` subcommand and this module always agree), prints one pass/fail
+line, and asserts the check passed at its stated tolerance and runtime
+budget.  Most bite tests call a check directly and read its verdict and
+detail, apart from its budget.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
@@ -17,12 +20,6 @@ from cesaro_lab import operators, verify, weights
 from cesaro_lab.cli import main
 from cesaro_lab.ergodic import SECTION_T_VALUES, spectral_dichotomy_report
 from cesaro_lab.series import Poly
-
-
-def report(result):
-    line = f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}"
-    print(line)
-    return result
 
 
 def scaled(exact, factor):
@@ -42,22 +39,21 @@ def scaled(exact, factor):
 DRIFT = 1 + 1e-9
 
 
-def test_eigen_identity_cesaro():
-    result = report(verify.check_eigen_cesaro(512))
-    assert result.passed, result.detail
-
-
-def test_eigen_identity_ct():
-    result = report(verify.check_eigen_ct(512))
-    assert result.passed, result.detail
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_check_passes_within_its_budget(name):
+    [result] = verify.run_suite(name, 512)
+    print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+    assert result.name == name
+    assert result.passed is True, result.detail
+    assert result.runtime_s <= verify.SUITES[name][0]
 
 
 def test_eigen_cesaro_rejects_a_drifted_kernel(monkeypatch):
     # the check's own residual gate decides, and it reports the residual
     monkeypatch.setattr(verify, "cesaro_apply", scaled(verify.cesaro_apply, DRIFT))
-    result = report(verify.check_eigen_cesaro(512))
-    assert not result.passed
-    assert "max relative residual" in result.detail
+    passed, detail = verify.check_eigen_cesaro(512)
+    assert not passed
+    assert "max relative residual" in detail
 
 
 def test_eigen_ct_residual_clause_rejects_a_drifted_kernel(monkeypatch):
@@ -65,9 +61,9 @@ def test_eigen_ct_residual_clause_rejects_a_drifted_kernel(monkeypatch):
     # norms, exact: only the residual clause can fail
     exact = verify.generalized_cesaro_apply
     monkeypatch.setattr(verify, "generalized_cesaro_apply", scaled(exact, DRIFT))
-    result = report(verify.check_eigen_ct(512))
-    assert not result.passed
-    assert re.search(r"failed clauses: residual \[", result.detail)
+    passed, detail = verify.check_eigen_ct(512)
+    assert not passed
+    assert detail.endswith("failed clauses: residual")
 
 
 def test_verify_all_reports_every_check_under_drifted_kernels(monkeypatch, capsys):
@@ -94,7 +90,8 @@ def test_eigen_ct_at_degrees_where_the_tail_starts_below_m():
     # from degree 7 down the tail starts below m = 5, where C(n, m) = 0 and
     # the closed form's t**(n-m) would divide by zero at t = 0
     for degree in (5, 6, 7):
-        assert report(verify.check_eigen_ct(degree)).passed
+        passed, detail = verify.check_eigen_ct(degree)
+        assert passed, detail
 
 
 def test_eigen_ct_tail_clause_rejects_truncated_eigenvector(monkeypatch):
@@ -108,31 +105,16 @@ def test_eigen_ct_tail_clause_rejects_truncated_eigenvector(monkeypatch):
         return Poly(x)
 
     monkeypatch.setattr(verify, "eigenvector_ct", truncated)
-    result = verify.check_eigen_ct(512)
-    assert not result.passed
-    assert "failed clauses:" in result.detail
-    assert "tail" in result.detail.split("failed clauses:")[1]
-
-
-def test_inverse_identity():
-    result = report(verify.check_inverse_roundtrip(512))
-    assert result.passed, result.detail
-
-
-def test_log_power_identity():
-    # the check passes only if every k = 1..4 meets the bound 1e-10
-    result = report(verify.check_log_power_identity())
-    assert result.passed, result.detail
+    passed, detail = verify.check_eigen_ct(512)
+    assert not passed
+    assert "failed clauses:" in detail
+    assert "tail" in detail.split("failed clauses:")[1]
 
 
 def test_log_power_identity_rejects_a_drifted_kernel(monkeypatch):
+    # the check passes only if every k = 1..4 meets the bound 1e-10
     monkeypatch.setattr(verify, "cesaro_apply", scaled(verify.cesaro_apply, DRIFT))
-    assert not report(verify.check_log_power_identity()).passed
-
-
-def test_resolvent_route_agreement():
-    result = report(verify.check_resolvent_routes())
-    assert result.passed, result.detail
+    assert not verify.check_log_power_identity()[0]
 
 
 def test_resolvent_routes_makes_one_integral_call(monkeypatch):
@@ -145,7 +127,7 @@ def test_resolvent_routes_makes_one_integral_call(monkeypatch):
         return exact(lam, *args, **kwargs)
 
     monkeypatch.setattr(verify, "resolvent_integral_profile", counted)
-    assert verify.check_resolvent_routes().passed
+    assert verify.check_resolvent_routes()[0]
     assert calls == [[1j, 2j, -1 + 1j, 3.0]]
 
 
@@ -155,17 +137,7 @@ def test_resolvent_routes_semigroup_side_bites(monkeypatch, drift, passed):
     # drift of 1e-6 fails, and one of 1e-9 passes, which is its slack
     exact = verify.resolvent_semigroup
     monkeypatch.setattr(verify, "resolvent_semigroup", scaled(exact, 1 + drift))
-    assert report(verify.check_resolvent_routes()).passed is passed
-
-
-def test_resolvent_defining_identity():
-    result = report(verify.check_resolvent_identity(512))
-    assert result.passed, result.detail
-
-
-def test_norm_inequalities():
-    result = report(verify.check_norm_inequalities(512))
-    assert result.passed, result.detail
+    assert verify.check_resolvent_routes()[0] is passed
 
 
 def test_norm_inequalities_contraction_clause_bites(monkeypatch):
@@ -173,10 +145,10 @@ def test_norm_inequalities_contraction_clause_bites(monkeypatch):
     # of the argument
     exact = operators.s_t_rows
     monkeypatch.setattr(operators, "s_t_rows", lambda t, degree: 1.5 * exact(t, degree))
-    result = verify.check_norm_inequalities(512)
-    assert not result.passed
-    assert "contraction-t" in result.detail
-    assert "63 corpus members, 175 violations:" in result.detail
+    passed, detail = verify.check_norm_inequalities(512)
+    assert not passed
+    assert "contraction-t" in detail
+    assert "63 corpus members, 175 violations:" in detail
 
 
 #: Violations of the scaled operators below, the same when every sup-norm
@@ -204,10 +176,10 @@ def test_norm_inequalities_sup_norm_clauses_bite(monkeypatch, name, factor, clau
     # an operator scaled past its proved bound fails the clause that bounds
     # it, and every threshold test counts the violations a full sweep counts
     monkeypatch.setattr(verify, name, scaled(getattr(verify, name), factor))
-    result = verify.check_norm_inequalities(512)
-    assert not result.passed
-    assert clause in result.detail
-    assert f"63 corpus members, {SCALED_VIOLATIONS[name, factor]} violations:" in result.detail
+    passed, detail = verify.check_norm_inequalities(512)
+    assert not passed
+    assert clause in detail
+    assert f"63 corpus members, {SCALED_VIOLATIONS[name, factor]} violations:" in detail
 
 
 def test_norm_inequalities_takes_one_full_profile(monkeypatch):
@@ -235,31 +207,16 @@ def test_norm_inequalities_takes_one_full_profile(monkeypatch):
     monkeypatch.setattr(weights, "weighted_sup_norm", refused)
     monkeypatch.setattr(verify, "weighted_sup_norm", refused, raising=False)
     monkeypatch.setattr(weights, "_gathered_rows", gathered_counted)
-    result = verify.check_norm_inequalities(512)
-    assert result.passed
+    passed, detail = verify.check_norm_inequalities(512)
+    assert passed
     corpus = [f for _, f in operators.build_corpus(512)]
     assert len(calls) == 1
     assert [q.coeffs.tolist() for q in calls[0][0]] == [f.coeffs.tolist() for f in corpus]
     assert np.array_equal(calls[0][1], weights.default_radius_grid(512))
     # 63 members x 73 radii of the profile, and 1,464 open clause rows
     assert sum(rows) == 6_063
-    found = re.search(r"; ([0-9,]+) of 110,313 rows certified by the bound", result.detail)
+    found = re.search(r"; ([0-9,]+) of 110,313 rows certified by the bound", detail)
     assert int(found.group(1).replace(",", "")) >= 0.98 * 110_313
-
-
-def test_ergodic_dichotomy():
-    result = report(verify.check_ergodic_dichotomy(512))
-    assert result.passed, result.detail
-
-
-def test_growth_classification():
-    result = report(verify.check_growth_classification())
-    assert result.passed, result.detail
-
-
-def test_finite_section_spectrum():
-    result = report(verify.check_finite_section_spectrum(512))
-    assert result.passed, result.detail
 
 
 def test_finite_section_spectrum_builds_each_section_once(monkeypatch):
@@ -272,13 +229,14 @@ def test_finite_section_spectrum_builds_each_section_once(monkeypatch):
         return exact(t, degree)
 
     monkeypatch.setattr(operators, "finite_section", counted)
-    assert verify.check_finite_section_spectrum(64).passed
+    assert verify.check_finite_section_spectrum(64)[0]
     assert calls == list(SECTION_T_VALUES)
 
 
 def test_finite_section_spectrum_rejects_entries_above_diagonal(monkeypatch):
     # a section with 1e-3 above its diagonal keeps the right eigenvalues on
-    # the diagonal, so only the zeros-above clause can catch it
+    # the diagonal; its product with the corpus fails (error / bound reads
+    # 1.00e+00), and the zeros-above gate fails too
     exact = operators.finite_section
 
     def skewed(t, degree):
@@ -286,9 +244,9 @@ def test_finite_section_spectrum_rejects_entries_above_diagonal(monkeypatch):
         return section + np.triu(np.full(section.shape, 1e-3), 1)
 
     monkeypatch.setattr(operators, "finite_section", skewed)
-    result = report(verify.check_finite_section_spectrum(64))
-    assert not result.passed
-    assert "1.00e-03" in result.detail
+    passed, detail = verify.check_finite_section_spectrum(64)
+    assert not passed
+    assert "1.00e-03" in detail
     sweep = spectral_dichotomy_report(64, degrees=(64, 128), grid_points=3)
     assert all(err == pytest.approx(1e-3) for err in sweep.section_diagonal_errors.values())
 
@@ -298,6 +256,15 @@ def test_finite_section_spectrum_rejects_a_drifted_kernel(monkeypatch):
     # corpus can see a memory-t kernel off by a relative 1e-9
     exact = verify.generalized_cesaro_apply
     monkeypatch.setattr(verify, "generalized_cesaro_apply", scaled(exact, DRIFT))
-    result = report(verify.check_finite_section_spectrum(64))
+    passed, detail = verify.check_finite_section_spectrum(64)
+    assert not passed
+    assert "zero above: 0.00e+00" in detail
+
+
+def test_finite_section_spectrum_gates_the_shape_it_prints(monkeypatch):
+    # the product with the corpus stays exact; only the shape gate, at the
+    # check's own tolerance 8 (N+2) 2**-53, can fail a shape off by 0.5
+    monkeypatch.setattr(verify, "section_shape_error", lambda section: 0.5)
+    [result] = verify.run_suite("finite-section-spectrum", 64)
     assert not result.passed
-    assert "zero above: 0.00e+00" in result.detail
+    assert "zero above: 5.00e-01" in result.detail

@@ -9,7 +9,7 @@ from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
 from cesaro_lab.resolvent import NODE_CAP, PANEL_CAP, resolvent_recurrence
 from cesaro_lab.series import binomial_series, log_one_minus_inv, monomial, truncate
 from cesaro_lab import verify
-from cesaro_lab.verify import CheckResult, run_suite
+from cesaro_lab.verify import run_suite
 from cesaro_lab.weights import SAMPLES_CAP
 
 from oracles import traced_peak
@@ -431,9 +431,8 @@ class TestVerifyCommand:
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         # a failing check must be reported and turn the exit status to 1,
         # not be masked; every real check passes, so force one to fail
-        failing = CheckResult(name="eigen-ct", passed=False, runtime_s=0.0,
-                              detail="forced failure")
-        monkeypatch.setitem(verify.SUITES, "eigen-ct", lambda degree: failing)
+        failing = (1.0, lambda degree: (False, "forced failure"))
+        monkeypatch.setitem(verify.SUITES, "eigen-ct", failing)
         code = main(["verify", "--suite", "eigen-ct", "--degree", "512"])
         assert code == 1
         out = capsys.readouterr().out
@@ -446,10 +445,10 @@ class TestVerifyCommand:
 
         def sentinel(degree):
             ran.append(degree)
-            return CheckResult(name="sentinel", passed=True, runtime_s=0.0, detail="ran")
+            return True, "ran"
 
         for name in verify.SUITES:
-            monkeypatch.setitem(verify.SUITES, name, sentinel)
+            monkeypatch.setitem(verify.SUITES, name, (1.0, sentinel))
         for degree in (ST_DEGREE_CAP + 1, 10**7):
             code = main(["verify", "--suite", "all", "--degree", str(degree)])
             assert code == 2
@@ -465,10 +464,10 @@ class TestVerifyCommand:
 
         def sentinel(degree):
             ran.append(degree)
-            return CheckResult(name="sentinel", passed=True, runtime_s=0.0, detail="ran")
+            return True, "ran"
 
         for name in verify.SUITES:
-            monkeypatch.setitem(verify.SUITES, name, sentinel)
+            monkeypatch.setitem(verify.SUITES, name, (1.0, sentinel))
         for degree in (-1, 0, 4, 6):
             assert main(["verify", "--suite", "all", "--degree", str(degree)]) == 2
             assert f"degree {degree} is below the floor 7" in capsys.readouterr().err
@@ -487,8 +486,8 @@ class TestVerifyCommand:
             seen.append(capsys.readouterr().out)
             raise ZeroDivisionError("late check")
 
-        first = CheckResult(name="first", passed=True, runtime_s=0.0, detail="done")
-        monkeypatch.setattr(verify, "SUITES", {"first": lambda degree: first, "late": late})
+        first = (1.0, lambda degree: (True, "done"))
+        monkeypatch.setattr(verify, "SUITES", {"first": first, "late": (1.0, late)})
         with pytest.raises(ZeroDivisionError, match="late check"):
             main(["verify", "--suite", "all", "--degree", "64"])
-        assert seen == ["PASS first: done\n"]
+        assert seen == ["PASS first: done [0.00 s]\n"]

@@ -403,6 +403,6 @@ class TestSemigroupRoute:
         singles = [resolvent_semigroup(-0.5 + 0.3j, h) for h in members]
         assert_stack_matches_singles(stacked, [p.coeffs for p in singles])
 
-    def test_quadrature_leaves_blas_threads_asleep(self):
+    def test_route_leaves_blas_threads_asleep(self):
         probes = route_probes(128)
         assert cpu_per_wall(lambda: resolvent_semigroup(-1.0, probes)) <= 1.5
