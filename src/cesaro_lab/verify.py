@@ -418,7 +418,8 @@ def run_suite(suite: str = "all", degree: int = 512):
         start = time.perf_counter()
         ok, detail = check(degree)
         runtime = time.perf_counter() - start
-        extra = "" if runtime <= budget else f"; exceeded {budget:g} s budget"
+        in_budget = runtime <= budget
+        extra = "" if in_budget else f"; exceeded {budget:g} s budget"
         detail = f"{detail} [{runtime:.2f} s{extra}]"
-        results.append(CheckResult(name, bool(ok and not extra), runtime, detail))
+        results.append(CheckResult(name, bool(ok and in_budget), runtime, detail))
     return results

@@ -324,6 +324,7 @@ def growth_classify(truncations, weight: WeightSpec | None = None) -> GrowthRepo
         weight = WeightSpec.log_power(1)
 
     largest = truncations[-1]
+    # drop r = 0, which would lower u.min() and so move the fit window
     grid = default_radius_grid(largest.degree)[1:]
     if grid.size < 4:
         raise ValueError("degenerate radius grid: fewer than 4 radii")
