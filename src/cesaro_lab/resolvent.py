@@ -35,6 +35,12 @@ INEQUALITY_SLACK = 1.0 + 1e-6
 NODE_CAP = 1024  # nodes per integral panel
 PANEL_CAP = 64  # integral panels
 
+#: The tau**k table takes 8 bytes per node and coefficient, 1.07 GB at both
+#: caps and degree 2048, so a call whose table would pass the kernel's
+#: 105 MB at both caps is refused before any work: at both caps past degree
+#: 199, at the default 1,024 nodes past degree 12,799.
+TABLE_BYTES_CAP = NODE_CAP * PANEL_CAP * 1600
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -149,10 +155,16 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
 
     The Gauss sum is taken in moment form, sum_k h_k z**k m_k(z) with the
     h-free m_k(z) = sum_s w_s damping_s (1 - tau_s z)**(1/lam - 1) tau_s**k,
-    so each member costs one small product.  The lam-free tau**k,
-    log(1 - tau*z), log(1 - z) and z**k are built once per call, so a lam's
-    row, (member, point) or (point,), equals its own call bit for bit.  The
-    whole call is refused if any lam and member break the order condition.
+    so each lam costs one product for all members.  The lam-free tables are
+    built once per call: tau**k row by row, row k = row k-1 * tau (within
+    (k-1) u of the power relative, above the underflow range; u = 2**-53),
+    and log(1 - tau z) in real arithmetic as log(hypot(x, y)) +
+    i atan2(y, x) with x = 1 - tau Re z, y = -tau Im z (about u absolute,
+    which the kernel's exp turns into about |1/lam - 1| u relative), then
+    log(1 - z) and z**k.  A lam's row, (member, point) or (point,), equals
+    its own call bit for bit.  The whole call is refused if any lam and
+    member break the order condition, or if its tau**k table would pass
+    ``TABLE_BYTES_CAP``.
     """
     lams = _lambdas(lam)
     quad = quad or QuadratureSpec()
@@ -160,14 +172,27 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     _check_integral_preconditions(lams, stack)
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
+    table_bytes = 8 * stack.shape[1] * quad.nodes * quad.panels
+    if table_bytes > TABLE_BYTES_CAP:
+        raise ValueError(
+            f"the tau**k table would take {table_bytes / 1e6:.0f} MB, past "
+            f"{TABLE_BYTES_CAP / 1e6:.0f} MB: lower the degree, nodes or panels"
+        )
 
     s, w = _gauss_panels(quad.nodes, quad.panels, quad.s_max)
     tau = np.exp(-s)
-    k = np.arange(stack.shape[1])
-    tau_powers = (tau[:, None] ** k).T
-    log_kernel = np.log(1.0 - tau[:, None] * zv)
+    tau_powers = np.empty((stack.shape[1], tau.size))
+    tau_powers[0] = 1.0
+    for k in range(1, stack.shape[1]):
+        np.multiply(tau_powers[k - 1], tau, out=tau_powers[k])
+    x = 1.0 - np.multiply.outer(tau, zv.real)
+    y = np.multiply.outer(tau, -zv.imag)
+    log_kernel = np.empty(x.shape, dtype=complex)
+    np.log(np.hypot(x, y), out=log_kernel.real)
+    np.arctan2(y, x, out=log_kernel.imag)
+    del x, y
     log_point = np.log(1.0 - zv)
-    z_powers = zv[:, None] ** k
+    z_powers = zv[:, None] ** np.arange(stack.shape[1])
     values = []
     for lv in lams.tolist():
         il = 1.0 / lv
@@ -180,7 +205,7 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
         moments = real_matmul(tau_powers, kernel)
         prefactor = il**2 * np.exp(-il * log_point)
         weights = z_powers * (1.0 / lv + prefactor[:, None] * moments.T)
-        values.append(as_given(h, [real_matmul(weights, c) for c in stack]))
+        values.append(as_given(h, real_matmul(weights, stack.T).T))
     values = np.array(values)
     return values[0] if np.ndim(lam) == 0 else values
 

@@ -3,8 +3,10 @@
 ``compose`` evaluates p(q(z)) by nested convolutions, and ``mobius_coeffs``
 gives the disc automorphism behind the composition semigroup S_t; together
 they define S_t directly, against which the closed-form Binomial rows of
-``cesaro_lab.operators.s_t_rows`` are checked.  ``traced_peak`` measures
-the memory a call allocates, for the tests that bound it.
+``cesaro_lab.operators.s_t_rows`` are checked.  ``plain_horner`` is
+Horner's rule in z itself, against which the blocked
+``cesaro_lab.series.horner_eval`` is checked.  ``traced_peak`` measures the
+memory a call allocates, for the tests that bound it.
 """
 
 import tracemalloc
@@ -50,6 +52,19 @@ def mobius_coeffs(t: float, degree: int) -> Poly:
     c = np.zeros(degree + 1, dtype=complex)
     c[1:] = a * (1.0 - a) ** np.arange(degree)
     return Poly(c)
+
+
+def plain_horner(coeffs, z):
+    """sum_k coeffs[k] z**k by acc = acc * z + c_k from the top coefficient,
+    for a 1-d coefficient array and a scalar or an array z: within about
+    4 N u sum_k |c_k| |z|**k of the value at degree N (u = 2**-53; Higham,
+    Accuracy and Stability, section 5.1)."""
+    c = np.asarray(coeffs)
+    zs = np.asarray(z)
+    acc = np.full(zs.shape, c[-1])
+    for ck in c[-2::-1]:
+        acc = acc * zs + ck
+    return acc
 
 
 def traced_peak(run):

@@ -227,6 +227,18 @@ class TestResolventCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_integral_tau_table_past_its_cap_exits_two(self, tmp_path, capsys):
+        # both budgets at their caps, but 2049 coefficients x 65,536 nodes
+        # would hold a 1.07 GB tau**k table
+        out = tmp_path / "vals.csv"
+        code = main(["resolvent", "--route", "integral", "--f", "const1", "--degree", "2048",
+                     "--lambda-re", "0", "--lambda-im", "1", "--nodes", str(NODE_CAP),
+                     "--panels", str(PANEL_CAP), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: the tau**k table would take 1074 MB, past 105 MB")
+
     @pytest.mark.parametrize("value", ["3", "inf", "-inf", "nan", "1e308"])
     def test_t_max_is_an_unknown_option(self, tmp_path, capsys, value):
         # the semigroup route takes its transform in closed form: no horizon to set

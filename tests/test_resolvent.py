@@ -47,19 +47,26 @@ def cpu_per_wall(run, seconds=1.0):
 
 def out_of_place_integral(lam, members, zs):
     """The integral route for one Python complex lam, with every table
-    built in the call and every product out of place: the reference for
-    the bits of the in-place kernel."""
+    built in the call and every step out of place: tau**k row by row,
+    log(1 - tau z) from hypot and atan2, one product for all members.  The
+    reference for the bits of the in-place kernel."""
     lam = complex(lam)
     il = 1.0 / lam
     s, w = resolvent._gauss_panels(256, 4, 36.0)
     tau = np.exp(-s)
     damping = np.exp(-s * (1.0 - il))
     k = np.arange(members[0].degree + 1)
-    kernel = (w * damping)[:, None] * np.exp((il - 1.0) * np.log(1.0 - tau[:, None] * zs))
-    moments = series.real_matmul((tau[:, None] ** k).T, kernel)
+    tau_powers = [np.ones_like(tau)]
+    for _ in k[1:]:
+        tau_powers.append(tau_powers[-1] * tau)
+    x = 1.0 - tau[:, None] * zs.real
+    y = tau[:, None] * -zs.imag
+    log_kernel = np.log(np.hypot(x, y)) + 1j * np.arctan2(y, x)
+    kernel = (w * damping)[:, None] * np.exp(log_kernel * (il - 1.0))
+    moments = series.real_matmul(np.array(tau_powers), kernel)
     prefactor = il**2 * np.exp(-il * np.log(1.0 - zs))
     weights = zs[:, None] ** k * (1.0 / lam + prefactor[:, None] * moments.T)
-    return np.array([series.real_matmul(weights, p.coeffs) for p in members])
+    return series.real_matmul(weights, np.array([p.coeffs for p in members]).T).T
 
 
 def assert_stack_matches_singles(stacked, singles):
@@ -135,6 +142,13 @@ class TestRecurrence:
             stacked = horner_eval(resolvent_recurrence(lam, members), zs)
             for row, h in zip(stacked, members, strict=True):
                 assert np.array_equal(row, horner_eval(resolvent_recurrence(lam, h), zs))
+
+    def test_oracle_evaluation_leaves_blas_threads_asleep(self):
+        # the resolvent-routes oracle: 63 members at degree 512, 100 points
+        members = [truncate(h, 512) for _, h in build_corpus(128)]
+        oracle = resolvent_recurrence(1j, members)
+        zs = off_cut_sample_points()
+        assert cpu_per_wall(lambda: horner_eval(oracle, zs)) <= 1.5
 
     def test_lambda_array_refuses_diagonal_value(self):
         h = Poly(np.ones(8))
@@ -292,6 +306,22 @@ class TestIntegralRoute:
             resolvent_integral_profile(np.array([1j, complex(np.nan, 0)]), h, 0.5)
         with pytest.raises(ValueError, match="non-empty"):
             resolvent_integral_profile(np.array([]), h, 0.5)
+
+    def test_tau_table_past_its_cap_refused_before_quadrature(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a Gauss rule was built")
+
+        monkeypatch.setattr(resolvent, "_gauss_panels", no_rule)
+        caps = QuadratureSpec(nodes=NODE_CAP, panels=PANEL_CAP)
+        # 2049 coefficients x 65,536 nodes x 8 bytes
+        with pytest.raises(ValueError, match=r"tau\*\*k table would take 1074 MB, past 105 MB"):
+            resolvent_integral_profile(1j, truncate(monomial(0), 2048), 0.5, caps)
+        with pytest.raises(ValueError, match="past 105 MB"):
+            resolvent_integral_profile(1j, truncate(monomial(0), 200), 0.5, caps)
+        # degree 199 fills the cap exactly and goes on to the Gauss rule
+        assert 8 * 200 * NODE_CAP * PANEL_CAP == resolvent.TABLE_BYTES_CAP
+        with pytest.raises(AssertionError, match="Gauss rule was built"):
+            resolvent_integral_profile(1j, truncate(monomial(0), 199), 0.5, caps)
 
     def test_lambda_array_leaves_blas_threads_asleep(self):
         members = [h for _, h in build_corpus(128)]
