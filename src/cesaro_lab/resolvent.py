@@ -25,6 +25,10 @@ from .series import vanishing_order
 #: 1/(n+1): those are genuine poles of the finite sections.
 DIAGONAL_GUARD = 1e-12
 
+#: Steps of :func:`resolvent_recurrence` whose gaps lam - 1/(n+1) are
+#: taken at once: 152 kB at the spectral sweep's 149 lam.
+GAP_ROWS = 64
+
 #: Multiplicative slack over the proved constants, absorbing the sampling
 #: underestimate of circle maxima (applied on both sides of each bound).
 INEQUALITY_SLACK = 1.0 + 1e-6
@@ -95,17 +99,29 @@ def resolvent_recurrence(lam, h):
     rejected rather than regularized.  An array of lam with one Poly h, or
     one lam with a stack of one degree, gives an array of coefficients,
     one row per lam or member, from one loop over n for all of them.
+
+    Each step writes into buffers made once, and the gaps lam - 1/(n+1)
+    are taken ``GAP_ROWS`` steps at a time: the same operations on the
+    same operands as the plain loop, so the bits are its bits, without
+    an (N+1) x lam table.
     """
     lams = _lambdas(lam)
-    c = poly_stack(h).T
+    c = np.ascontiguousarray(poly_stack(h).T)
     if lams.size > 1 and c.shape[1] > 1:
         raise ValueError("give an array of lam or a sequence of h, not both")
     _check_lambda_clear(lams, c.shape[0] - 1)
     f = np.empty((c.shape[0], max(lams.size, c.shape[1])), dtype=complex)
     running = np.zeros(f.shape[1], dtype=complex)
-    for n in range(c.shape[0]):
-        f[n] = (c[n] + running / (n + 1)) / (lams - 1.0 / (n + 1))
-        running += f[n]
+    rhs = np.empty_like(running)
+    inverses = 1.0 / np.arange(1, c.shape[0] + 1)
+    for start in range(0, c.shape[0], GAP_ROWS):
+        stop = start + GAP_ROWS
+        gaps = lams - inverses[start:stop, None]
+        for n, (cn, gap, fn) in enumerate(zip(c[start:stop], gaps, f[start:stop]), start + 1):
+            np.divide(running, n, out=rhs)
+            np.add(cn, rhs, out=rhs)
+            np.divide(rhs, gap, out=fn)
+            running += fn
     solved = np.ascontiguousarray(f.T)
     return stack_as_given(h, solved) if np.ndim(lam) == 0 else solved
 
@@ -156,14 +172,16 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     The Gauss sum is taken in moment form, sum_k h_k z**k m_k(z) with the
     h-free m_k(z) = sum_s w_s damping_s (1 - tau_s z)**(1/lam - 1) tau_s**k,
     so each lam costs one product for all members.  The lam-free tables are
-    built once per call: tau**k row by row, row k = row k-1 * tau (within
-    (k-1) u of the power relative, above the underflow range; u = 2**-53),
-    and log(1 - tau z) in real arithmetic as log(hypot(x, y)) +
+    built once per call: tau**k and z**k row by row, row k = row k-1 * tau
+    and row k-1 * z (above the underflow range, within (k-1) u and
+    2.83 (k-1) u of the power relative to first order, u = 2**-53, since a
+    complex product errs by at most 2.83 u: Higham, Accuracy and Stability,
+    Lemma 3.5), log(1 - tau z) in real arithmetic as log(hypot(x, y)) +
     i atan2(y, x) with x = 1 - tau Re z, y = -tau Im z (about u absolute,
-    which the kernel's exp turns into about |1/lam - 1| u relative), then
-    log(1 - z) and z**k.  A lam's row, (member, point) or (point,), equals
-    its own call bit for bit.  The whole call is refused if any lam and
-    member break the order condition, or if its tau**k table would pass
+    which the kernel's exp turns into about |1/lam - 1| u relative), and
+    log(1 - z).  A lam's row, (member, point) or (point,), equals its own
+    call bit for bit.  The whole call is refused if any lam and member
+    break the order condition, or if its tau**k table would pass
     ``TABLE_BYTES_CAP``.
     """
     lams = _lambdas(lam)
@@ -182,9 +200,11 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     s, w = _gauss_panels(quad.nodes, quad.panels, quad.s_max)
     tau = np.exp(-s)
     tau_powers = np.empty((stack.shape[1], tau.size))
-    tau_powers[0] = 1.0
+    z_powers = np.empty((stack.shape[1], zv.size), dtype=complex)
+    tau_powers[0] = z_powers[0] = 1.0
     for k in range(1, stack.shape[1]):
         np.multiply(tau_powers[k - 1], tau, out=tau_powers[k])
+        np.multiply(z_powers[k - 1], zv, out=z_powers[k])
     x = 1.0 - np.multiply.outer(tau, zv.real)
     y = np.multiply.outer(tau, -zv.imag)
     log_kernel = np.empty(x.shape, dtype=complex)
@@ -192,7 +212,6 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
     np.arctan2(y, x, out=log_kernel.imag)
     del x, y
     log_point = np.log(1.0 - zv)
-    z_powers = zv[:, None] ** np.arange(stack.shape[1])
     values = []
     for lv in lams.tolist():
         il = 1.0 / lv
@@ -204,7 +223,7 @@ def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -
         np.multiply((w * damping)[:, None], np.exp(kernel, out=kernel), out=kernel)
         moments = real_matmul(tau_powers, kernel)
         prefactor = il**2 * np.exp(-il * log_point)
-        weights = z_powers * (1.0 / lv + prefactor[:, None] * moments.T)
+        weights = z_powers.T * (1.0 / lv + prefactor[:, None] * moments.T)
         values.append(as_given(h, real_matmul(weights, stack.T).T))
     values = np.array(values)
     return values[0] if np.ndim(lam) == 0 else values

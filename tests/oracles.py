@@ -5,15 +5,20 @@ gives the disc automorphism behind the composition semigroup S_t; together
 they define S_t directly, against which the closed-form Binomial rows of
 ``cesaro_lab.operators.s_t_rows`` are checked.  ``plain_horner`` is
 Horner's rule in z itself, against which the blocked
-``cesaro_lab.series.horner_eval`` is checked.  ``traced_peak`` measures the
-memory a call allocates, for the tests that bound it.
+``cesaro_lab.series.horner_eval`` is checked.  ``per_member_s_t_apply`` and
+``allocating_recurrence`` are the earlier forms of ``s_t_apply`` (one
+product per member) and of ``resolvent_recurrence`` (new arrays at every
+step), the references for the blocked and in-place kernels.
+``traced_peak`` measures the memory a call allocates, for the tests that
+bound it.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from cesaro_lab.series import DEGREE_CAP, Poly
+from cesaro_lab.operators import s_t_rows
+from cesaro_lab.series import DEGREE_CAP, Poly, poly_stack, real_matmul
 
 
 def compose(p: Poly, q: Poly, degree: int | None = None) -> Poly:
@@ -65,6 +70,30 @@ def plain_horner(coeffs, z):
     for ck in c[-2::-1]:
         acc = acc * zs + ck
     return acc
+
+
+def per_member_s_t_apply(t: float, p) -> np.ndarray:
+    """S_t times each member of a Poly or a stack, one matrix-vector
+    product per member, as a (members, N+1) array."""
+    stack = poly_stack(p)
+    rows = s_t_rows(t, stack.shape[1] - 1)
+    for c in stack:
+        c[:] = real_matmul(rows, c)
+    return stack
+
+
+def allocating_recurrence(lam, h) -> np.ndarray:
+    """The forward solve of (lam*I - C) f = h with new arrays at every step,
+    for an array of lam and one Poly h, or one lam and a stack, as a
+    (lam or member, N+1) array."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    c = poly_stack(h).T
+    f = np.empty((c.shape[0], max(lams.size, c.shape[1])), dtype=complex)
+    running = np.zeros(f.shape[1], dtype=complex)
+    for n in range(c.shape[0]):
+        f[n] = (c[n] + running / (n + 1)) / (lams - 1.0 / (n + 1))
+        running += f[n]
+    return np.ascontiguousarray(f.T)
 
 
 def traced_peak(run):

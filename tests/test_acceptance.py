@@ -251,6 +251,17 @@ def test_finite_section_spectrum_rejects_entries_above_diagonal(monkeypatch):
     assert all(err == pytest.approx(1e-3) for err in sweep.section_diagonal_errors.values())
 
 
+@pytest.mark.parametrize("drift, passed", [(1e-9, False), (1e-12, True)])
+def test_resolvent_identity_bites(monkeypatch, drift, passed):
+    # the check reads about 3.2e-16 against its 1e-12 tolerance: a solve
+    # off by a relative 1e-9 fails, and one off by 1e-12 passes, which is
+    # its slack
+    exact = verify.resolvent_recurrence
+    monkeypatch.setattr(verify, "resolvent_recurrence", scaled(exact, 1 + drift))
+    passed_now, detail = verify.check_resolvent_identity(512)
+    assert passed_now is passed, detail
+
+
 def test_finite_section_spectrum_rejects_a_drifted_kernel(monkeypatch):
     # the sections keep their exact shape; only their product with the
     # corpus can see a memory-t kernel off by a relative 1e-9
@@ -273,7 +284,7 @@ def test_finite_section_spectrum_gates_the_shape_it_prints(monkeypatch):
 @pytest.mark.parametrize("kernel", ["resolvent_integral_profile", "horner_eval"])
 @pytest.mark.parametrize(
     "drift, passed, reading",
-    [(1e-9, False, r"2\.67e-07"), (1e-12, True, r"2\.(67|71)e-10")],
+    [(1e-9, False, r"2\.67e-07"), (1e-12, True, r"2\.(67|72)e-10")],
 )
 def test_resolvent_routes_integral_side_bites(monkeypatch, kernel, drift, passed, reading):
     # the integral side reads 1.06e-11 against its 1e-8 tolerance, on

@@ -27,8 +27,9 @@ from cesaro_lab.series import (
     truncate,
 )
 
-from oracles import compose, mobius_coeffs, traced_peak
+from oracles import compose, mobius_coeffs, per_member_s_t_apply, traced_peak
 from cesaro_lab.weights import WeightSpec, default_radius_grid, max_modulus_profile, weighted_sup_norm
+from test_resolvent import cpu_per_wall
 
 finite_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(finite_complex, min_size=1, max_size=24)
@@ -251,6 +252,25 @@ class TestCompositionContraction:
     @pytest.mark.parametrize("t", [0.1, 5.0])
     def test_stack_matches_single_calls(self, t):
         assert_stack_matches_single_calls(lambda p: s_t_apply(t, p))
+
+    @pytest.mark.parametrize("degree", [128, 512, 1024])
+    def test_blocks_stay_within_rounding_of_per_member_products(self, degree):
+        # both are real inner products of length N+1 against the same rows,
+        # so the real and the imaginary part of each coefficient agree to
+        # first order within (N+1) u sum_k P[n, k] |c_k|, P >= 0 (u = 2**-53)
+        members = [h for _, h in build_corpus(degree)]
+        magnitudes = np.abs([h.coeffs for h in members])
+        for t in (0.1, 1.0):
+            bound = (degree + 1) * 2.0**-53 * magnitudes @ s_t_rows(t, degree).T
+            stacked = s_t_apply(t, members) - per_member_s_t_apply(t, members)
+            single = s_t_apply(t, members[0]).coeffs - per_member_s_t_apply(t, members[0])[0]
+            for gap, limit in ((stacked, bound), (single, bound[0])):
+                assert np.all(np.abs(gap.real) <= limit) and np.all(np.abs(gap.imag) <= limit)
+
+    def test_s_t_apply_leaves_blas_threads_asleep(self):
+        # the norm-inequalities contraction clause: 63 members at degree 512
+        members = [h for _, h in build_corpus(512)]
+        assert cpu_per_wall(lambda: s_t_apply(0.5, members)) <= 1.5
 
     def test_rejects_degree_above_cap(self):
         with pytest.raises(ValueError, match="cap"):

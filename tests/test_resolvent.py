@@ -18,7 +18,7 @@ from cesaro_lab.resolvent import (
 )
 from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial, truncate
 
-from oracles import traced_peak
+from oracles import allocating_recurrence, traced_peak
 
 
 #: The four lam of the resolvent-routes check's integral comparison.
@@ -47,25 +47,26 @@ def cpu_per_wall(run, seconds=1.0):
 
 def out_of_place_integral(lam, members, zs):
     """The integral route for one Python complex lam, with every table
-    built in the call and every step out of place: tau**k row by row,
-    log(1 - tau z) from hypot and atan2, one product for all members.  The
-    reference for the bits of the in-place kernel."""
+    built in the call and every step out of place: tau**k and z**k row by
+    row, log(1 - tau z) from hypot and atan2, one product for all members.
+    The reference for the bits of the in-place kernel."""
     lam = complex(lam)
     il = 1.0 / lam
     s, w = resolvent._gauss_panels(256, 4, 36.0)
     tau = np.exp(-s)
     damping = np.exp(-s * (1.0 - il))
     k = np.arange(members[0].degree + 1)
-    tau_powers = [np.ones_like(tau)]
+    tau_powers, z_powers = [np.ones_like(tau)], [np.ones_like(zs)]
     for _ in k[1:]:
         tau_powers.append(tau_powers[-1] * tau)
+        z_powers.append(z_powers[-1] * zs)
     x = 1.0 - tau[:, None] * zs.real
     y = tau[:, None] * -zs.imag
     log_kernel = np.log(np.hypot(x, y)) + 1j * np.arctan2(y, x)
     kernel = (w * damping)[:, None] * np.exp(log_kernel * (il - 1.0))
     moments = series.real_matmul(np.array(tau_powers), kernel)
     prefactor = il**2 * np.exp(-il * np.log(1.0 - zs))
-    weights = zs[:, None] ** k * (1.0 / lam + prefactor[:, None] * moments.T)
+    weights = np.array(z_powers).T * (1.0 / lam + prefactor[:, None] * moments.T)
     return series.real_matmul(weights, np.array([p.coeffs for p in members]).T).T
 
 
@@ -142,6 +143,15 @@ class TestRecurrence:
             stacked = horner_eval(resolvent_recurrence(lam, members), zs)
             for row, h in zip(stacked, members, strict=True):
                 assert np.array_equal(row, horner_eval(resolvent_recurrence(lam, h), zs))
+
+    def test_matches_allocating_loop_bitwise(self):
+        # 144 lam on one Poly, as in the spectral sweep, and the 63-member stack
+        axis = np.linspace(-2.0, 2.0, 12)
+        lams = np.array([complex(re, im) for re in axis for im in axis])
+        members = [h for _, h in build_corpus(512)]
+        for lam, h in [(lams, log_one_minus_inv(512))] + [(lam, members) for lam in (1j, -1.0, 3.0)]:
+            got, want = resolvent_recurrence(lam, h), allocating_recurrence(lam, h)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), lam
 
     def test_oracle_evaluation_leaves_blas_threads_asleep(self):
         # the resolvent-routes oracle: 63 members at degree 512, 100 points
