@@ -101,9 +101,11 @@ def iterate_trace(
     and are recorded only for t < 1, where that is the ergodic limit.  The
     iterates fill one array and the averages another, and each of them, the
     projection differences and the increments is normed on the default
-    radius grid as one stack.
+    radius grid as one stack.  Degrees above ``ST_DEGREE_CAP`` are refused.
     """
     require_trace_budget(n_max, samples)
+    if f.degree > ST_DEGREE_CAP:
+        raise ValueError(f"input degree {f.degree} exceeds the cap {ST_DEGREE_CAP}")
     if not np.any(np.abs(f.coeffs) > 0):
         raise ValueError("f must be nonzero")
     tv = require_memory_t(t)

@@ -106,23 +106,6 @@ def require_samples(samples) -> int:
     return int(samples)
 
 
-def _radii(radii) -> np.ndarray:
-    """A nonempty radius grid in [0, 1) as a float array."""
-    rv = np.atleast_1d(np.asarray(radii, dtype=float))
-    if rv.size == 0:
-        raise ValueError("radius grid must be nonempty")
-    if np.any(rv < 0) or np.any(rv >= 1):
-        raise ValueError("radii must lie in [0, 1)")
-    return rv
-
-
-def _scaled_layout(radii: np.ndarray, size: int, samples: int):
-    """Powers 0..size-1 of each radius, one row per radius, and the width of
-    a zero-tailed row of scaled coefficients: ``samples``, or the folded
-    length above it."""
-    return radii[:, None] ** np.arange(size), size + (-size) % samples
-
-
 def _circle_max(scaled: np.ndarray, samples: int) -> np.ndarray:
     """Max modulus over the ``samples``-th roots of unity of each polynomial
     whose radius-scaled, zero-tailed coefficients fill the last axis.
@@ -143,22 +126,44 @@ def _circle_max(scaled: np.ndarray, samples: int) -> np.ndarray:
     return np.abs(spectrum).max(axis=-1)
 
 
+class _Sweep:
+    """The set-up of a norm sweep over a stack of one degree: it checks the
+    radii, nonempty in [0, 1), and the sample count, and builds once the
+    weights (1 for ``w`` None), the powers 0..N of each radius, one row per
+    radius, and the row width, the least multiple of ``samples`` above N."""
+
+    def __init__(self, stack, w: WeightSpec | None, radii, samples):
+        rv = np.atleast_1d(np.asarray(radii, dtype=float))
+        if rv.size == 0:
+            raise ValueError("radius grid must be nonempty")
+        if np.any(rv < 0) or np.any(rv >= 1):
+            raise ValueError("radii must lie in [0, 1)")
+        self.stack, self.radii, self.samples = stack, rv, require_samples(samples)
+        self.weights = np.ones(rv.size) if w is None else weight_eval(w, rv)
+        self.powers = rv[:, None] ** np.arange(stack.shape[1])
+        self.width = stack.shape[1] + (-stack.shape[1]) % self.samples
+
+    def majorant(self) -> np.ndarray:
+        return _majorant(self.stack, self.powers, self.weights, self.samples)
+
+    def weighted_rows(self, rows, cols) -> np.ndarray:
+        """Weighted sampled maxima of the (member, radius) rows (rows[k], cols[k])."""
+        gathered = _gathered_rows(self.stack, rows, cols, self.powers, self.width, self.samples)
+        return self.weights[cols] * gathered
+
+
 def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius,
     for a Poly or, one row per member, for a stack of one degree.
 
-    The radius powers are built once per call; every (member, radius) row
-    then goes through :func:`_gathered_rows`, the row feeder of
-    :func:`weighted_sup_norm` too, so a member's profile is the same alone
-    or in any stack.
+    Every (member, radius) row goes through :func:`_gathered_rows`, the row
+    feeder of :func:`weighted_sup_norm` too, so a member's profile is the
+    same alone or in any stack.
     """
     stack = poly_stack(p)
-    rv = _radii(radii)
-    samples = require_samples(samples)
-    powers, width = _scaled_layout(rv, stack.shape[1], samples)
-    rows, cols = np.divmod(np.arange(len(stack) * rv.size), rv.size)
-    out = _gathered_rows(stack, rows, cols, powers, width, samples).reshape(len(stack), -1)
-    return as_given(p, out)
+    sweep = _Sweep(stack, None, radii, samples)
+    rows, cols = np.divmod(np.arange(len(stack) * sweep.radii.size), sweep.radii.size)
+    return as_given(p, sweep.weighted_rows(rows, cols).reshape(len(stack), -1))
 
 
 def _gathered_rows(stack, rows, cols, powers, width, samples) -> np.ndarray:
@@ -216,12 +221,11 @@ class NormEstimate:
     argmax_radius: float
 
 
-def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
-    """max over the grid of weight(r) * sampled max-modulus at r, for a Poly
-    or, as a list of estimates, for a stack of one degree.
-
-    Radii beyond :func:`reliable_radius` of the polynomial's degree are
-    rejected: there the discarded tail of a typical truncation is no longer
+def weighted_sup_norm(p, w: WeightSpec, samples: int = 1024):
+    """max over :func:`default_radius_grid` of weight(r) * sampled
+    max-modulus at r, for a Poly or, as a list of estimates, for a stack of
+    one degree.  The grid ends at :func:`reliable_radius` of the degree:
+    beyond it the discarded tail of a typical truncation is no longer
     negligible and the sweep would not be honest.
 
     Only the radii that the majorant M(r) <= sum |a_n| r^n cannot rule out
@@ -231,24 +235,8 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     grid, samples)``.
     """
     stack = poly_stack(p)
-    degree = stack.shape[1] - 1
-    if grid is None:
-        grid = default_radius_grid(degree)
-    gv = _radii(grid)
-    rmax = reliable_radius(degree)
-    if np.any(gv > rmax + 1e-12):
-        raise ValueError(
-            f"grid reaches {gv.max():.6f}, beyond the reliability bound {rmax:.6f} "
-            f"for degree {degree}"
-        )
-    weights = weight_eval(w, gv)
-    samples = require_samples(samples)
-    powers, width = _scaled_layout(gv, degree + 1, samples)
-    bound = _majorant(stack, powers, weights, samples)
-
-    def weighted_rows(rows, cols):
-        return weights[cols] * _gathered_rows(stack, rows, cols, powers, width, samples)
-
+    sweep = _Sweep(stack, w, default_radius_grid(stack.shape[1] - 1), samples)
+    bound = sweep.majorant()
     # round 1: each member's row of largest bound gives a lower bound on its
     # maximum.  Round 2: a row whose bound lies below that cannot hold the
     # maximum or tie with it, so only the other rows are transformed; the
@@ -256,13 +244,13 @@ def weighted_sup_norm(p, w: WeightSpec, grid=None, samples: int = 1024):
     values = np.full(bound.shape, -np.inf)
     all_members = np.arange(len(stack))
     first = np.argmax(bound, axis=1)
-    lower = values[all_members, first] = weighted_rows(all_members, first)
+    lower = values[all_members, first] = sweep.weighted_rows(all_members, first)
     open_rows = ~(bound < lower[:, None])
     open_rows[all_members, first] = False
     rows, cols = np.nonzero(open_rows)
-    values[rows, cols] = weighted_rows(rows, cols)
+    values[rows, cols] = sweep.weighted_rows(rows, cols)
     estimates = [
-        NormEstimate(value=float(row[i]), argmax_radius=float(gv[i]))
+        NormEstimate(value=float(row[i]), argmax_radius=float(sweep.radii[i]))
         for row, i in zip(values, np.argmax(values, axis=1))
     ]
     return as_given(p, estimates)
@@ -277,15 +265,11 @@ def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor=1.0, samples
     majorant passes the test: the majorant is never below the computed
     value, and the division and comparison are monotone, so the verdicts are
     those of the full profile, bit for bit."""
-    stack = poly_stack(p)
-    rv = _radii(radii)
-    samples = require_samples(samples)
-    weights = np.ones(rv.size) if w is None else weight_eval(w, rv)
-    powers, width = _scaled_layout(rv, stack.shape[1], samples)
-    bound = _majorant(stack, powers, weights, samples)
+    sweep = _Sweep(poly_stack(p), w, radii, samples)
+    bound = sweep.majorant()
     rows, cols = np.nonzero(~(bound / divisor <= limit))  # a NaN bound leaves its row open
     values = np.full(bound.shape, -np.inf)
-    values[rows, cols] = weights[cols] * _gathered_rows(stack, rows, cols, powers, width, samples)
+    values[rows, cols] = sweep.weighted_rows(rows, cols)
     return as_given(p, (values / divisor > limit).any(axis=1)), rows.size
 
 

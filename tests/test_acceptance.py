@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from cesaro_lab import operators, verify, weights
+from cesaro_lab import ergodic, operators, verify, weights
 from cesaro_lab.cli import main
 from cesaro_lab.ergodic import SECTION_T_VALUES, spectral_dichotomy_report
 from cesaro_lab.series import Poly
@@ -284,7 +284,10 @@ def test_finite_section_spectrum_gates_the_shape_it_prints(monkeypatch):
 @pytest.mark.parametrize("kernel", ["resolvent_integral_profile", "horner_eval"])
 @pytest.mark.parametrize(
     "drift, passed, reading",
-    [(1e-9, False, r"2\.67e-07"), (1e-12, True, r"2\.(67|72)e-10")],
+    [
+        pytest.param(1e-9, False, r"2\.67e-07", id="1e-09-False"),
+        pytest.param(1e-12, True, r"2\.(67|72)e-10", id="1e-12-True"),
+    ],
 )
 def test_resolvent_routes_integral_side_bites(monkeypatch, kernel, drift, passed, reading):
     # the integral side reads 1.06e-11 against its 1e-8 tolerance, on
@@ -295,3 +298,42 @@ def test_resolvent_routes_integral_side_bites(monkeypatch, kernel, drift, passed
     passed_now, detail = verify.check_resolvent_routes()
     assert passed_now is passed
     assert re.match(f"integral vs oracle {reading};", detail), detail
+
+
+@pytest.mark.parametrize("drift, passed", [(1e-11, False), (1e-15, True)])
+def test_inverse_roundtrip_bites(monkeypatch, drift, passed):
+    # the check reads 8.9e-15 against its 1e-12 tolerance: an inverse off by
+    # a relative 1e-11 fails, and one off by 1e-15 passes (9.8e-15)
+    exact = verify.cesaro_inverse_apply
+    monkeypatch.setattr(verify, "cesaro_inverse_apply", scaled(exact, 1 + drift))
+    passed_now, detail = verify.check_inverse_roundtrip(512)
+    assert passed_now is passed, detail
+
+
+@pytest.mark.parametrize(
+    "power, passed, reading",
+    [
+        pytest.param(1.1, False, "k-hat=1.100", id="1.1-False"),
+        pytest.param(1.01, True, "k-hat=1.010; order-2 family gamma-hat=2.042", id="1.01-True"),
+    ],
+)
+def test_growth_classification_bites(monkeypatch, power, passed, reading):
+    # every circle maximum raised to a power p scales both fitted orders by
+    # about p: at p = 1.1 the order-2 family's gamma-hat leaves [1.9, 2.1],
+    # and at p = 1.01 both stay in their bands, which is the check's slack
+    exact = weights._circle_max
+    monkeypatch.setattr(weights, "_circle_max", lambda rows, samples: exact(rows, samples) ** power)
+    passed_now, detail = verify.check_growth_classification()
+    assert passed_now is passed, detail
+    assert reading in detail, detail
+
+
+@pytest.mark.parametrize("drift, passed", [(1e-3, False), (1e-6, True)])
+def test_ergodic_dichotomy_bites(monkeypatch, drift, passed):
+    # the traces run on the memory-t kernel bound in ``ergodic``: iterates
+    # scaled by 1 + 1e-3 per step grow by 1.29 over 256 steps and fail the
+    # decay and rate clauses; 1e-6 stays within them
+    exact = ergodic.generalized_cesaro_apply
+    monkeypatch.setattr(ergodic, "generalized_cesaro_apply", scaled(exact, 1 + drift))
+    passed_now, detail = verify.check_ergodic_dichotomy(512)
+    assert bool(passed_now) is passed, detail

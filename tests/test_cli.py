@@ -47,6 +47,17 @@ class TestInputDegreeCap:
         err = capsys.readouterr().err
         assert f"input degree {ST_DEGREE_CAP + 1} exceeds the S_t cap {ST_DEGREE_CAP}" in err
 
+    def test_ergodic_input_past_cap_exits_two(self, tmp_path, capsys):
+        # a coefficient file is held to the cap of a builtin before the
+        # trace builds its (n_max, N+1) arrays
+        src = tmp_path / "coeffs.csv"
+        write_constant_csv(src, ST_DEGREE_CAP + 1)
+        code, peak, written = past_cap_run(tmp_path, ["ergodic", "--t", "0.5", "--input", str(src)])
+        assert code == 2
+        assert peak < 1_000_000
+        assert not written
+        assert f"input degree {ST_DEGREE_CAP + 1} exceeds the cap" in capsys.readouterr().err
+
     def test_degree_at_cap_accepted(self, tmp_path):
         out = tmp_path / "ct.csv"
         code = main(["apply", "--op", "cesaro", "--f", "const1", "--degree", str(ST_DEGREE_CAP),

@@ -149,10 +149,9 @@ class TestIterateTrace:
         # the longer trace crosses a batch boundary
         f = log_one_minus_inv(64)
         w = WeightSpec.log_power(1)
-        grid = default_radius_grid(64)
 
         def norm_of(vec):
-            return weighted_sup_norm(Poly(vec), w, grid).value
+            return weighted_sup_norm(Poly(vec), w).value
 
         for t, n_max in ((0.5, 16), (1.0, 16), (0.5, 72)):
             target = f.coeffs[0] * t ** np.arange(65)
@@ -175,10 +174,12 @@ class TestIterateTrace:
 
     def test_refuses_budgets_past_caps_before_allocating(self):
         f = truncate(monomial(0), 512)
+        past_cap = truncate(monomial(0), ST_DEGREE_CAP + 1)
         w = WeightSpec.log_power(1)
         runs = (
             (lambda: iterate_trace(0.5, f, w, N_MAX_CAP + 1), f"cap {N_MAX_CAP}"),
             (lambda: iterate_trace(0.5, f, w, 16, samples=SAMPLES_CAP + 1), "samples"),
+            (lambda: iterate_trace(0.5, past_cap, w, 16), f"degree {ST_DEGREE_CAP + 1} exceeds"),
         )
         for run, match in runs:
             assert refusal_peak_bytes(run, match) < 100_000
@@ -296,7 +297,7 @@ class TestSpectralDichotomy:
             return (weight_eval(w, grid) * max_modulus_profile(p, grid)).max()
 
         for pt in report.points:
-            for norm in (lambda p, w, grid: weighted_sup_norm(p, w, grid).value, profile_norm):
+            for norm in (lambda p, w, grid: weighted_sup_norm(p, w).value, profile_norm):
                 expected = []
                 for d in degrees:
                     grid = default_radius_grid(d)

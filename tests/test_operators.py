@@ -447,12 +447,11 @@ class TestContinuityEstimates:
                 assert lhs <= rhs * (1 + 1e-6)
 
     def test_compact_route_bound(self):
-        grid = default_radius_grid(256)
         w1 = WeightSpec.standard(1.0)
         v1 = WeightSpec.log_power(1)
         for t in (0.0, 0.5, 0.9):
             bound = 1.0 / ((1.0 - t) * (1.0 - 1.0 / np.e))
             for _, f in build_corpus(256)[:5]:
-                scale = weighted_sup_norm(f, w1, grid).value
-                lhs = weighted_sup_norm(generalized_cesaro_apply(t, f), v1, grid).value / scale
+                scale = weighted_sup_norm(f, w1).value
+                lhs = weighted_sup_norm(generalized_cesaro_apply(t, f), v1).value / scale
                 assert lhs <= bound * (1 + 1e-6)

@@ -7,9 +7,10 @@ package and the scripts with the standard library and lists the public
 names that nothing in them reads; a name's own definition and its re-export
 in ``__init__.py`` do not count as uses.  Likewise a defaulted parameter
 that no call in the package, the scripts or the tests sets is a choice
-nothing makes: the second guard lists those.  The third keeps the one
-Poly-or-stack rule in ``series``: no other module asks whether a value is a
-``Poly``.
+nothing makes: the second guard lists those, and the third those that only
+the tests set, a knob the program never turns, bar an allow-list.  The
+fourth keeps the one Poly-or-stack rule in ``series``: no other module asks
+whether a value is a ``Poly``.
 """
 
 import ast
@@ -152,6 +153,23 @@ def test_every_default_is_set_somewhere():
     users = [p.read_text(encoding="utf-8") for p in SCRIPTS]
     users += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
     assert unset_parameters(modules, users) == []
+
+
+#: Defaulted parameters that the tests set and the package and scripts do
+#: not, with the reason each stays.
+TEST_ONLY_DEFAULTS = {
+    "cli.main(argv)": "the entry point: the console script reads sys.argv, tests pass argv",
+    "weights.max_modulus_profile(samples)": "shares _gathered_rows with "
+    "weighted_sup_norm(samples), which ergodic --samples sets",
+    "weights.sup_norm_exceeds(samples)": "shares _gathered_rows with "
+    "weighted_sup_norm(samples), which ergodic --samples sets",
+}
+
+
+def test_no_default_is_set_only_by_tests():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    scripts = [p.read_text(encoding="utf-8") for p in SCRIPTS]
+    assert unset_parameters(modules, scripts) == sorted(TEST_ONLY_DEFAULTS)
 
 
 def poly_type_tests(source: str) -> list[int]:

@@ -23,6 +23,7 @@ from cesaro_lab.weights import (
     default_radius_grid,
     growth_classify,
     max_modulus_profile,
+    reliable_radius,
     sup_norm_exceeds,
     weight_eval,
     weighted_sup_norm,
@@ -68,11 +69,11 @@ def assert_matches_full_profile(members, w, samples):
     transforms every radius."""
     grid = default_radius_grid(members[0].degree)
     weights = weight_eval(w, grid)
-    stacked = weighted_sup_norm(members, w, grid, samples)
+    stacked = weighted_sup_norm(members, w, samples)
     for est, p in zip(stacked, members, strict=True):
         values = weights * max_modulus_profile(p, grid, samples)
         i = np.argmax(values)
-        for got in (est, weighted_sup_norm(p, w, grid, samples)):
+        for got in (est, weighted_sup_norm(p, w, samples)):
             assert (got.value, got.argmax_radius) == (values[i], grid[i])
         if not p.coeffs[1:].any():  # the constant and zero polynomials
             assert est.argmax_radius == 0.0
@@ -92,7 +93,7 @@ def assert_profile_gives_sup_norms(members, samples=1024):
     for w in RHS_WEIGHTS:
         values = weight_eval(w, grid) * profile
         expected = list(zip(values.max(axis=1), grid[np.argmax(values, axis=1)]))
-        got = [(e.value, e.argmax_radius) for e in weighted_sup_norm(members, w, grid, samples)]
+        got = [(e.value, e.argmax_radius) for e in weighted_sup_norm(members, w, samples)]
         assert got == expected, w
 
 
@@ -281,8 +282,8 @@ class TestMaxModulus:
             for row, p in zip(stacked, members):
                 assert np.array_equal(row, max_modulus_profile(p, grid, samples)), size
             w = WeightSpec.log_power(1)
-            for est, p in zip(weighted_sup_norm(members, w, grid, samples), members, strict=True):
-                single = weighted_sup_norm(p, w, grid, samples)
+            for est, p in zip(weighted_sup_norm(members, w, samples), members, strict=True):
+                single = weighted_sup_norm(p, w, samples)
                 assert est.value == single.value and est.argmax_radius == single.argmax_radius
 
     def test_rejects_mixed_degree_stack(self):
@@ -291,7 +292,7 @@ class TestMaxModulus:
             with pytest.raises(ValueError, match="one degree"):
                 max_modulus_profile(stack, [0.5])
             with pytest.raises(ValueError, match="one degree"):
-                weighted_sup_norm(stack, WeightSpec.log_power(1), [0.5])
+                weighted_sup_norm(stack, WeightSpec.log_power(1))
 
     def test_stacked_profile_memory_is_chunked(self):
         # unchunked, 300 members x 73 radii x 1024 samples is a 359 MB block;
@@ -303,9 +304,8 @@ class TestMaxModulus:
 
     def test_stacked_norms_leave_blas_threads_asleep(self):
         members = random_stack(63, 513)
-        grid = default_radius_grid(512)
         w = WeightSpec.log_power(1)
-        assert cpu_per_wall(lambda: weighted_sup_norm(members, w, grid)) <= 1.5
+        assert cpu_per_wall(lambda: weighted_sup_norm(members, w)) <= 1.5
 
 
 class TestWeightedSupNorm:
@@ -382,18 +382,23 @@ class TestWeightedSupNorm:
 
     def test_stacked_memory_is_chunked(self):
         # the bound and the gathered rows are built block by block
-        grid = default_radius_grid(512)
         w = WeightSpec.log_power(1)
         for members in (random_stack(300, 513), random_real_stack(300, 513)):
-            assert traced_peak(lambda: weighted_sup_norm(members, w, grid))[1] <= 3 * STACK_BLOCK_BYTES
+            assert traced_peak(lambda: weighted_sup_norm(members, w))[1] <= 3 * STACK_BLOCK_BYTES
 
-    def test_rejects_radii_beyond_reliability(self):
-        with pytest.raises(ValueError):
-            weighted_sup_norm(Poly(np.ones(513)), WeightSpec.log_power(1), grid=[0.999])
+    def test_grid_ends_at_the_reliable_radius(self):
+        # the sweep takes the default grid only, so it never passes the
+        # radius beyond which a truncation's tail is no longer negligible
+        for degree in range(5000):
+            grid = default_radius_grid(degree)
+            assert 0 <= grid.min() and grid.max() <= reliable_radius(degree)
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            weighted_sup_norm(Poly([1]), WeightSpec.log_power(1), grid=[])
+        # the sweeps that take a grid refuse an empty one
+        with pytest.raises(ValueError, match="nonempty"):
+            max_modulus_profile(Poly([1]), [])
+        with pytest.raises(ValueError, match="nonempty"):
+            sup_norm_exceeds(Poly([1]), WeightSpec.log_power(1), [], 1.0)
 
 
 def draw_limits(peaks, rng):
