@@ -35,7 +35,6 @@ from .operators import (
     s_t_apply,
 )
 from .resolvent import (
-    QuadratureSpec,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
@@ -76,7 +75,6 @@ __all__ = [
     "finite_section",
     "generalized_cesaro_apply",
     "s_t_apply",
-    "QuadratureSpec",
     "off_cut_sample_points",
     "resolvent_integral_profile",
     "resolvent_recurrence",

