@@ -36,6 +36,10 @@ INEQUALITY_SLACK = 1.0 + 1e-6
 #: Re(1/lam) <= 1, at most about 12 ms per lam; |z| = 1 - 1e-12 needs 3.7e13.
 START_CAP = 4096
 
+#: The rings of :func:`off_cut_sample_points` and the angles on each.
+SAMPLE_RADII = (0.5, 0.8)
+SAMPLE_ANGLES = 50
+
 
 def _check_lambda_clear(lams: np.ndarray, degree: int):
     diagonal = 1.0 / (np.arange(degree + 1) + 1)
@@ -92,11 +96,11 @@ def resolvent_recurrence(lam, h):
 
 
 def off_cut_sample_points() -> np.ndarray:
-    """The fixed evaluation set for route-agreement checks: 50 midpoint-spaced
-    angles on each of the rings |z| = 0.5 and 0.8, so no point lies on the
-    cut (-1, 0]."""
-    theta = -np.pi + (np.arange(50) + 0.5) * (2.0 * np.pi / 50)
-    return np.concatenate([r * np.exp(1j * theta) for r in (0.5, 0.8)])
+    """The fixed evaluation set for route-agreement checks: ``SAMPLE_ANGLES``
+    midpoint-spaced angles on each ring |z| = r of ``SAMPLE_RADII``, so no
+    point lies on the cut (-1, 0]; each within 6.6e-16 of its exact point."""
+    theta = -np.pi + (np.arange(SAMPLE_ANGLES) + 0.5) * (2.0 * np.pi / SAMPLE_ANGLES)
+    return np.concatenate([r * np.exp(1j * theta) for r in SAMPLE_RADII])
 
 
 def _validate_points(zs: np.ndarray):
@@ -155,9 +159,9 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     The resolvent-routes oracle truncates the same series at 4N, with
     divisors of the same form, so the two are independent only in summation
     order and arithmetic: here per point and downward in k, there forward in
-    n over coefficients and then by blocked Horner.  The z**k table is built
-    once per call by running products (within 2.83 (k-1) u of the power:
-    Higham, Accuracy and Stability, Lemma 3.5); each lam fills one
+    n over coefficients and then one folded FFT per ring.  The z**k table is
+    built once per call by running products (within 2.83 (k-1) u of the
+    power: Higham, Accuracy and Stability, Lemma 3.5); each lam fills one
     (N+1-v) x points table of z**k g_k and takes one real product with the
     stack, so its row equals its own call bit for bit.
     """

@@ -10,10 +10,14 @@ Horner's rule in z itself, against which the blocked
 product per member) and of ``resolvent_recurrence`` (new arrays at every
 step), the references for the blocked and in-place kernels.
 ``traced_peak`` measures the memory a call allocates, for the tests that
-bound it.
+bound it.  ``exact_ring_points`` and ``decimal_ring_values`` give the ring
+points of ``cesaro_lab.resolvent.off_cut_sample_points`` and a polynomial's
+values there to 45 digits, against which the resolvent-routes oracle's
+folded FFT is checked.
 """
 
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -70,6 +74,66 @@ def plain_horner(coeffs, z):
     for ck in c[-2::-1]:
         acc = acc * zs + ck
     return acc
+
+
+#: Pi to 50 digits, for the decimal ring points.
+DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _cos_sin(theta: Decimal) -> tuple[Decimal, Decimal]:
+    """cos and sin of |theta| <= pi by their Taylor series, in the current
+    decimal context."""
+    cos = sin = Decimal(0)
+    term, k = Decimal(1), 0
+    while abs(term) > Decimal(10) ** -60:
+        if k % 2 == 0:
+            cos += term if k % 4 == 0 else -term
+        else:
+            sin += term if k % 4 == 1 else -term
+        k += 1
+        term = term * theta / k
+    return cos, sin
+
+
+def exact_ring_points(radii, angles: int) -> list:
+    """The points r e^(i theta), theta = pi (2j + 1 - P)/P for j < P =
+    ``angles``, ring by ring, as (re, im) pairs of 45-digit decimals; each
+    radius is the double it is given as."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        points = []
+        for r in radii:
+            for j in range(angles):
+                cos, sin = _cos_sin(DECIMAL_PI * (2 * j + 1 - angles) / angles)
+                points.append((Decimal(r) * cos, Decimal(r) * sin))
+    return points
+
+
+def point_offsets(zs, points) -> np.ndarray:
+    """|z - p| for each double z and decimal point p, rounded to a double."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        return np.array(
+            [
+                float(((Decimal(z.real) - re) ** 2 + (Decimal(z.imag) - im) ** 2).sqrt())
+                for z, (re, im) in zip(np.ravel(zs).tolist(), points, strict=True)
+            ]
+        )
+
+
+def decimal_ring_values(coeffs, points) -> np.ndarray:
+    """sum_n coeffs[n] p**n at each decimal point p, by Horner's rule in
+    45-digit decimals, rounded to complex doubles."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        c = [(Decimal(v.real), Decimal(v.imag)) for v in np.asarray(coeffs, complex).tolist()]
+        values = []
+        for pr, pi in points:
+            ar, ai = c[-1]
+            for cr, ci in c[-2::-1]:
+                ar, ai = ar * pr - ai * pi + cr, ar * pi + ai * pr + ci
+            values.append(complex(float(ar), float(ai)))
+    return np.array(values)
 
 
 def per_member_s_t_apply(t: float, p) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import time
 
 import numpy as np
@@ -8,15 +9,23 @@ from hypothesis import strategies as st
 from cesaro_lab import resolvent, series
 from cesaro_lab.operators import build_corpus, cesaro_apply
 from cesaro_lab.resolvent import (
+    SAMPLE_ANGLES,
+    SAMPLE_RADII,
     START_CAP,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial, poly_stack, truncate
+from cesaro_lab.series import HORNER_BLOCK, Poly, horner_eval, log_one_minus_inv, monomial
+from cesaro_lab.series import poly_stack, truncate
+from cesaro_lab.verify import _ring_values
 
-from oracles import allocating_recurrence, traced_peak
+from oracles import allocating_recurrence, decimal_ring_values, exact_ring_points, plain_horner
+from oracles import point_offsets, traced_peak
+
+#: Unit roundoff.
+U = 2.0**-53
 
 
 #: The four lam of the resolvent-routes check's integral comparison.
@@ -28,7 +37,7 @@ def route_probes(degree):
     return [truncate(monomial(0), degree), log_one_minus_inv(degree), build_corpus(degree)[0][1]]
 
 
-def cpu_per_wall(run, seconds=1.0):
+def cpu_per_wall(run, seconds=0.25):
     """Process CPU seconds per wall second over about ``seconds`` of
     repeated calls, after one warm-up call.
 
@@ -122,7 +131,8 @@ class TestRecurrence:
                 assert np.array_equal(f, resolvent_recurrence(lam, h).coeffs)
 
     def test_stacked_oracle_matches_per_member_oracle(self):
-        # the resolvent-routes oracle: recurrence at degree 512, then Horner
+        # recurrence stacks at degree 512, as in the resolvent-routes oracle,
+        # then Horner
         members = [truncate(h, 512) for _, h in build_corpus(128)[::3]]
         zs = off_cut_sample_points()
         for lam in (1j, 2j, -1 + 1j, 3.0):
@@ -140,7 +150,8 @@ class TestRecurrence:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), lam
 
     def test_oracle_evaluation_leaves_blas_threads_asleep(self):
-        # the resolvent-routes oracle: 63 members at degree 512, 100 points
+        # Horner on 63 members at degree 512 and the 100 sample points, the
+        # size of the resolvent-routes oracle stacks
         members = [truncate(h, 512) for _, h in build_corpus(128)]
         oracle = resolvent_recurrence(1j, members)
         zs = off_cut_sample_points()
@@ -167,6 +178,104 @@ class TestSamplePoints:
     def test_none_on_cut(self):
         zs = off_cut_sample_points()
         assert not np.any((zs.imag == 0) & (zs.real <= 0))
+
+    def test_match_the_former_formula_bitwise(self):
+        theta = -np.pi + (np.arange(50) + 0.5) * (2.0 * np.pi / 50)
+        former = np.concatenate([r * np.exp(1j * theta) for r in (0.5, 0.8)])
+        assert np.array_equal(off_cut_sample_points().view(np.int64), former.view(np.int64))
+
+    def test_within_the_stated_offset_of_the_exact_points(self):
+        # the 6.6e-16 that the resolvent-routes docstrings state; at most
+        # 1.85 ulps of each point's angle
+        zs = off_cut_sample_points()
+        assert max_point_offset() <= 6.6e-16
+        assert np.all(point_offsets(zs, ring_points()) <= 1.85 * np.spacing(np.pi) * np.abs(zs))
+
+
+@functools.cache
+def ring_points():
+    return exact_ring_points(SAMPLE_RADII, SAMPLE_ANGLES)
+
+
+@functools.cache
+def max_point_offset():
+    return float(np.max(point_offsets(off_cut_sample_points(), ring_points())))
+
+
+def ring_bound(stack):
+    """The two terms of the ring oracle's stated error, per member and
+    sample point: (F + 30) u sum_n |c_n| r**n at the exact point and the
+    points' offset times sum_n n |c_n| r**(n-1); and sum_n |c_n| r**n."""
+    r = np.abs(off_cut_sample_points())
+    n = np.arange(stack.shape[1])
+    size = np.abs(stack) @ r ** n[:, None]
+    slope = (n * np.abs(stack)) @ r ** np.maximum(n - 1, 0)[:, None]
+    folds = -(-n.size // SAMPLE_ANGLES)
+    return (folds + 30) * U * size, max_point_offset() * slope, size
+
+
+def route_oracles():
+    """The resolvent-routes check's oracle stacks: the recurrence at degree
+    512 for the 63 corpus members of degree 128, at each of its four lam."""
+    members = [truncate(h, 512) for _, h in build_corpus(128)]
+    return [resolvent_recurrence(lam, members) for lam in ROUTE_LAMS]
+
+
+class TestRingOracle:
+    """``verify._ring_values``, one folded FFT per ring of sample points."""
+
+    def test_values_of_z_are_the_sample_points(self):
+        # within 2 ulps of each point's angle, a double in [-pi, pi]
+        zs = off_cut_sample_points()
+        got = _ring_values(np.array([[0.0, 1.0]], dtype=complex))[0]
+        assert np.all(np.abs(got - zs) <= 2 * np.spacing(np.pi) * np.abs(zs))
+
+    def test_within_the_arithmetic_term_at_the_exact_points(self):
+        # against 45-digit Horner sums: measured up to 2.7 u sum |c_n| r**n
+        oracles = route_oracles()
+        for oracle in (oracles[0], oracles[3]):
+            got = _ring_values(oracle)
+            arithmetic = ring_bound(oracle)[0]
+            for i in (0, 50, 62):  # random-00, one, eigen-4
+                want = decimal_ring_values(oracle[i], ring_points())
+                assert np.all(np.abs(got[i] - want) <= arithmetic[i])
+
+    def test_agrees_with_horner_within_the_two_term_bound(self):
+        # each side within its own stated bound of the value at the double
+        # points: the two terms here, Horner's (3N + 5B) u or 4 N u there
+        zs = off_cut_sample_points()
+        for oracle in route_oracles():
+            got = _ring_values(oracle)
+            arithmetic, rounding, size = ring_bound(oracle)
+            bound = arithmetic + rounding
+            blocked = (3 * 512 + 5 * HORNER_BLOCK) * U * size
+            assert np.all(np.abs(got - horner_eval(oracle, zs)) <= bound + blocked)
+            plain = np.array([plain_horner(c, zs) for c in oracle])
+            assert np.all(np.abs(got - plain) <= bound + 4 * 512 * U * size)
+
+    def test_stacked_row_equals_its_own_call(self):
+        for oracle in route_oracles():
+            stacked = _ring_values(oracle)
+            for row, c in zip(stacked, oracle, strict=True):
+                assert np.array_equal(row, _ring_values(c[None])[0])
+
+    @pytest.mark.parametrize(
+        "degree", [0, SAMPLE_ANGLES - 2, SAMPLE_ANGLES - 1, SAMPLE_ANGLES, 2 * SAMPLE_ANGLES + 7]
+    )
+    def test_degrees_around_the_fold_length(self, degree):
+        # one partial fold, one full fold, then two and three folds with a
+        # partial last one
+        rng = np.random.default_rng(degree)
+        stack = rng.standard_normal((3, degree + 1)) + 1j * rng.standard_normal((3, degree + 1))
+        got = _ring_values(stack)
+        assert got.shape == (3, 2 * SAMPLE_ANGLES)
+        if degree == 0:
+            assert np.array_equal(got, np.repeat(stack, 2 * SAMPLE_ANGLES, axis=1))
+        arithmetic, rounding, size = ring_bound(stack)
+        bound = arithmetic + rounding
+        zs = off_cut_sample_points()
+        plain = np.array([plain_horner(c, zs) for c in stack])
+        assert np.all(np.abs(got - plain) <= bound + 4 * degree * U * size)
 
 
 class TestIntegralRoute:
