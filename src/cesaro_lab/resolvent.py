@@ -10,6 +10,12 @@ For (lam*I - C) f = h on truncated series:
 * ``semigroup`` -- for Re lam < 0, the Laplace transform of the weighted
   composition semigroup, taken exactly: each coefficient is a Beta-weighted
   running sum, within 24 (N+1)**2 u max|f| of the solution at degree N.
+
+Each route takes one lam or an array of them (a leading axis) and a Poly h
+or a stack of one degree (a member axis).  The recurrence and semigroup
+routes solve L lam and M members as one (L, M, N+1) grid in one loop over n;
+the integral route loops over lam, as grouping them would hold one (N+1) x
+points table per lam to save about 1 ms on the resolvent-routes check's four.
 """
 
 from __future__ import annotations
@@ -41,15 +47,20 @@ SAMPLE_RADII = (0.5, 0.8)
 SAMPLE_ANGLES = 50
 
 
-def _check_lambda_clear(lams: np.ndarray, degree: int):
+def _check_lambda_clear(lams: np.ndarray, degree: int, left: bool = False):
+    """Refuse lam near 0 or 1/(n+1), or with Re lam >= 0 if ``left``, naming it."""
     diagonal = 1.0 / (np.arange(degree + 1) + 1)
-    for lam in lams:
-        if abs(lam) < DIAGONAL_GUARD:
-            raise ValueError("lam must be nonzero")
+    for i, lam in enumerate(lams):
         dist = np.abs(lam - diagonal)
-        if dist.min() < DIAGONAL_GUARD:
-            k = int(np.argmin(dist))
-            raise ValueError(f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{k + 1}")
+        if left and lam.real >= 0:
+            problem = "semigroup route needs Re lam < 0"
+        elif abs(lam) < DIAGONAL_GUARD:
+            problem = "lam must be nonzero"
+        elif dist.min() < DIAGONAL_GUARD:
+            problem = f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{np.argmin(dist) + 1}"
+        else:
+            continue
+        raise ValueError(problem + (f" (lam[{i}] = {lam:.6g})" if lams.size > 1 else ""))
 
 
 def _lambdas(lam) -> np.ndarray:
@@ -60,39 +71,48 @@ def _lambdas(lam) -> np.ndarray:
     return lams
 
 
+def _as_called(lam, h, grid: np.ndarray):
+    """An (L, M, N+1) grid as lam and h came: without the axis of a number lam
+    or of a Poly h, C-ordered (a Poly for both); else the grid itself."""
+    if np.ndim(lam) == 0:
+        return stack_as_given(h, np.ascontiguousarray(grid[0]))
+    solved = as_given(h, grid.swapaxes(0, 1))
+    return grid if solved.ndim == 3 else np.ascontiguousarray(solved)
+
+
 def resolvent_recurrence(lam, h):
     """Forward triangular solve of (lam*I - C) f = h.
 
     Coefficient n satisfies f_n*(lam - 1/(n+1)) = h_n + mean of f_0..f_{n-1}
     scaled by 1/(n+1); values of lam within 1e-12 of a diagonal entry are
-    rejected rather than regularized.  An array of lam with one Poly h, or
-    one lam with a stack of one degree, gives an array of coefficients,
-    one row per lam or member, from one loop over n for all of them.
+    rejected rather than regularized.  An array of L lam adds a leading axis
+    and a stack of M members of one degree a member axis, so both give an
+    (L, M, N+1) grid, a view of the one work array, from one loop over n.
 
-    Each step writes into buffers made once, and the gaps lam - 1/(n+1)
-    are taken ``GAP_ROWS`` steps at a time: the same operations on the
-    same operands as the plain loop, so the bits are its bits, without
-    an (N+1) x lam table.
+    Each step writes into (L, M) buffers made once, with coefficient n of h
+    broadcast across the lam axis, and the gaps lam - 1/(n+1) are taken as
+    (``GAP_ROWS``, L, 1) blocks: the same operations on the same operands as
+    the plain loop, so entry [i, j] is the call on lam i and member j bit for
+    bit, without an (N+1) x lam table.
     """
     lams = _lambdas(lam)
     c = np.ascontiguousarray(poly_stack(h).T)
-    if lams.size > 1 and c.shape[1] > 1:
-        raise ValueError("give an array of lam or a sequence of h, not both")
     _check_lambda_clear(lams, c.shape[0] - 1)
-    f = np.empty((c.shape[0], max(lams.size, c.shape[1])), dtype=complex)
-    running = np.zeros(f.shape[1], dtype=complex)
+    f = np.empty((c.shape[0], lams.size, c.shape[1]), dtype=complex)
+    # one lam or one member: a flat plane, whose steps skip numpy's broadcasting
+    plane, column = (f, lams[:, None]) if min(f.shape[1:]) > 1 else (f.reshape(len(c), -1), lams)
+    running = np.zeros(plane.shape[1:], dtype=complex)
     rhs = np.empty_like(running)
-    inverses = 1.0 / np.arange(1, c.shape[0] + 1)
+    inverses = (1.0 / np.arange(1, c.shape[0] + 1)).reshape(-1, *column.shape[1:], 1)
     for start in range(0, c.shape[0], GAP_ROWS):
         stop = start + GAP_ROWS
-        gaps = lams - inverses[start:stop, None]
-        for n, (cn, gap, fn) in enumerate(zip(c[start:stop], gaps, f[start:stop]), start + 1):
+        gaps = column - inverses[start:stop]
+        for n, (cn, gap, fn) in enumerate(zip(c[start:stop], gaps, plane[start:stop]), start + 1):
             np.divide(running, n, out=rhs)
             np.add(cn, rhs, out=rhs)
             np.divide(rhs, gap, out=fn)
             running += fn
-    solved = np.ascontiguousarray(f.T)
-    return stack_as_given(h, solved) if np.ndim(lam) == 0 else solved
+    return _as_called(lam, h, np.moveaxis(f, 0, -1))
 
 
 def off_cut_sample_points() -> np.ndarray:
@@ -204,13 +224,15 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
 
 def resolvent_semigroup(lam, h):
     """h/lam + lam**-2 * int_0^inf e^(t/lam) S_t h dt in closed form, for a
-    Poly h or, as an array, for a stack of one degree; needs Re lam < 0, and
-    |lam| below 1e-12 is refused as for the other routes.
+    Poly h or, as an array, for a stack of one degree, and for one lam or,
+    along a leading axis, an array of them, each row bit for bit its own
+    call.  Every lam needs Re lam < 0, and |lam| below 1e-12 is refused as
+    for the other routes, before any work.
 
     Row n of S_t is a * Binomial(n, a) with a = e^-t, so with mu = 1/lam
     each term integrates exactly: C(n,k) B(k+1-mu, n-k+1) =
     prod_{j=k+1}^{n} j/(j-mu) / (n+1-mu) (Euler's Beta integral).  One loop
-    over n for the whole stack keeps the Beta sum as a running sum,
+    over n for every lam and member keeps the Beta sum as a running sum,
     S_n = T_n + h_n with T_n = S_{n-1} * n/(n-mu), and folds the h_n/lam term
     in: f_n = h_n/lam + S_n/((n+1-mu) lam**2) = ((n+1) h_n + T_n/lam) /
     ((n+1) lam - 1), which cancels nothing as |lam| -> 0.
@@ -224,18 +246,20 @@ def resolvent_semigroup(lam, h):
     the same sums through the same factors, so the two routes agree within
     twice that; sampled over the half-plane up to degree 512, to 2e-15.
     """
-    lv = require_finite_param(lam, "lam")
-    if lv.real >= 0:
-        raise ValueError("semigroup route needs Re lam < 0")
+    lams = _lambdas(lam)
     stack = poly_stack(h)
-    _check_lambda_clear(np.array([lv]), stack.shape[1] - 1)
-    mu = 1.0 / lv
-    running = np.zeros(len(stack), dtype=complex)
-    for n, c in enumerate(stack.T):
-        carried = running * (n / (n - mu))
+    _check_lambda_clear(lams, stack.shape[1] - 1, left=True)
+    column, ns = lams[:, None], np.arange(1, stack.shape[1] + 1)
+    # n/(n - mu) by Python's complex division: numpy's differs in the last bit
+    ratios = np.array([[n / (n - 1.0 / lv) for lv in lams.tolist()] for n in range(ns.size)])
+    steps = zip(stack.T, (stack * ns).T, ratios[..., None], ns[:, None, None] * column - 1)
+    out = np.empty((lams.size,) + stack.shape, dtype=complex)
+    running = np.zeros(out.shape[:2], dtype=complex)
+    for n, (c, scaled, ratio, divisor) in enumerate(steps):
+        carried = running * ratio
         running = carried + c
-        c[:] = ((n + 1) * c + carried / lv) / ((n + 1) * lv - 1)
-    return stack_as_given(h, stack)
+        out[..., n] = (scaled + carried / column) / divisor
+    return _as_called(lam, h, out)
 
 
 def imaginary_axis_constant(b: float) -> float:

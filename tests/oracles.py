@@ -8,7 +8,10 @@ Horner's rule in z itself, against which the blocked
 ``cesaro_lab.series.horner_eval`` is checked.  ``per_member_s_t_apply`` and
 ``allocating_recurrence`` are the earlier forms of ``s_t_apply`` (one
 product per member) and of ``resolvent_recurrence`` (new arrays at every
-step), the references for the blocked and in-place kernels.
+step, over the whole (lam, member) grid), the references for the blocked and
+in-place kernels.
+``plain_semigroup`` is the semigroup route's loop for one lam, against
+which each lam of ``resolvent_semigroup`` is checked bit for bit.
 ``traced_peak`` measures the memory a call allocates, for the tests that
 bound it.  ``exact_ring_points`` and ``decimal_ring_values`` give the ring
 points of ``cesaro_lab.resolvent.off_cut_sample_points`` and a polynomial's
@@ -147,17 +150,34 @@ def per_member_s_t_apply(t: float, p) -> np.ndarray:
 
 
 def allocating_recurrence(lam, h) -> np.ndarray:
-    """The forward solve of (lam*I - C) f = h with new arrays at every step,
-    for an array of lam and one Poly h, or one lam and a stack, as a
-    (lam or member, N+1) array."""
+    """The forward solve of (lam*I - C) f = h with new arrays at every step:
+    for an array of lam and one Poly h, or one lam and a stack, a (lam or
+    member, N+1) array; for an array of lam and a stack, a (lam, member,
+    N+1) grid."""
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     c = poly_stack(h).T
-    f = np.empty((c.shape[0], max(lams.size, c.shape[1])), dtype=complex)
-    running = np.zeros(f.shape[1], dtype=complex)
+    f = np.empty((c.shape[0], lams.size, c.shape[1]), dtype=complex)
+    running = np.zeros(f.shape[1:], dtype=complex)
     for n in range(c.shape[0]):
-        f[n] = (c[n] + running / (n + 1)) / (lams - 1.0 / (n + 1))
+        f[n] = (c[n] + running / (n + 1)) / (lams[:, None] - 1.0 / (n + 1))
         running += f[n]
-    return np.ascontiguousarray(f.T)
+    grid = np.ascontiguousarray(np.moveaxis(f, 0, -1))
+    return grid if np.ndim(lam) and not isinstance(h, Poly) else grid.reshape(-1, c.shape[0])
+
+
+def plain_semigroup(lam, h) -> np.ndarray:
+    """The semigroup route's closed form for one lam, one step per n with
+    new arrays and n/(n - mu) in Python's complex arithmetic, as a
+    (member, N+1) array."""
+    stack = poly_stack(h)
+    lv = complex(lam)
+    mu = 1.0 / lv
+    running = np.zeros(len(stack), dtype=complex)
+    for n, c in enumerate(stack.T):
+        carried = running * (n / (n - mu))
+        running = carried + c
+        c[:] = ((n + 1) * c + carried / lv) / ((n + 1) * lv - 1)
+    return stack
 
 
 def traced_peak(run):

@@ -131,6 +131,25 @@ def test_resolvent_routes_makes_one_integral_call(monkeypatch):
     assert calls == [[1j, 2j, -1 + 1j, 3.0]]
 
 
+def test_resolvent_routes_solves_each_side_as_one_grid(monkeypatch):
+    # one recurrence grid for the 4 oracle lam x 63 members, one for the
+    # 3 semigroup lam x 3 probes, and one call of each other route
+    calls = {"resolvent_recurrence": [], "resolvent_semigroup": [], "resolvent_integral_profile": []}
+    for name, shapes in calls.items():
+
+        def counted(lam, h, *args, exact=getattr(verify, name), shapes=shapes):
+            shapes.append((len(lam), len(h)))
+            return exact(lam, h, *args)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.check_resolvent_routes()[0]
+    assert calls == {
+        "resolvent_recurrence": [(4, 63), (3, 3)],
+        "resolvent_semigroup": [(3, 3)],
+        "resolvent_integral_profile": [(4, 63)],
+    }
+
+
 @pytest.mark.parametrize("drift, passed", [(1e-6, False), (1e-9, True)])
 def test_resolvent_routes_semigroup_side_bites(monkeypatch, drift, passed):
     # the semigroup side reads about 7e-16 against its 1e-6 tolerance: a

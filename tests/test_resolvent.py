@@ -22,7 +22,7 @@ from cesaro_lab.series import poly_stack, truncate
 from cesaro_lab.verify import _ring_values
 
 from oracles import allocating_recurrence, decimal_ring_values, exact_ring_points, plain_horner
-from oracles import point_offsets, traced_peak
+from oracles import plain_semigroup, point_offsets, traced_peak
 
 #: Unit roundoff.
 U = 2.0**-53
@@ -30,6 +30,22 @@ U = 2.0**-53
 
 #: The four lam of the resolvent-routes check's integral comparison.
 ROUTE_LAMS = np.array([1j, 2j, -1 + 1j, 3.0])
+
+#: Left half-plane lam: the check's three semigroup lam, near 0, far out and
+#: near the imaginary axis.
+LEFT_LAMS = np.array([-1.0, -0.5 + 0.3j, -2.0, -1e-3, -100.0, -1e-6 + 1j, -1e-9 + 1e-3j])
+
+
+def bits(a):
+    """The int64 view of a complex array, copied to C order if need be."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def oracle_stack(degree=128):
+    """The 63 corpus members at ``degree``, zero-padded to 4 ``degree`` as
+    in the resolvent-routes oracle."""
+    members = poly_stack([h for _, h in build_corpus(degree)])
+    return np.pad(members, ((0, 0), (0, 3 * degree)))
 
 
 def route_probes(degree):
@@ -165,8 +181,54 @@ class TestRecurrence:
             resolvent_recurrence(np.array([1j, 0.0]), h)
         with pytest.raises(ValueError, match="non-empty"):
             resolvent_recurrence(np.array([]), h)
-        with pytest.raises(ValueError, match="not both"):
-            resolvent_recurrence(np.array([1j, 2j]), [h, h])
+        # an array of lam with a stack is a grid, not a refusal
+        assert resolvent_recurrence(np.array([1j, 2j]), [h, h]).shape == (2, 2, 8)
+
+    @pytest.mark.parametrize("lams", [ROUTE_LAMS, LEFT_LAMS], ids=["route", "left"])
+    def test_grid_entries_equal_single_calls_bitwise(self, lams):
+        members = [h for _, h in build_corpus(128)]
+        grid = resolvent_recurrence(lams, members)
+        assert grid.shape == (len(lams), len(members), 129)
+        for lam, rows in zip(lams, grid, strict=True):
+            for row, h in zip(rows, members, strict=True):
+                assert np.array_equal(bits(row), bits(resolvent_recurrence(lam, h).coeffs)), lam
+
+    @pytest.mark.parametrize("lams", [ROUTE_LAMS, LEFT_LAMS], ids=["route", "left"])
+    def test_grid_matches_allocating_loop_bitwise(self, lams):
+        # the resolvent-routes oracle's grid at degree 512
+        stack = oracle_stack()
+        grid = resolvent_recurrence(lams, stack)
+        assert grid.shape == (len(lams),) + stack.shape
+        assert np.array_equal(bits(grid), bits(allocating_recurrence(lams, stack)))
+        for lam, rows in zip(lams, grid, strict=True):
+            assert np.array_equal(bits(rows), bits(resolvent_recurrence(lam, stack))), lam
+
+    def test_grid_shapes_follow_the_arguments(self):
+        # a leading axis for an array of lam, a member axis for a stack
+        h = log_one_minus_inv(16)
+        assert resolvent_recurrence(np.array([1j]), [h]).shape == (1, 1, 17)
+        assert resolvent_recurrence(np.array([1j]), [h, h]).shape == (1, 2, 17)
+        assert resolvent_recurrence(np.array([1j, 2j]), h).shape == (2, 17)
+        assert resolvent_recurrence(1j, [h, h]).shape == (2, 17)
+        assert isinstance(resolvent_recurrence(1j, h), Poly)
+
+    @pytest.mark.parametrize("where", [0, 2, 3])
+    def test_grid_refuses_a_diagonal_lambda_anywhere(self, where):
+        lams = list(ROUTE_LAMS)
+        lams[where] = 1.0 / 3 + 1e-13
+        named = rf"diagonal value 1/3 \(lam\[{where}\] = 0\.333333\+0j\)"
+        with pytest.raises(ValueError, match=named):
+            resolvent_recurrence(np.array(lams), oracle_stack(16))
+        lams[where] = 1e-13j
+        with pytest.raises(ValueError, match=rf"nonzero \(lam\[{where}\] = 0\+1e-13j\)"):
+            resolvent_recurrence(np.array(lams), oracle_stack(16))
+
+    def test_grid_holds_one_work_array(self):
+        # the (N+1, L, M) work array, and the grid is a view of it: with the
+        # transposed stack about 1.25 grids at the oracle's 4 x 63 x 513
+        stack = oracle_stack()
+        grid, peak = traced_peak(lambda: resolvent_recurrence(ROUTE_LAMS, stack))
+        assert peak <= 2 * grid.size * 16
 
 
 class TestSamplePoints:
@@ -582,3 +644,46 @@ class TestSemigroupRoute:
     def test_route_leaves_blas_threads_asleep(self):
         probes = route_probes(128)
         assert cpu_per_wall(lambda: resolvent_semigroup(-1.0, probes)) <= 1.5
+
+    @pytest.mark.parametrize("kind", ["probes", "corpus", "poly"])
+    def test_lambda_rows_match_single_calls_bitwise(self, kind):
+        h = {
+            "probes": route_probes(128),
+            "corpus": [p for _, p in build_corpus(128)],
+            "poly": log_one_minus_inv(128),
+        }[kind]
+        rows = resolvent_semigroup(LEFT_LAMS, h)
+        singles = [resolvent_semigroup(lam, h) for lam in LEFT_LAMS]
+        singles = [getattr(single, "coeffs", single) for single in singles]
+        assert rows.shape == (len(LEFT_LAMS),) + singles[0].shape
+        for lam, row, single in zip(LEFT_LAMS, rows, singles, strict=True):
+            assert np.array_equal(bits(row), bits(single)), lam
+            plain = plain_semigroup(lam, h)
+            assert np.array_equal(bits(single), bits(plain.reshape(single.shape))), lam
+
+    def test_lambda_array_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            resolvent_semigroup(np.array([]), route_probes(8))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.5, r"Re lam < 0 \(lam\[3\] = 0\.5\+0j\)"),
+            (1j, r"Re lam < 0 \(lam\[3\] = 0\+1j\)"),
+            (0.0, r"Re lam < 0 \(lam\[3\] = 0\+0j\)"),
+            (-1e-13, r"lam must be nonzero \(lam\[3\] = -1e-13\+0j\)"),
+            (-1e-13 + 1e-14j, r"lam must be nonzero \(lam\[3\] = -1e-13\+1e-14j\)"),
+        ],
+    )
+    def test_lambda_array_refused_whole_before_the_loop(self, bad, message):
+        # the refusal allocates less than one result: the stack's copy and
+        # the diagonal, not the (L, M, N+1) output or the ratio table
+        lams = np.array([-1.0, -0.5 + 0.3j, -2.0, bad, -3.0])
+        stack = oracle_stack()
+
+        def refused():
+            with pytest.raises(ValueError, match=message):
+                resolvent_semigroup(lams, stack)
+
+        _, peak = traced_peak(refused)
+        assert peak < 2 * stack.nbytes
