@@ -15,7 +15,7 @@ Each route takes one lam or an array of them (a leading axis) and a Poly h
 or a stack of one degree (a member axis).  The recurrence and semigroup
 routes solve L lam and M members as one (L, M, N+1) grid in one loop over n;
 the integral route loops over lam, as grouping them would hold one (N+1) x
-points table per lam to save about 1 ms on the resolvent-routes check's four.
+points table per lam at once.
 """
 
 from __future__ import annotations
