@@ -72,8 +72,7 @@ def _lambdas(lam) -> np.ndarray:
 
 
 def _as_called(lam, h, grid: np.ndarray):
-    """An (L, M, N+1) grid as lam and h came: without the axis of a number lam
-    or of a Poly h, C-ordered (a Poly for both); else the grid itself."""
+    """An (L, M, N+1) grid without the axis of a number lam or of a Poly h."""
     if np.ndim(lam) == 0:
         return stack_as_given(h, np.ascontiguousarray(grid[0]))
     solved = as_given(h, grid.swapaxes(0, 1))
@@ -86,28 +85,28 @@ def resolvent_recurrence(lam, h):
     Coefficient n satisfies f_n*(lam - 1/(n+1)) = h_n + mean of f_0..f_{n-1}
     scaled by 1/(n+1); values of lam within 1e-12 of a diagonal entry are
     rejected rather than regularized.  An array of L lam adds a leading axis
-    and a stack of M members of one degree a member axis, so both give an
-    (L, M, N+1) grid, a view of the one work array, from one loop over n.
+    and a stack of M members of one degree a member axis: both give an
+    (L, M, N+1) grid from one loop over n, returned as a view of the
+    (N+1, L, M) work array (entries L*M*16 bytes apart along n), the one
+    result that is not C-ordered.
 
     Each step writes into (L, M) buffers made once, with coefficient n of h
-    broadcast across the lam axis, and the gaps lam - 1/(n+1) are taken as
-    (``GAP_ROWS``, L, 1) blocks: the same operations on the same operands as
-    the plain loop, so entry [i, j] is the call on lam i and member j bit for
-    bit, without an (N+1) x lam table.
+    broadcast across the lam axis and the gaps lam - 1/(n+1) taken as
+    (``GAP_ROWS``, L, 1) blocks: the plain loop's operations on its
+    operands, so entry [i, j] is the call on lam i and member j bit for bit.
     """
     lams = _lambdas(lam)
-    c = np.ascontiguousarray(poly_stack(h).T)
+    # h's rows as (1, M), so that at one lam the add skips numpy's broadcasting
+    c = np.ascontiguousarray(poly_stack(h).T)[:, None]
     _check_lambda_clear(lams, c.shape[0] - 1)
-    f = np.empty((c.shape[0], lams.size, c.shape[1]), dtype=complex)
-    # one lam or one member: a flat plane, whose steps skip numpy's broadcasting
-    plane, column = (f, lams[:, None]) if min(f.shape[1:]) > 1 else (f.reshape(len(c), -1), lams)
-    running = np.zeros(plane.shape[1:], dtype=complex)
+    f = np.empty((c.shape[0], lams.size, c.shape[2]), dtype=complex)
+    running = np.zeros(f.shape[1:], dtype=complex)
     rhs = np.empty_like(running)
-    inverses = (1.0 / np.arange(1, c.shape[0] + 1)).reshape(-1, *column.shape[1:], 1)
+    inverses = (1.0 / np.arange(1, c.shape[0] + 1))[:, None, None]
     for start in range(0, c.shape[0], GAP_ROWS):
         stop = start + GAP_ROWS
-        gaps = column - inverses[start:stop]
-        for n, (cn, gap, fn) in enumerate(zip(c[start:stop], gaps, plane[start:stop]), start + 1):
+        gaps = lams[:, None] - inverses[start:stop]
+        for n, (cn, gap, fn) in enumerate(zip(c[start:stop], gaps, f[start:stop]), start + 1):
             np.divide(running, n, out=rhs)
             np.add(cn, rhs, out=rhs)
             np.divide(rhs, gap, out=fn)
@@ -224,10 +223,9 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
 
 def resolvent_semigroup(lam, h):
     """h/lam + lam**-2 * int_0^inf e^(t/lam) S_t h dt in closed form, for a
-    Poly h or, as an array, for a stack of one degree, and for one lam or,
-    along a leading axis, an array of them, each row bit for bit its own
-    call.  Every lam needs Re lam < 0, and |lam| below 1e-12 is refused as
-    for the other routes, before any work.
+    Poly h or a stack of one degree and one lam or, along a leading axis
+    with each row bit for bit its own call, an array of them.  Every lam
+    needs Re lam < 0 and |lam| >= 1e-12, both checked before any work.
 
     Row n of S_t is a * Binomial(n, a) with a = e^-t, so with mu = 1/lam
     each term integrates exactly: C(n,k) B(k+1-mu, n-k+1) =

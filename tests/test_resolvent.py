@@ -185,23 +185,17 @@ class TestRecurrence:
         assert resolvent_recurrence(np.array([1j, 2j]), [h, h]).shape == (2, 2, 8)
 
     @pytest.mark.parametrize("lams", [ROUTE_LAMS, LEFT_LAMS], ids=["route", "left"])
-    def test_grid_entries_equal_single_calls_bitwise(self, lams):
-        members = [h for _, h in build_corpus(128)]
-        grid = resolvent_recurrence(lams, members)
-        assert grid.shape == (len(lams), len(members), 129)
-        for lam, rows in zip(lams, grid, strict=True):
-            for row, h in zip(rows, members, strict=True):
-                assert np.array_equal(bits(row), bits(resolvent_recurrence(lam, h).coeffs)), lam
-
-    @pytest.mark.parametrize("lams", [ROUTE_LAMS, LEFT_LAMS], ids=["route", "left"])
     def test_grid_matches_allocating_loop_bitwise(self, lams):
-        # the resolvent-routes oracle's grid at degree 512
+        # the resolvent-routes oracle's grid at degree 512: against the
+        # allocating loop, each lam's call on the stack and each single call
         stack = oracle_stack()
         grid = resolvent_recurrence(lams, stack)
         assert grid.shape == (len(lams),) + stack.shape
         assert np.array_equal(bits(grid), bits(allocating_recurrence(lams, stack)))
         for lam, rows in zip(lams, grid, strict=True):
             assert np.array_equal(bits(rows), bits(resolvent_recurrence(lam, stack))), lam
+            for row, h in zip(rows, stack, strict=True):
+                assert np.array_equal(bits(row), bits(resolvent_recurrence(lam, Poly(h)).coeffs))
 
     def test_grid_shapes_follow_the_arguments(self):
         # a leading axis for an array of lam, a member axis for a stack
