@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .operators import ST_DEGREE_CAP
 from .series import as_given, poly_stack, real_matmul, require_finite_param, stack_as_given
 from .series import vanishing_order
 
@@ -47,6 +48,11 @@ SAMPLE_RADII = (0.5, 0.8)
 SAMPLE_ANGLES = 50
 
 
+def _named(lams: np.ndarray, i: int) -> str:
+    """`` (lam[i] = value)`` for an array of lam, nothing for one lam."""
+    return f" (lam[{i}] = {lams[i]:.6g})" if lams.size > 1 else ""
+
+
 def _check_lambda_clear(lams: np.ndarray, degree: int, left: bool = False):
     """Refuse lam near 0 or 1/(n+1), or with Re lam >= 0 if ``left``, naming it."""
     diagonal = 1.0 / (np.arange(degree + 1) + 1)
@@ -60,7 +66,7 @@ def _check_lambda_clear(lams: np.ndarray, degree: int, left: bool = False):
             problem = f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{np.argmin(dist) + 1}"
         else:
             continue
-        raise ValueError(problem + (f" (lam[{i}] = {lam:.6g})" if lams.size > 1 else ""))
+        raise ValueError(problem + _named(lams, i))
 
 
 def _lambdas(lam) -> np.ndarray:
@@ -172,8 +178,9 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     2**-53 max|z|**8.  For Re mu <= 1 each factor is at most |z|, so K = K0
     (173 terms past N at |z| <= 0.8); for Re mu > 1 the terms first grow like
     n**(Re mu - 1) |z|**n and K moves past their peak.  A call is refused
-    before any table is built if K - N passes ``START_CAP`` at any lam, or
-    if any lam and member break the order condition.
+    before any table is built if N passes ``ST_DEGREE_CAP``, if K - N
+    passes ``START_CAP`` at any lam, or if any lam and member break the
+    order condition; the first such lam of an array is named.
 
     The resolvent-routes oracle truncates the same series at 4N, with
     divisors of the same form, so the two are independent only in summation
@@ -186,13 +193,16 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     """
     lams = _lambdas(lam)
     stack = poly_stack(h)
-    degree, order = stack.shape[1] - 1, vanishing_order(stack)
-    if np.min(np.abs(lams)) < DIAGONAL_GUARD:
-        raise ValueError("lam must be nonzero")
-    if order <= np.max((1.0 / lams).real) - 1.0:
-        raise ValueError(
-            "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
-        )
+    degree = stack.shape[1] - 1
+    if degree > ST_DEGREE_CAP:
+        raise ValueError(f"input degree {degree} exceeds the cap {ST_DEGREE_CAP}")
+    order = vanishing_order(stack)
+    for i, lv in enumerate(lams.tolist()):
+        if abs(lv) < DIAGONAL_GUARD:
+            raise ValueError("lam must be nonzero" + _named(lams, i))
+        if order <= (1.0 / lv).real - 1.0:
+            need = "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
+            raise ValueError(need + _named(lams, i))
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     _validate_points(zv)
     radius = float(np.max(np.abs(zv)))

@@ -21,9 +21,6 @@ DEGREE_CAP = 1024
 #: wake its worker threads, which spin on the other cores for no gain here.
 SERIAL_PRODUCT_SIZE = 400_000
 
-#: Coefficients per block of :func:`horner_eval`.
-HORNER_BLOCK = 64
-
 #: Coefficient magnitudes at or below this are structural zeros when
 #: measuring the vanishing order at the origin.
 ZERO_THRESHOLD = 1e-14
@@ -109,46 +106,20 @@ def stack_as_given(h, stack: np.ndarray):
 
 
 def horner_eval(p, z):
-    """Evaluate by Horner's rule in w = z**B over blocks of B =
-    min(``HORNER_BLOCK``, degree+1) coefficients; ``z`` may be a scalar or
-    an array, and a stack of one degree gives one row per member.
-
-    Block j, sum_i c_{jB+i} z**i, is a real product against the table
-    z**0 .. z**B of running products, for all blocks of a member at once.
-    The member axis is the matmul batch axis, so a stacked row equals its
-    member's own call bit for bit, and at 100 points no call up to degree
-    2048 wakes BLAS worker threads.  Then acc = acc * w + block_j runs from
-    the top block.
-
-    Error (Higham, Accuracy and Stability, Lemma 3.5 and section 5.1;
-    u = 2**-53): a complex product errs by at most 2.83u relative, a sum by
-    u.  Table entry z**i carries i-1 products, and a real inner product of
-    length B errs by B u of its absolute terms, so each block is within
-    5B u sum |c_k| |z|**k.  Each of the j levels above block j adds
-    (2.83B + 1) u <= 3B u (w carries B-1 products; B = 64 once there are
-    two blocks), and jB <= k <= N at degree N, so to first order
-    |error| <= (3N + 5B) u sum_k |c_k| |z|**k, against about 4N u for
-    Horner's rule in z.
-    """
+    """Horner's rule in z, acc = acc * z + c_k from the top coefficient, at
+    a scalar or an array z; a stack of one degree gives one row per member,
+    bit for bit its member's own call.  At degree N the value is within
+    4N u sum_k |c_k| |z|**k of the sum (u = 2**-53; Higham, Accuracy and
+    Stability of Numerical Algorithms, section 5.1)."""
     stack = poly_stack(p)
     zs = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zs)):
         raise ValueError("evaluation points must be finite")
-    (members, n), m = stack.shape, zs.size
-    size = min(HORNER_BLOCK, n)
-    blocks = -(-n // size)
-    powers = np.ones((size + 1, m), dtype=complex)
-    for i in range(1, size + 1):
-        np.multiply(powers[i - 1], zs.reshape(-1), out=powers[i])
-    table = np.concatenate([powers[:size].real, powers[:size].imag], axis=1)
-    parts = np.pad(np.stack([stack.real, stack.imag]), ((0, 0), (0, 0), (0, blocks * size - n)))
-    re, im = np.matmul(parts.reshape(2, members, blocks, size), table)
-    block_values = (re[..., :m] - im[..., m:]) + 1j * (re[..., m:] + im[..., :m])
-    acc = block_values[:, -1].copy()
-    for j in range(blocks - 2, -1, -1):
-        acc *= powers[size]
-        acc += block_values[:, j]
-    values = as_given(p, acc.reshape((members,) + zs.shape))
+    acc = np.repeat(stack[:, -1:], zs.size, axis=1)
+    for c in stack.T[-2::-1]:
+        acc *= zs.reshape(-1)
+        acc += c[:, None]
+    values = as_given(p, acc.reshape(stack.shape[:1] + zs.shape))
     return complex(values) if values.ndim == 0 else values
 
 

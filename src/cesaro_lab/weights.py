@@ -144,73 +144,62 @@ class _Sweep:
         self.width = stack.shape[1] + (-stack.shape[1]) % self.samples
 
     def majorant(self) -> np.ndarray:
-        return _majorant(self.stack, self.powers, self.weights, self.samples)
+        """U = w(r) sum |a_n| r^n (1 + margin) per (member, radius) row:
+        never below the row's computed weighted sampled maximum."""
+        # with u = 2**-53 and A = sum |a_n| p_n over the computed powers p_n that
+        # both sides use, a computed row value exceeds w A by at most, to first
+        # order, (q + 3) u w A for scaling, folding q = width / samples terms
+        # (the exact DFT of the folded row is at most its 1-norm), abs and the
+        # weight product, plus the FFT's error in one bin: at most eps sqrt(S) w A
+        # for pocketfft's normwise relative error eps <= 24 u log2(4 S) (Higham,
+        # Accuracy and Stability of Numerical Algorithms, Thm 24.2: under 8 u per
+        # radix-2 level; Bluestein runs three transforms shorter than 4 S), or
+        # (S + 3) u w A were the DFT summed directly.  The computed bound falls
+        # short of w A (1 + margin) by at most (size + 5) u for |a_n|, the sum of
+        # size nonnegative products and three more roundings.  As q <= size and
+        # 24 log2(4 S) sqrt(S) <= 64 S for S >= 8, a margin of 64 u (size + S)
+        # covers it all; it grows with both because CSV inputs are not capped.
+        margin = 64 * 2.0**-53 * (self.powers.shape[1] + self.samples)
+        bound = np.empty((len(self.stack), self.radii.size))
+        step = max(1, SERIAL_PRODUCT_SIZE // self.powers.size)  # multiply-adds per member
+        for i in range(0, len(self.stack), step):
+            bound[i : i + step] = np.abs(self.stack[i : i + step]) @ self.powers.T
+        bound *= self.weights * (1.0 + margin)
+        return bound
 
     def weighted_rows(self, rows, cols) -> np.ndarray:
-        """Weighted sampled maxima of the (member, radius) rows (rows[k], cols[k])."""
-        gathered = _gathered_rows(self.stack, rows, cols, self.powers, self.width, self.samples)
-        return self.weights[cols] * gathered
+        """Weighted sampled maxima of the (member, radius) rows (rows[k],
+        cols[k]).  The rows of real and of complex members go through
+        :func:`_circle_max` apart, in blocks of half ``STACK_BLOCK_BYTES``,
+        so a real member always takes the half-spectrum transform."""
+        stack, size, width = self.stack, self.stack.shape[1], self.width
+        real = ~stack.imag.any(axis=1)
+        out = np.empty(len(rows))
+        step = max(1, STACK_BLOCK_BYTES // (32 * width))
+        for is_real in (True, False):
+            picked = np.flatnonzero(real[rows] == is_real)
+            block = np.zeros((min(step, picked.size), width), dtype=float if is_real else complex)
+            source = stack.real if is_real else stack
+            for i in range(0, picked.size, step):
+                part = picked[i : i + step]
+                scaled = block[: part.size]
+                np.multiply(source[rows[part]], self.powers[cols[part]], out=scaled[:, :size])
+                out[part] = _circle_max(scaled, self.samples)
+        return self.weights[cols] * out
 
 
 def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius,
     for a Poly or, one row per member, for a stack of one degree.
 
-    Every (member, radius) row goes through :func:`_gathered_rows`, the row
-    feeder of :func:`weighted_sup_norm` too, so a member's profile is the
-    same alone or in any stack.
+    Every (member, radius) row goes through :meth:`_Sweep.weighted_rows`,
+    the row feeder of :func:`weighted_sup_norm` too, so a member's profile
+    is the same alone or in any stack.
     """
     stack = poly_stack(p)
     sweep = _Sweep(stack, None, radii, samples)
     rows, cols = np.divmod(np.arange(len(stack) * sweep.radii.size), sweep.radii.size)
     return as_given(p, sweep.weighted_rows(rows, cols).reshape(len(stack), -1))
-
-
-def _gathered_rows(stack, rows, cols, powers, width, samples) -> np.ndarray:
-    """Sampled max modulus of ``stack[rows[k]]`` at the radius of
-    ``powers[cols[k]]`` for each k.  The rows of real and of complex members
-    go through :func:`_circle_max` apart, in blocks of half
-    ``STACK_BLOCK_BYTES``, so a real member always takes the half-spectrum
-    transform."""
-    real = ~stack.imag.any(axis=1)
-    out = np.empty(len(rows))
-    size = powers.shape[1]
-    step = max(1, STACK_BLOCK_BYTES // (32 * width))
-    for is_real in (True, False):
-        picked = np.flatnonzero(real[rows] == is_real)
-        block = np.zeros((min(step, picked.size), width), dtype=float if is_real else complex)
-        source = stack.real if is_real else stack
-        for i in range(0, picked.size, step):
-            part = picked[i : i + step]
-            scaled = block[: part.size]
-            np.multiply(source[rows[part]], powers[cols[part]], out=scaled[:, :size])
-            out[part] = _circle_max(scaled, samples)
-    return out
-
-
-def _majorant(stack, powers, weights, samples) -> np.ndarray:
-    """U = w(r) sum |a_n| r^n (1 + margin) per (member, radius) row of
-    ``powers``: never below the row's computed weighted sampled maximum."""
-    # with u = 2**-53 and A = sum |a_n| p_n over the computed powers p_n that
-    # both sides use, a computed row value exceeds w A by at most, to first
-    # order, (q + 3) u w A for scaling, folding q = width / samples terms
-    # (the exact DFT of the folded row is at most its 1-norm), abs and the
-    # weight product, plus the FFT's error in one bin: at most eps sqrt(S) w A
-    # for pocketfft's normwise relative error eps <= 24 u log2(4 S) (Higham,
-    # Accuracy and Stability of Numerical Algorithms, Thm 24.2: under 8 u per
-    # radix-2 level; Bluestein runs three transforms shorter than 4 S), or
-    # (S + 3) u w A were the DFT summed directly.  The computed bound falls
-    # short of w A (1 + margin) by at most (size + 5) u for |a_n|, the sum of
-    # size nonnegative products and three more roundings.  As q <= size and
-    # 24 log2(4 S) sqrt(S) <= 64 S for S >= 8, a margin of 64 u (size + S)
-    # covers it all; it grows with both because CSV inputs are not capped.
-    margin = 64 * 2.0**-53 * (powers.shape[1] + samples)
-    bound = np.empty((len(stack), powers.shape[0]))
-    step = max(1, SERIAL_PRODUCT_SIZE // powers.size)  # powers.size multiply-adds per member
-    for i in range(0, len(stack), step):
-        bound[i : i + step] = np.abs(stack[i : i + step]) @ powers.T
-    bound *= weights * (1.0 + margin)
-    return bound
 
 
 @dataclass(frozen=True, eq=False)

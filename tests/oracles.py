@@ -3,9 +3,7 @@
 ``compose`` evaluates p(q(z)) by nested convolutions, and ``mobius_coeffs``
 gives the disc automorphism behind the composition semigroup S_t; together
 they define S_t directly, against which the closed-form Binomial rows of
-``cesaro_lab.operators.s_t_rows`` are checked.  ``plain_horner`` is
-Horner's rule in z itself, against which the blocked
-``cesaro_lab.series.horner_eval`` is checked.  ``per_member_s_t_apply`` and
+``cesaro_lab.operators.s_t_rows`` are checked.  ``per_member_s_t_apply`` and
 ``allocating_recurrence`` are the earlier forms of ``s_t_apply`` (one
 product per member) and of ``resolvent_recurrence`` (new arrays at every
 step, over the whole (lam, member) grid), the references for the blocked and
@@ -16,7 +14,8 @@ which each lam of ``resolvent_semigroup`` is checked bit for bit.
 bound it.  ``exact_ring_points`` and ``decimal_ring_values`` give the ring
 points of ``cesaro_lab.resolvent.off_cut_sample_points`` and a polynomial's
 values there to 45 digits, against which the resolvent-routes oracle's
-folded FFT is checked.
+folded FFT is checked; at double points, which decimals hold exactly, the
+same sums check Horner's rule in ``cesaro_lab.series.horner_eval``.
 """
 
 import tracemalloc
@@ -64,19 +63,6 @@ def mobius_coeffs(t: float, degree: int) -> Poly:
     c = np.zeros(degree + 1, dtype=complex)
     c[1:] = a * (1.0 - a) ** np.arange(degree)
     return Poly(c)
-
-
-def plain_horner(coeffs, z):
-    """sum_k coeffs[k] z**k by acc = acc * z + c_k from the top coefficient,
-    for a 1-d coefficient array and a scalar or an array z: within about
-    4 N u sum_k |c_k| |z|**k of the value at degree N (u = 2**-53; Higham,
-    Accuracy and Stability, section 5.1)."""
-    c = np.asarray(coeffs)
-    zs = np.asarray(z)
-    acc = np.full(zs.shape, c[-1])
-    for ck in c[-2::-1]:
-        acc = acc * zs + ck
-    return acc
 
 
 #: Pi to 50 digits, for the decimal ring points.

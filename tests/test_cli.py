@@ -58,6 +58,19 @@ class TestInputDegreeCap:
         assert not written
         assert f"input degree {ST_DEGREE_CAP + 1} exceeds the cap" in capsys.readouterr().err
 
+    def test_integral_input_past_cap_exits_two(self, tmp_path, capsys):
+        # a coefficient file is held to the cap before the integral route
+        # builds its two (N+1) x points tables, 3.2 kB per degree
+        src = tmp_path / "coeffs.csv"
+        write_constant_csv(src, ST_DEGREE_CAP + 1)
+        argv = ["resolvent", "--route", "integral", "--lambda-re", "0", "--lambda-im", "1",
+                "--input", str(src)]
+        code, peak, written = past_cap_run(tmp_path, argv)
+        assert code == 2
+        assert peak < 1_000_000
+        assert not written
+        assert f"input degree {ST_DEGREE_CAP + 1} exceeds the cap" in capsys.readouterr().err
+
     def test_degree_at_cap_accepted(self, tmp_path):
         out = tmp_path / "ct.csv"
         code = main(["apply", "--op", "cesaro", "--f", "const1", "--degree", str(ST_DEGREE_CAP),

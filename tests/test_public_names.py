@@ -74,8 +74,8 @@ def test_guard_finds_unused_names():
 #: Public names that the package and scripts do not read, with the reason
 #: each stays.
 BENCHMARK_ONLY_NAMES = {
-    "series.horner_eval": "perfbench's resolvent_digits evaluates its oracle with it; "
-    "it can go once the benchmark owns a plain loop (ROADMAP item 1)",
+    "series.horner_eval": "a plain Horner loop, kept because perfbench's resolvent_digits "
+    "imports it to evaluate its oracle (ROADMAP item 1)",
 }
 
 
@@ -168,9 +168,9 @@ def test_every_default_is_set_somewhere():
 #: not, with the reason each stays.
 TEST_ONLY_DEFAULTS = {
     "cli.main(argv)": "the entry point: the console script reads sys.argv, tests pass argv",
-    "weights.max_modulus_profile(samples)": "shares _gathered_rows with "
+    "weights.max_modulus_profile(samples)": "shares _Sweep.weighted_rows with "
     "weighted_sup_norm(samples), which ergodic --samples sets",
-    "weights.sup_norm_exceeds(samples)": "shares _gathered_rows with "
+    "weights.sup_norm_exceeds(samples)": "shares _Sweep.weighted_rows with "
     "weighted_sup_norm(samples), which ergodic --samples sets",
 }
 

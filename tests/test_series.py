@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from cesaro_lab.series import (
     DEGREE_CAP,
-    HORNER_BLOCK,
     Poly,
     binomial_series,
     cauchy_product,
@@ -33,7 +33,7 @@ from cesaro_lab.weights import (
     weighted_sup_norm,
 )
 
-from oracles import compose, mobius_coeffs, plain_horner
+from oracles import compose, decimal_ring_values, mobius_coeffs
 
 finite_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(finite_complex, min_size=1, max_size=24)
@@ -108,42 +108,20 @@ class TestHornerEval:
         with pytest.raises(ValueError, match="one degree"):
             horner_eval([Poly([1]), Poly([1, 2])], 0.5)
 
-    def test_in_place_steps_keep_the_bits(self):
-        # reference: the blocked rule out of place, member by member: the
-        # running products z**0 .. z**B, one real product per member against
-        # them, then acc = acc * z**B + block_j from the top block
-        rng = np.random.default_rng(5)
-        members = [Poly(rng.normal(size=150) + 1j * rng.normal(size=150)) for _ in range(6)]
-        zs = 0.95 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, 4)))
-        m = zs.size
-        powers = [np.ones(m, dtype=complex)]
-        for _ in range(HORNER_BLOCK):
-            powers.append(powers[-1] * zs.reshape(-1))
-        table = np.concatenate([np.real(powers[:-1]), np.imag(powers[:-1])], axis=1)
-        for p, got in zip(members, horner_eval(members, zs), strict=True):
-            padded = np.concatenate([p.coeffs, np.zeros(-(p.degree + 1) % HORNER_BLOCK)])
-            blocks = padded.reshape(-1, HORNER_BLOCK)
-            re = np.ascontiguousarray(blocks.real) @ table
-            im = np.ascontiguousarray(blocks.imag) @ table
-            values = (re[:, :m] - im[:, m:]) + 1j * (re[:, m:] + im[:, :m])
-            acc = values[-1]
-            for v in values[-2::-1]:
-                acc = acc * powers[-1] + v
-            assert np.array_equal(got, acc.reshape(zs.shape))
-
     @pytest.mark.parametrize("degree", [7, 64, 513, 2048])
     def test_within_its_error_bound_of_plain_horner(self, degree):
-        # the docstring's (3N + 5B) u plus the plain rule's 4N u, both of
-        # sum_k |c_k| |z|**k, for scalar and array z with |z| up to 1
+        # the docstring's 4N u sum_k |c_k| |z|**k against 45-digit Horner
+        # sums at the same double points, which decimals hold exactly, for
+        # array and scalar z with |z| up to 1
         rng = np.random.default_rng(degree)
         p = Poly(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
         radii = np.concatenate([np.ones(10), rng.uniform(0.0, 1.0, size=30)])
-        zs = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, size=40))
-        block = min(HORNER_BLOCK, degree + 1)
-        tol = (3 * degree + 5 * block + 4 * degree) * 2.0**-53
-        for z in (zs, zs[0], complex(zs[-1]), 1.0, -0.5):
-            scale = plain_horner(np.abs(p.coeffs), np.abs(z))
-            assert np.all(np.abs(horner_eval(p, z) - plain_horner(p.coeffs, z)) <= tol * scale)
+        zs = np.append(radii * np.exp(1j * rng.uniform(-np.pi, np.pi, size=40)), [1.0, -0.5])
+        want = decimal_ring_values(p.coeffs, [(Decimal(z.real), Decimal(z.imag)) for z in zs.tolist()])
+        tol = 4 * degree * 2.0**-53 * (np.abs(p.coeffs) @ np.abs(zs) ** np.arange(degree + 1)[:, None])
+        assert np.all(np.abs(horner_eval(p, zs) - want) <= tol)
+        for i, z in ((0, zs[0]), (39, complex(zs[39])), (40, 1.0), (41, -0.5)):
+            assert abs(horner_eval(p, z) - want[i]) <= tol[i]
 
     @given(coeff_lists, coeff_lists, finite_complex, finite_complex, finite_complex)
     def test_linearity(self, a, b, alpha, beta, z):

@@ -45,8 +45,8 @@ def random_real_stack(count, size, seed=29):
 
 def chunk_members(size, radii, samples):
     """Fewest members whose (member, radius) rows fill one FFT block of
-    ``weights._gathered_rows``, which holds ``STACK_BLOCK_BYTES // (32 * width)``
-    rows."""
+    ``weights._Sweep.weighted_rows``, which holds
+    ``STACK_BLOCK_BYTES // (32 * width)`` rows."""
     width = max(samples, -(-size // samples) * samples)
     return -(-max(1, STACK_BLOCK_BYTES // (32 * width)) // radii)
 
@@ -450,16 +450,15 @@ class TestSupNormExceeds:
         values = weight_eval(w, grid) * max_modulus_profile(members, grid)
         limit = draw_limits(values.max(axis=1, keepdims=True), rng)
         seen = []
-        exact = weights._gathered_rows
+        exact = weights._Sweep.weighted_rows
 
-        def recorded(stack, rows, cols, *args):
+        def recorded(sweep, rows, cols):
             seen.extend(zip(rows.tolist(), cols.tolist()))
-            return exact(stack, rows, cols, *args)
+            return exact(sweep, rows, cols)
 
-        monkeypatch.setattr(weights, "_gathered_rows", recorded)
+        monkeypatch.setattr(weights._Sweep, "weighted_rows", recorded)
         exceeded, transformed = sup_norm_exceeds(members, w, grid, limit)
-        powers = grid[:, None] ** np.arange(257)
-        bound = weights._majorant(poly_stack(members), powers, weight_eval(w, grid), 1024)
+        bound = weights._Sweep(poly_stack(members), w, grid, 1024).majorant()
         assert transformed == len(seen) < bound.size
         assert all(bound[m, c] > limit[m, 0] for m, c in seen)
         assert exceeded.tolist() == (values > limit).any(axis=1).tolist()
