@@ -6,7 +6,6 @@ experiments separating the compact memory-t regime from the boundary case.
 """
 
 from .series import (
-    DEGREE_CAP,
     Poly,
     binomial_series,
     cauchy_product,
@@ -52,7 +51,6 @@ from .verify import CheckResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEGREE_CAP",
     "Poly",
     "binomial_series",
     "cauchy_product",

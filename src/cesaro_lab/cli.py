@@ -15,7 +15,7 @@ import re
 import sys
 
 from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
-from .operators import ST_DEGREE_CAP
+from .operators import require_degree
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
 from .resolvent import (
     off_cut_sample_points,
@@ -89,7 +89,9 @@ def write_samples_csv(path: str | None, zs, values, config: dict):
 
 
 def write_json(path: str | None, payload: dict):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON; a NaN or infinity in it raises ValueError
+    before anything is written, as RFC 8259 JSON has no such number."""
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_text(path: str | None, text: str):
@@ -101,12 +103,12 @@ def _write_text(path: str | None, text: str):
 
 
 def _builtin(name: str, degrees):
-    """The builder of a builtin function, refused if the name is unknown or a
-    given degree is above ``ST_DEGREE_CAP``, before anything is built."""
+    """The builder of a builtin function, refused if the name is unknown or
+    the largest given degree fails :func:`require_degree`, before anything
+    is built."""
     if name not in BUILTIN_FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; choose from " + ", ".join(BUILTIN_FUNCTIONS))
-    if max(degrees) > ST_DEGREE_CAP:
-        raise ValueError(f"input degree {max(degrees)} exceeds the S_t cap {ST_DEGREE_CAP}")
+    require_degree(max(degrees), "input degree")
     return BUILTIN_FUNCTIONS[name]
 
 

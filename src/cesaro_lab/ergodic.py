@@ -16,8 +16,8 @@ import numpy as np
 
 from . import operators
 from .operators import (
-    ST_DEGREE_CAP,
     generalized_cesaro_apply,
+    require_degree,
     require_memory_t,
     section_shape_error,
 )
@@ -101,11 +101,10 @@ def iterate_trace(
     and are recorded only for t < 1, where that is the ergodic limit.  The
     iterates fill one array and the averages another, and each of them, the
     projection differences and the increments is normed on the default
-    radius grid as one stack.  Degrees above ``ST_DEGREE_CAP`` are refused.
+    radius grid as one stack.  The degree of f passes :func:`require_degree`.
     """
     require_trace_budget(n_max, samples)
-    if f.degree > ST_DEGREE_CAP:
-        raise ValueError(f"input degree {f.degree} exceeds the cap {ST_DEGREE_CAP}")
+    require_degree(f.degree, "input degree")
     if not np.any(np.abs(f.coeffs) > 0):
         raise ValueError("f must be nonzero")
     tv = require_memory_t(t)
@@ -185,12 +184,13 @@ GROWTH_RATIO_THRESHOLD = 10.0
 def spectral_dichotomy_report(
     degree: int,
     degrees=None,
-    grid_points: int = 17,
+    *,
+    grid_points: int,
 ) -> SpectralDichotomyReport:
     """Tabulate section diagonals at ``SECTION_T_VALUES`` and resolvent norm
     estimates on a grid over [-2, 2] x [-2, 2], excluding lambdas within
-    1e-6 of a diagonal value 1/(n+1) or of 0.  Section degrees above
-    ``ST_DEGREE_CAP`` are refused before anything is built."""
+    1e-6 of a diagonal value 1/(n+1) or of 0.  The largest section degree
+    passes :func:`require_degree` before anything is built."""
     if not 1 <= grid_points <= GRID_POINTS_CAP:
         raise ValueError(f"grid_points must lie in 1..{GRID_POINTS_CAP}, got {grid_points}")
     if degree < 64:
@@ -203,9 +203,7 @@ def spectral_dichotomy_report(
         raise ValueError("need at least two section degrees")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("section degrees must be strictly increasing")
-    top = max(degree, degrees[-1])
-    if top > ST_DEGREE_CAP:
-        raise ValueError(f"section degree {top} exceeds the cap {ST_DEGREE_CAP}")
+    require_degree(max(degree, degrees[-1]), "section degree")
 
     section_errors = {
         tv: section_shape_error(operators.finite_section(tv, degree)) for tv in SECTION_T_VALUES

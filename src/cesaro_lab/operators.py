@@ -26,9 +26,9 @@ from .series import (
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
 
-#: Largest degree :func:`s_t_rows` and :func:`finite_section` accept; each
-#: of their dense real matrices takes 8*(N+1)**2 bytes, about 34 MB at this
-#: cap.
+#: Largest degree any kernel accepts, refused by :func:`require_degree`:
+#: each dense real matrix of :func:`s_t_rows` and :func:`finite_section`
+#: takes 8*(N+1)**2 bytes, about 34 MB at this cap.
 ST_DEGREE_CAP = 2048
 
 #: Members per product of :func:`s_t_apply`.
@@ -38,6 +38,15 @@ ST_BLOCK = 8
 def cesaro_apply(p):
     """Averaged partial sums, mean(c_0..c_n) at n: the memory-t map at t = 1."""
     return generalized_cesaro_apply(1.0, p)
+
+
+def require_degree(degree: int, what: str):
+    """Refuse a degree below 0 or above ``ST_DEGREE_CAP``, naming it as
+    ``what``, before anything of that degree is built."""
+    if degree < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    if degree > ST_DEGREE_CAP:
+        raise ValueError(f"{what} {degree} exceeds the cap {ST_DEGREE_CAP}")
 
 
 def require_memory_t(t) -> float:
@@ -85,16 +94,13 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
     Binomial(n, a) probabilities, written from row n-1 by the Pascal
     recurrence P_n[j] = (1-a)*P_{n-1}[j] + a*P_{n-1}[j-1], P_0 = [a], which
     takes only convex combinations and so stays stable.
-    Cost is O(N**2) time and 8*(N+1)**2 bytes, so degrees above
-    ``ST_DEGREE_CAP`` are refused before anything is allocated.
+    Cost is O(N**2) time and 8*(N+1)**2 bytes, so the degree passes
+    :func:`require_degree` before anything is allocated.
     """
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
         raise ValueError("t must be a finite nonnegative real")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > ST_DEGREE_CAP:
-        raise ValueError(f"degree {degree} exceeds the S_t cap {ST_DEGREE_CAP}")
+    require_degree(degree, "degree")
     a = np.exp(-tv)
     rows = np.zeros((degree + 1, degree + 1))
     rows[0, 0] = a
@@ -129,13 +135,10 @@ def finite_section(t: float, degree: int) -> np.ndarray:
     """Leading (N+1)x(N+1) corner of the coefficient matrix for parameter t,
     read-only and real: entry (n, j) is t**(n-j)/(n+1) for j <= n, zero
     above the diagonal.  Applying it to a coefficient vector matches
-    :func:`generalized_cesaro_apply`.  Degrees above ``ST_DEGREE_CAP`` are
-    refused with ValueError before anything is allocated."""
+    :func:`generalized_cesaro_apply`.  The degree passes
+    :func:`require_degree` before anything is allocated."""
     tv = require_memory_t(t)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > ST_DEGREE_CAP:
-        raise ValueError(f"degree {degree} exceeds the section cap {ST_DEGREE_CAP}")
+    require_degree(degree, "degree")
     # row n reversed is the window n of N zeros then t**0..t**N: one view,
     # so the division is the only (N+1)**2 allocation
     powers = np.concatenate([np.zeros(degree), tv ** np.arange(degree + 1)])

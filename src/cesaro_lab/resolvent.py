@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import ST_DEGREE_CAP
+from .operators import require_degree
 from .series import as_given, poly_stack, real_matmul, require_finite_param, stack_as_given
 from .series import vanishing_order
 
@@ -33,10 +33,6 @@ DIAGONAL_GUARD = 1e-12
 #: Steps of :func:`resolvent_recurrence` whose gaps lam - 1/(n+1) are
 #: taken at once: 152 kB at the spectral sweep's 149 lam.
 GAP_ROWS = 64
-
-#: Multiplicative slack over the proved constants, absorbing the sampling
-#: underestimate of circle maxima (applied on both sides of each bound).
-INEQUALITY_SLACK = 1.0 + 1e-6
 
 #: Refuse integral-route calls whose backward recurrence would start more
 #: than this many terms past the degree: 4,096 admits max|z| <= 0.991 at
@@ -70,10 +66,17 @@ def _check_lambda_clear(lams: np.ndarray, degree: int, left: bool = False):
 
 
 def _lambdas(lam) -> np.ndarray:
-    """A number or a non-empty array of lam as a 1-d complex array."""
+    """A number or a non-empty array of lam as a 1-d complex array.  A lam
+    whose modulus overflows, or whose reciprocal underflows to 0 (parts near
+    1e308), is refused and named; |lam| < 1e-12, where 1/lam overflows, is
+    left to each route's own guard."""
     lams = np.array([require_finite_param(v, "lam") for v in np.ravel(lam)], dtype=complex)
     if lams.size == 0:
         raise ValueError("lam must be a number or a non-empty array")
+    for i, lv in enumerate(lams.tolist()):
+        if not np.isfinite(np.abs(lv)) or (lv != 0 and 1.0 / lv == 0):
+            problem = "lam must have a finite modulus and a nonzero reciprocal"
+            raise ValueError(problem + _named(lams, i))
     return lams
 
 
@@ -178,7 +181,7 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     2**-53 max|z|**8.  For Re mu <= 1 each factor is at most |z|, so K = K0
     (173 terms past N at |z| <= 0.8); for Re mu > 1 the terms first grow like
     n**(Re mu - 1) |z|**n and K moves past their peak.  A call is refused
-    before any table is built if N passes ``ST_DEGREE_CAP``, if K - N
+    before any table is built if N fails :func:`require_degree`, if K - N
     passes ``START_CAP`` at any lam, or if any lam and member break the
     order condition; the first such lam of an array is named.
 
@@ -194,8 +197,7 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     lams = _lambdas(lam)
     stack = poly_stack(h)
     degree = stack.shape[1] - 1
-    if degree > ST_DEGREE_CAP:
-        raise ValueError(f"input degree {degree} exceeds the cap {ST_DEGREE_CAP}")
+    require_degree(degree, "input degree")
     order = vanishing_order(stack)
     for i, lv in enumerate(lams.tolist()):
         if abs(lv) < DIAGONAL_GUARD:
@@ -268,10 +270,4 @@ def resolvent_semigroup(lam, h):
         running = carried + c
         out[..., n] = (scaled + carried / column) / divisor
     return _as_called(lam, h, out)
-
-
-def imaginary_axis_constant(b: float) -> float:
-    """1/|b| + exp(4*pi/|b|)/b**2: for lam = i*b it bounds the order-(k+1)
-    weighted norm of the resolvent solution by the order-k norm of h."""
-    return 1.0 / abs(b) + np.exp(4.0 * np.pi / abs(b)) / b**2
 

@@ -3,8 +3,7 @@
 Every operator in this package is lower triangular in the monomial basis,
 so the first M+1 coefficients of an image depend only on the first M+1
 coefficients of the argument and truncation commutes exactly with
-application.  Products are capped at ``DEGREE_CAP`` to keep costs
-predictable.
+application.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Hard cap on the degree produced by products.
-DEGREE_CAP = 1024
 
 #: Most multiply-adds :func:`real_matmul` hands to one BLAS call: OpenBLAS
 #: 0.3.31 keeps calls below about 4.4e5 on the calling thread; larger ones
@@ -139,11 +135,8 @@ def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def cauchy_product(p: Poly, q: Poly, degree: int | None = None) -> Poly:
-    """Coefficient convolution, truncated to ``degree`` (default: sum of
-    degrees, capped at ``DEGREE_CAP``)."""
-    if degree is None:
-        degree = min(p.degree + q.degree, DEGREE_CAP)
+def cauchy_product(p: Poly, q: Poly, degree: int) -> Poly:
+    """Coefficient convolution, truncated to ``degree``."""
     full = np.convolve(p.coeffs, q.coeffs)
     out = full[: degree + 1]
     if out.size < degree + 1:

@@ -23,16 +23,14 @@ from .operators import (
     cesaro_apply,
     cesaro_inverse_apply,
     generalized_cesaro_apply,
+    require_degree,
     s_t_apply,
     section_shape_error,
     CORPUS_SEED,
-    ST_DEGREE_CAP,
 )
 from .resolvent import (
-    INEQUALITY_SLACK,
     SAMPLE_ANGLES,
     SAMPLE_RADII,
-    imaginary_axis_constant,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
@@ -73,7 +71,7 @@ def _eigen_residual(image: Poly, x: Poly, mu: float) -> float:
     return residual / max(float(np.max(np.abs(x.coeffs))), 1.0)
 
 
-def check_eigen_cesaro(degree: int = 512) -> tuple[bool, str]:
+def check_eigen_cesaro(degree: int) -> tuple[bool, str]:
     """Eigen-identity for the averaging operator at z**(n-1) (1-z)**-n, n = 1..8."""
     poles = [shifted_pole(n, degree) for n in range(1, 9)]
     worst = max(_eigen_residual(cesaro_apply(x), x, 1.0 / n) for n, x in enumerate(poles, 1))
@@ -98,7 +96,7 @@ def _binomial_remainder(t: float, m: int, degree: int) -> float:
     return head / s ** (m + 1)
 
 
-def check_eigen_ct(degree: int = 512) -> tuple[bool, str]:
+def check_eigen_ct(degree: int) -> tuple[bool, str]:
     """Eigen-identity and absolute-sum tails for the memory-t operator.
 
     For t < 1 the eigenvector for 1/(m+1) is z**m (1-tz)**-(m+1), with
@@ -146,7 +144,7 @@ def check_eigen_ct(degree: int = 512) -> tuple[bool, str]:
     return not failed, detail
 
 
-def check_inverse_roundtrip(degree: int = 512) -> tuple[bool, str]:
+def check_inverse_roundtrip(degree: int) -> tuple[bool, str]:
     """Inverse identity over the 50 pseudo-random corpus members."""
     members = poly_stack([f for _, f in build_corpus(degree)[:50]])
     back = cesaro_inverse_apply(cesaro_apply(members))
@@ -232,7 +230,7 @@ def check_resolvent_routes() -> tuple[bool, str]:
     return ok, f"integral vs oracle {worst_integral:.2e}; semigroup vs oracle {worst_semigroup:.2e}"
 
 
-def check_resolvent_identity(degree: int = 512) -> tuple[bool, str]:
+def check_resolvent_identity(degree: int) -> tuple[bool, str]:
     """(lam*I - C) applied to the solved resolvent reproduces h."""
     rng = np.random.default_rng(CORPUS_SEED)
     diag = 1.0 / np.arange(1, degree + 2)
@@ -253,7 +251,18 @@ def check_resolvent_identity(degree: int = 512) -> tuple[bool, str]:
     return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
-def check_norm_inequalities(degree: int = 512) -> tuple[bool, str]:
+#: Multiplicative slack over the proved constants, absorbing the sampling
+#: underestimate of circle maxima (applied on both sides of each bound).
+INEQUALITY_SLACK = 1.0 + 1e-6
+
+
+def imaginary_axis_constant(b: float) -> float:
+    """1/|b| + exp(4*pi/|b|)/b**2: for lam = i*b it bounds the order-(k+1)
+    weighted norm of the resolvent solution by the order-k norm of h."""
+    return 1.0 / abs(b) + np.exp(4.0 * np.pi / abs(b)) / b**2
+
+
+def check_norm_inequalities(degree: int) -> tuple[bool, str]:
     """Zero violations of the five proved norm bounds over the corpus.
 
     Only the right-hand sides, all of f, are computed in full, from one
@@ -316,7 +325,7 @@ def check_norm_inequalities(degree: int = 512) -> tuple[bool, str]:
     return not violations, detail
 
 
-def check_ergodic_dichotomy(degree: int = 512) -> tuple[bool, str]:
+def check_ergodic_dichotomy(degree: int) -> tuple[bool, str]:
     """Mean convergence with explicit limit at t = 0.5; drift at t = 1."""
     f = truncate(monomial(0), degree)
     v1 = WeightSpec.log_power(1)
@@ -370,7 +379,7 @@ def check_growth_classification() -> tuple[bool, str]:
     return ok, detail
 
 
-def check_finite_section_spectrum(degree: int = 512) -> tuple[bool, str]:
+def check_finite_section_spectrum(degree: int) -> tuple[bool, str]:
     """Each dense section, applied to the stacked corpus, against the
     memory-t kernel: independent routes to the same image.
 
@@ -427,12 +436,11 @@ DEGREE_FLOOR = 7
 
 def suite_names(suite: str, degree: int) -> list:
     """The name of one check or, for ``all``, of every check in order.  An
-    unknown suite, or a degree below ``DEGREE_FLOOR`` or above
-    ``ST_DEGREE_CAP``, is refused here, before any check runs."""
+    unknown suite, a degree below ``DEGREE_FLOOR`` or one that fails
+    :func:`require_degree` is refused here, before any check runs."""
     if degree < DEGREE_FLOOR:
         raise ValueError(f"degree {degree} is below the floor {DEGREE_FLOOR} of the checks")
-    if degree > ST_DEGREE_CAP:
-        raise ValueError(f"degree {degree} exceeds the cap {ST_DEGREE_CAP}")
+    require_degree(degree, "degree")
     if suite == "all":
         return list(SUITES)
     if suite in SUITES:
@@ -440,7 +448,7 @@ def suite_names(suite: str, degree: int) -> list:
     raise ValueError(f"unknown suite {suite!r}; choose from all, " + ", ".join(SUITES))
 
 
-def run_suite(suite: str = "all", degree: int = 512):
+def run_suite(suite: str, degree: int):
     """Run the checks of :func:`suite_names` in order and return their
     results.  A check passes only if its verdict holds and it returned
     within its budget; its detail ends with its runtime."""

@@ -245,7 +245,7 @@ def weighted_sup_norm(p, w: WeightSpec, samples: int = 1024):
     return as_given(p, estimates)
 
 
-def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor=1.0, samples: int = 1024):
+def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor, samples: int = 1024):
     """For a Poly or, per member, for a stack of one degree,
     whether ``weight(r) * M / divisor > limit`` at some radius r, with M the sampled
     max modulus of :func:`max_modulus_profile` and weight 1 for ``w`` None;

@@ -24,7 +24,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from cesaro_lab.operators import s_t_rows
-from cesaro_lab.series import DEGREE_CAP, Poly, poly_stack, real_matmul
+from cesaro_lab.series import Poly, poly_stack, real_matmul
 
 
 def compose(p: Poly, q: Poly, degree: int | None = None) -> Poly:
@@ -37,7 +37,7 @@ def compose(p: Poly, q: Poly, degree: int | None = None) -> Poly:
     if q.coeffs[0] != 0:
         raise ValueError("inner series must have an exactly zero constant term")
     if degree is None:
-        degree = min(p.degree * max(q.degree, 1), DEGREE_CAP)
+        degree = min(p.degree * max(q.degree, 1), 1024)
     out = np.zeros(1, dtype=complex)
     out[0] = p.coeffs[-1]
     for c in p.coeffs[-2::-1]:

@@ -45,7 +45,7 @@ class TestInputDegreeCap:
         assert peak < 1_000_000
         assert not written
         err = capsys.readouterr().err
-        assert f"input degree {ST_DEGREE_CAP + 1} exceeds the S_t cap {ST_DEGREE_CAP}" in err
+        assert f"input degree {ST_DEGREE_CAP + 1} exceeds the cap {ST_DEGREE_CAP}" in err
 
     def test_ergodic_input_past_cap_exits_two(self, tmp_path, capsys):
         # a coefficient file is held to the cap of a builtin before the
@@ -120,7 +120,7 @@ class TestApply:
              "--degree", str(ST_DEGREE_CAP + 1), "--output", str(tmp_path / "st.csv")]
         )
         assert code == 2
-        assert "exceeds the S_t cap" in capsys.readouterr().err
+        assert "exceeds the cap" in capsys.readouterr().err
         assert not (tmp_path / "st.csv").exists()
 
     def test_unknown_builtin(self):
@@ -292,6 +292,20 @@ class TestResolventCommand:
             assert not out.exists()
             assert capsys.readouterr().err == "error: lam must be nonzero\n"
 
+    @pytest.mark.parametrize("route", ["recurrence", "integral", "semigroup"])
+    @pytest.mark.parametrize("lam_re, lam_im", [("-1.7e308", "1.7e308"), ("-1e308", "1e308")])
+    def test_lambda_at_the_float_range_exits_two(self, tmp_path, capsys, route, lam_re, lam_im):
+        # |lam| overflows at the first, and 1/lam rounds to 0 at both: the
+        # semigroup route then divided by zero, the integral route overflowed
+        # in abs(lam), and the recurrence wrote zeros for f_0 ~ 1/lam
+        out = tmp_path / "x.csv"
+        code = main(["resolvent", "--route", route, "--lambda-re", lam_re, "--lambda-im", lam_im,
+                     "--f", "const1", "--degree", "8", "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: lam must have a finite modulus and a nonzero reciprocal\n"
+
 
 class TestErgodicCommand:
     def test_trace_json_and_determinism(self, tmp_path):
@@ -334,6 +348,17 @@ class TestErgodicCommand:
                      "const1", "--degree", "16", "--output", str(out)])
         assert code == 0
         assert len(json.loads(out.read_text())["iterate_norms"]) == 256
+
+    def test_overflowing_norms_exit_two_before_writing(self, tmp_path, capsys):
+        # the norms of coefficients 1e308 + 1e308i overflow, and JSON has no
+        # Infinity: refused before the file is opened
+        src = tmp_path / "big.csv"
+        src.write_text("n,re,im\n" + "".join(f"{n},1e308,1e308\n" for n in range(3)))
+        out = tmp_path / "t.json"
+        code = main(["ergodic", "--t", "0.5", "--input", str(src), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "not JSON compliant" in capsys.readouterr().err
 
 
 class TestClassifyCommand:

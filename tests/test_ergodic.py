@@ -311,12 +311,12 @@ class TestSpectralDichotomy:
     def test_holds_one_section_at_a_time(self):
         # each section is measured without a second (N+1)**2 array beside
         # it, and the sweep that follows needs less than one section
-        _, peak = traced_peak(lambda: spectral_dichotomy_report(1024))
+        _, peak = traced_peak(lambda: spectral_dichotomy_report(1024, grid_points=17))
         assert peak <= 1.25 * 8 * 1025**2
 
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
-            spectral_dichotomy_report(32)
+            spectral_dichotomy_report(32, grid_points=17)
 
     def test_refuses_budgets_past_caps_before_allocating(self):
         # accepted, degree 1024 would first build five 8.4 MB sections, and
@@ -324,8 +324,14 @@ class TestSpectralDichotomy:
         past_cap = ST_DEGREE_CAP + 1
         runs = (
             (lambda: spectral_dichotomy_report(1024, grid_points=GRID_POINTS_CAP + 1), "grid"),
-            (lambda: spectral_dichotomy_report(past_cap), f"degree {past_cap} exceeds"),
-            (lambda: spectral_dichotomy_report(64, degrees=(64, past_cap)), "exceeds the cap"),
+            (
+                lambda: spectral_dichotomy_report(past_cap, grid_points=17),
+                f"degree {past_cap} exceeds",
+            ),
+            (
+                lambda: spectral_dichotomy_report(64, degrees=(64, past_cap), grid_points=17),
+                "exceeds the cap",
+            ),
         )
         for run, match in runs:
             assert refusal_peak_bytes(run, match) < 100_000

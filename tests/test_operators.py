@@ -386,7 +386,7 @@ class TestFiniteSection:
     def test_refuses_degree_past_cap_before_allocating(self):
         # accepted, the section would take 8 * (ST_DEGREE_CAP + 2)**2 bytes
         def refused():
-            with pytest.raises(ValueError, match=f"exceeds the section cap {ST_DEGREE_CAP}"):
+            with pytest.raises(ValueError, match=f"exceeds the cap {ST_DEGREE_CAP}"):
                 finite_section(0.5, ST_DEGREE_CAP + 1)
 
         assert traced_peak(refused)[1] < 100_000

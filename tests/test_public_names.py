@@ -1,5 +1,6 @@
 """Every public top-level name of a package module is used by the program,
-and every parameter default of a package function is overridden somewhere.
+and every parameter default of a package function is overridden somewhere
+and taken somewhere.
 
 A public function, class or constant that only the tests call is code the
 program carries for nothing.  This guard walks the syntax trees of the
@@ -10,8 +11,11 @@ benchmark in ``perfbench/`` is listed with its reason.  Likewise a
 defaulted parameter that no call in the package, the scripts or the tests
 sets is a choice nothing makes: the second guard lists those, and the third
 those that only the tests set, a knob the program never turns, bar an
-allow-list.  The fourth keeps the one Poly-or-stack rule in ``series``: no
-other module asks whether a value is a ``Poly``.
+allow-list.  The fourth lists, with no allow-list, each default that every
+call in the package and the scripts sets: a choice the program always makes
+at the call, so the default only lets a test omit it.  The fifth keeps the
+one Poly-or-stack rule in ``series``: no other module asks whether a value
+is a ``Poly``.
 """
 
 import ast
@@ -105,10 +109,10 @@ def defaulted_parameters(source: str):
                 yield node.name, arg.arg, None
 
 
-def passed_arguments(sources: list) -> dict:
-    """Per called name, the positions and keywords its calls pass, or None
-    once a call unpacks ``*`` or ``**`` arguments into it."""
-    passed = {}
+def call_arguments(sources: list) -> dict:
+    """Per called name, one entry per call: the positions and keywords it
+    passes, or None if it unpacks ``*`` or ``**`` arguments."""
+    calls = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
@@ -117,26 +121,39 @@ def passed_arguments(sources: list) -> dict:
             unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
                 k.arg is None for k in node.keywords
             )
-            if unpacked:
-                passed[name] = None
-            elif passed.get(name, set()) is not None:
-                passed.setdefault(name, set()).update(range(len(node.args)))
-                passed[name].update(k.arg for k in node.keywords)
-    return passed
+            given = set(range(len(node.args))) | {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(None if unpacked else given)
+    return calls
+
+
+def parameter_settings(modules: dict, users: list):
+    """``module.function(parameter)`` for each defaulted parameter of a
+    function in ``modules`` (name -> source), with one entry per call of
+    that function in ``modules`` or ``users``: whether the call sets the
+    parameter, by position or by keyword, or None if it unpacks arguments."""
+    calls = call_arguments(list(modules.values()) + users)
+    for module, source in modules.items():
+        for function, parameter, position in defaulted_parameters(source):
+            settings = [
+                None if given is None else bool({parameter, position} & given)
+                for given in calls.get(function, [])
+            ]
+            yield f"{module}.{function}({parameter})", settings
 
 
 def unset_parameters(modules: dict, users: list) -> list[str]:
-    """``module.function(parameter)`` for each defaulted parameter of a
-    function in ``modules`` (name -> source) that no call in ``modules`` or
-    ``users`` sets, by position or by keyword."""
-    passed = passed_arguments(list(modules.values()) + users)
-    unset = []
-    for module, source in modules.items():
-        for function, parameter, position in defaulted_parameters(source):
-            given = passed.get(function, set())
-            if given is not None and parameter not in given and position not in given:
-                unset.append(f"{module}.{function}({parameter})")
-    return sorted(unset)
+    """Each defaulted parameter of a function in ``modules`` that no call in
+    ``modules`` or ``users`` sets."""
+    found = parameter_settings(modules, users)
+    return sorted(name for name, settings in found if set(settings) <= {False})
+
+
+def overridden_parameters(modules: dict, users: list) -> list[str]:
+    """Each defaulted parameter of a function in ``modules`` that some call
+    in ``modules`` or ``users`` makes and every such call sets: a default
+    that nothing takes."""
+    found = parameter_settings(modules, users)
+    return sorted(name for name, settings in found if settings and set(settings) == {True})
 
 
 def test_guard_finds_unset_parameters():
@@ -179,6 +196,30 @@ def test_no_default_is_set_only_by_tests():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     scripts = [p.read_text(encoding="utf-8") for p in SCRIPTS]
     assert unset_parameters(modules, scripts) == sorted(TEST_ONLY_DEFAULTS)
+
+
+def test_guard_finds_overridden_parameters():
+    modules = {
+        "core": "def scale(x, factor=2.0, offset=0.0, *, clip=None):\n    return x\n"
+        "def spread(*xs, width=1):\n    return xs\n"
+        "def unused(x, by=1):\n    return x\n"
+        "class Box:\n    def grow(self, by=1, to=None):\n        return by\n",
+        "front": "from .core import scale, spread, Box\nscale(1.0, 3.0, clip=1)\n"
+        "scale(2.0, factor=4.0)\nspread(1, width=2)\nBox().grow(2)\n",
+    }
+    script = "from core import scale, spread\nscale(1.0)\nargs = {}\nspread(**args)\n"
+    assert overridden_parameters(modules, []) == [
+        "core.grow(by)",
+        "core.scale(factor)",
+        "core.spread(width)",
+    ]
+    assert overridden_parameters(modules, [script]) == ["core.grow(by)"]
+
+
+def test_no_default_is_overridden_by_every_program_call():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    scripts = [p.read_text(encoding="utf-8") for p in SCRIPTS]
+    assert overridden_parameters(modules, scripts) == []
 
 
 def poly_type_tests(source: str) -> list[int]:

@@ -398,7 +398,7 @@ class TestWeightedSupNorm:
         with pytest.raises(ValueError, match="nonempty"):
             max_modulus_profile(Poly([1]), [])
         with pytest.raises(ValueError, match="nonempty"):
-            sup_norm_exceeds(Poly([1]), WeightSpec.log_power(1), [], 1.0)
+            sup_norm_exceeds(Poly([1]), WeightSpec.log_power(1), [], 1.0, 1.0)
 
 
 def draw_limits(peaks, rng):
@@ -457,7 +457,7 @@ class TestSupNormExceeds:
             return exact(sweep, rows, cols)
 
         monkeypatch.setattr(weights._Sweep, "weighted_rows", recorded)
-        exceeded, transformed = sup_norm_exceeds(members, w, grid, limit)
+        exceeded, transformed = sup_norm_exceeds(members, w, grid, limit, 1.0)
         bound = weights._Sweep(poly_stack(members), w, grid, 1024).majorant()
         assert transformed == len(seen) < bound.size
         assert all(bound[m, c] > limit[m, 0] for m, c in seen)
