@@ -14,6 +14,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
 from .operators import require_degree
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
@@ -52,11 +54,22 @@ def _config(command: str, **fields) -> dict:
     return dict(resolved, command=command, seed=DEFAULT_SEED)
 
 
-def write_coeffs_csv(path: str | None, p: Poly, config: dict):
-    lines = ["# config: " + json.dumps(config, sort_keys=True), "n,re,im"]
+def write_csv(path: str | None, config: dict, header: str, columns):
+    """Write equal-length ``columns`` of numbers, one row each, under the
+    config line and ``header``; a NaN or infinity in them raises ValueError
+    before anything is written, as in :func:`write_json`."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    if not np.isfinite(columns).all():
+        raise ValueError("output values must be finite: nothing written")
+    lines = ["# config: " + json.dumps(config, sort_keys=True), header]
     # repr of a Python float is the shortest exact round-trip form
-    lines += [f"{n},{float(c.real)!r},{float(c.imag)!r}" for n, c in enumerate(p.coeffs)]
+    lines += [",".join(map(repr, row)) for row in zip(*columns)]
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _coeff_columns(p: Poly):
+    """The header and columns of a coefficient file of ``p``."""
+    return "n,re,im", [np.arange(p.coeffs.size), p.coeffs.real, p.coeffs.imag]
 
 
 def read_coeffs_csv(path: str) -> Poly:
@@ -77,15 +90,6 @@ def read_coeffs_csv(path: str) -> Poly:
     if not coeffs:
         raise ValueError(f"{path}: no coefficient rows")
     return Poly(coeffs)
-
-
-def write_samples_csv(path: str | None, zs, values, config: dict):
-    lines = ["# config: " + json.dumps(config, sort_keys=True), "z_re,z_im,re,im"]
-    lines += [
-        f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},{float(v.imag)!r}"
-        for z, v in zip(zs, values)
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str | None, payload: dict):
@@ -145,7 +149,7 @@ def _cmd_apply(args) -> int:
         out = generalized_cesaro_apply(args.t, p)
     else:
         out = s_t_apply(args.t, p)
-    write_coeffs_csv(args.output, out, config)
+    write_csv(args.output, config, *_coeff_columns(out))
     return 0
 
 
@@ -162,14 +166,14 @@ def _cmd_resolvent(args) -> int:
         substitution=True,
     )
     h = _load_function(args, config)
-    if args.route == "recurrence":
-        write_coeffs_csv(args.output, resolvent_recurrence(lam, h), config)
-    elif args.route == "semigroup":
-        write_coeffs_csv(args.output, resolvent_semigroup(lam, h), config)
-    else:
+    if args.route == "integral":
         zs = off_cut_sample_points()
         values = resolvent_integral_profile(lam, h, zs)
-        write_samples_csv(args.output, zs, values, config)
+        columns = [zs.real, zs.imag, values.real, values.imag]
+        write_csv(args.output, config, "z_re,z_im,re,im", columns)
+    else:
+        solve = resolvent_recurrence if args.route == "recurrence" else resolvent_semigroup
+        write_csv(args.output, config, *_coeff_columns(solve(lam, h)))
     return 0
 
 

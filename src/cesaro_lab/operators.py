@@ -26,9 +26,9 @@ from .series import (
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
 
-#: Largest degree any kernel accepts, refused by :func:`require_degree`:
-#: each dense real matrix of :func:`s_t_rows` and :func:`finite_section`
-#: takes 8*(N+1)**2 bytes, about 34 MB at this cap.
+#: Largest degree a capped kernel or command accepts, refused by
+#: :func:`require_degree`: each dense real matrix of :func:`s_t_rows` and
+#: :func:`finite_section` takes 8*(N+1)**2 bytes, about 34 MB at this cap.
 ST_DEGREE_CAP = 2048
 
 #: Members per product of :func:`s_t_apply`.

@@ -12,10 +12,11 @@ For (lam*I - C) f = h on truncated series:
   running sum, within 24 (N+1)**2 u max|f| of the solution at degree N.
 
 Each route takes one lam or an array of them (a leading axis) and a Poly h
-or a stack of one degree (a member axis).  The recurrence and semigroup
-routes solve L lam and M members as one (L, M, N+1) grid in one loop over n;
-the integral route loops over lam, as grouping them would hold one (N+1) x
-points table per lam at once.
+or a stack of one degree (a member axis).  One function refuses a lam near
+0 for every route, each of which then refuses only what it alone needs.  The
+recurrence and semigroup routes solve L lam and M members as one (L, M, N+1)
+grid in one loop over n; the integral route loops over lam, as grouping them
+would hold one (N+1) x points table per lam at once.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ from .operators import require_degree
 from .series import as_given, poly_stack, real_matmul, require_finite_param, stack_as_given
 from .series import vanishing_order
 
-#: Refuse recurrence solves when lam is this close to a diagonal value
-#: 1/(n+1): those are genuine poles of the finite sections.
+#: Refuse a lam this close to 0, which every route divides by, or, in the
+#: recurrence, to a diagonal value 1/(n+1), a genuine pole of the finite sections.
 DIAGONAL_GUARD = 1e-12
-
-#: Steps of :func:`resolvent_recurrence` whose gaps lam - 1/(n+1) are
-#: taken at once: 152 kB at the spectral sweep's 149 lam.
-GAP_ROWS = 64
 
 #: Refuse integral-route calls whose backward recurrence would start more
 #: than this many terms past the degree: 4,096 admits max|z| <= 0.991 at
@@ -49,32 +46,19 @@ def _named(lams: np.ndarray, i: int) -> str:
     return f" (lam[{i}] = {lams[i]:.6g})" if lams.size > 1 else ""
 
 
-def _check_lambda_clear(lams: np.ndarray, degree: int, left: bool = False):
-    """Refuse lam near 0 or 1/(n+1), or with Re lam >= 0 if ``left``, naming it."""
-    diagonal = 1.0 / (np.arange(degree + 1) + 1)
-    for i, lam in enumerate(lams):
-        dist = np.abs(lam - diagonal)
-        if left and lam.real >= 0:
-            problem = "semigroup route needs Re lam < 0"
-        elif abs(lam) < DIAGONAL_GUARD:
-            problem = "lam must be nonzero"
-        elif dist.min() < DIAGONAL_GUARD:
-            problem = f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{np.argmin(dist) + 1}"
-        else:
-            continue
-        raise ValueError(problem + _named(lams, i))
-
-
 def _lambdas(lam) -> np.ndarray:
-    """A number or a non-empty array of lam as a 1-d complex array.  A lam
-    whose modulus overflows, or whose reciprocal underflows to 0 (parts near
-    1e308), is refused and named; |lam| < 1e-12, where 1/lam overflows, is
-    left to each route's own guard."""
+    """A number or a non-empty array of lam as a 1-d complex array, with the
+    refusal that every route shares, as each divides by lam or a multiple of
+    it: a lam within ``DIAGONAL_GUARD`` of 0, or whose modulus overflows or
+    whose reciprocal underflows to 0 (parts near 1e308), is refused and
+    named."""
     lams = np.array([require_finite_param(v, "lam") for v in np.ravel(lam)], dtype=complex)
     if lams.size == 0:
         raise ValueError("lam must be a number or a non-empty array")
     for i, lv in enumerate(lams.tolist()):
-        if not np.isfinite(np.abs(lv)) or (lv != 0 and 1.0 / lv == 0):
+        if np.abs(lv) < DIAGONAL_GUARD:
+            raise ValueError("lam must be nonzero" + _named(lams, i))
+        if not np.isfinite(np.abs(lv)) or 1.0 / lv == 0:
             problem = "lam must have a finite modulus and a nonzero reciprocal"
             raise ValueError(problem + _named(lams, i))
     return lams
@@ -99,27 +83,27 @@ def resolvent_recurrence(lam, h):
     (N+1, L, M) work array (entries L*M*16 bytes apart along n), the one
     result that is not C-ordered.
 
-    Each step writes into (L, M) buffers made once, with coefficient n of h
-    broadcast across the lam axis and the gaps lam - 1/(n+1) taken as
-    (``GAP_ROWS``, L, 1) blocks: the plain loop's operations on its
-    operands, so entry [i, j] is the call on lam i and member j bit for bit.
+    One (N+1, L, 1) table of the gaps lam - 1/(n+1) refuses a lam near a
+    diagonal value and divides each step, which writes into (L, M) buffers
+    made once, with coefficient n of h broadcast across the lam axis: the
+    plain loop's operations on its operands, so entry [i, j] is the call on
+    lam i and member j bit for bit.
     """
     lams = _lambdas(lam)
     # h's rows as (1, M), so that at one lam the add skips numpy's broadcasting
     c = np.ascontiguousarray(poly_stack(h).T)[:, None]
-    _check_lambda_clear(lams, c.shape[0] - 1)
+    gaps = lams[:, None] - (1.0 / np.arange(1, c.shape[0] + 1))[:, None, None]
+    for i in np.flatnonzero(np.abs(gaps).min(axis=0) < DIAGONAL_GUARD)[:1]:
+        k = np.argmin(np.abs(gaps[:, i])) + 1
+        raise ValueError(f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{k}" + _named(lams, i))
     f = np.empty((c.shape[0], lams.size, c.shape[2]), dtype=complex)
     running = np.zeros(f.shape[1:], dtype=complex)
     rhs = np.empty_like(running)
-    inverses = (1.0 / np.arange(1, c.shape[0] + 1))[:, None, None]
-    for start in range(0, c.shape[0], GAP_ROWS):
-        stop = start + GAP_ROWS
-        gaps = lams[:, None] - inverses[start:stop]
-        for n, (cn, gap, fn) in enumerate(zip(c[start:stop], gaps, f[start:stop]), start + 1):
-            np.divide(running, n, out=rhs)
-            np.add(cn, rhs, out=rhs)
-            np.divide(rhs, gap, out=fn)
-            running += fn
+    for n, (cn, gap, fn) in enumerate(zip(c, gaps, f), 1):
+        np.divide(running, n, out=rhs)
+        np.add(cn, rhs, out=rhs)
+        np.divide(rhs, gap, out=fn)
+        running += fn
     return _as_called(lam, h, np.moveaxis(f, 0, -1))
 
 
@@ -200,8 +184,6 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     require_degree(degree, "input degree")
     order = vanishing_order(stack)
     for i, lv in enumerate(lams.tolist()):
-        if abs(lv) < DIAGONAL_GUARD:
-            raise ValueError("lam must be nonzero" + _named(lams, i))
         if order <= (1.0 / lv).real - 1.0:
             need = "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
             raise ValueError(need + _named(lams, i))
@@ -258,7 +240,8 @@ def resolvent_semigroup(lam, h):
     """
     lams = _lambdas(lam)
     stack = poly_stack(h)
-    _check_lambda_clear(lams, stack.shape[1] - 1, left=True)
+    for i in np.flatnonzero(lams.real >= 0)[:1]:
+        raise ValueError("semigroup route needs Re lam < 0" + _named(lams, i))
     column, ns = lams[:, None], np.arange(1, stack.shape[1] + 1)
     # n/(n - mu) by Python's complex division: numpy's differs in the last bit
     ratios = np.array([[n / (n - 1.0 / lv) for lv in lams.tolist()] for n in range(ns.size)])

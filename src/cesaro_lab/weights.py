@@ -171,7 +171,8 @@ class _Sweep:
         """Weighted sampled maxima of the (member, radius) rows (rows[k],
         cols[k]).  The rows of real and of complex members go through
         :func:`_circle_max` apart, in blocks of half ``STACK_BLOCK_BYTES``,
-        so a real member always takes the half-spectrum transform."""
+        so a real member always takes the half-spectrum transform.  A
+        maximum that overflows to inf or NaN raises ValueError."""
         stack, size, width = self.stack, self.stack.shape[1], self.width
         real = ~stack.imag.any(axis=1)
         out = np.empty(len(rows))
@@ -185,7 +186,10 @@ class _Sweep:
                 scaled = block[: part.size]
                 np.multiply(source[rows[part]], self.powers[cols[part]], out=scaled[:, :size])
                 out[part] = _circle_max(scaled, self.samples)
-        return self.weights[cols] * out
+        out *= self.weights[cols]
+        if not np.isfinite(out).all():
+            raise ValueError("norm sweep overflows: a weighted maximum of the input is not finite")
+        return out
 
 
 def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:

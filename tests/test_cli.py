@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from cesaro_lab.cli import build_parser, main, read_coeffs_csv
+from cesaro_lab.cli import BUILTIN_FUNCTIONS, build_parser, main, read_coeffs_csv
 from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
 from cesaro_lab.resolvent import off_cut_sample_points, resolvent_recurrence
@@ -19,6 +21,11 @@ def write_constant_csv(path, degree):
     rows = ["n,re,im", "0,1.0,0.0"]
     rows += [f"{n},0.0,0.0" for n in range(1, degree + 1)]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def write_big_csv(path):
+    """Three coefficients 1e308 + 1e308i, whose sums overflow."""
+    path.write_text("n,re,im\n" + "".join(f"{n},1e308,1e308\n" for n in range(3)))
 
 
 def past_cap_run(tmp_path, argv):
@@ -292,6 +299,19 @@ class TestResolventCommand:
             assert not out.exists()
             assert capsys.readouterr().err == "error: lam must be nonzero\n"
 
+    def test_non_finite_samples_exit_two_before_writing(self, tmp_path, capsys):
+        # the integral route's values at 1e308 + 1e308i coefficients overflow
+        # to -inf in 6 of the 100 rows: the CSV writer refuses them
+        src = tmp_path / "big.csv"
+        write_big_csv(src)
+        out = tmp_path / "vals.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["resolvent", "--route", "integral", "--lambda-re=-0.5", "--lambda-im",
+                         "0.5", "--input", str(src), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: output values must be finite: nothing written\n"
+
     @pytest.mark.parametrize("route", ["recurrence", "integral", "semigroup"])
     @pytest.mark.parametrize("lam_re, lam_im", [("-1.7e308", "1.7e308"), ("-1e308", "1e308")])
     def test_lambda_at_the_float_range_exits_two(self, tmp_path, capsys, route, lam_re, lam_im):
@@ -350,15 +370,15 @@ class TestErgodicCommand:
         assert len(json.loads(out.read_text())["iterate_norms"]) == 256
 
     def test_overflowing_norms_exit_two_before_writing(self, tmp_path, capsys):
-        # the norms of coefficients 1e308 + 1e308i overflow, and JSON has no
-        # Infinity: refused before the file is opened
+        # the norms of coefficients 1e308 + 1e308i overflow: the norm sweep
+        # refuses them before the file is opened
         src = tmp_path / "big.csv"
-        src.write_text("n,re,im\n" + "".join(f"{n},1e308,1e308\n" for n in range(3)))
+        write_big_csv(src)
         out = tmp_path / "t.json"
         code = main(["ergodic", "--t", "0.5", "--input", str(src), "--output", str(out)])
         assert code == 2
         assert not out.exists()
-        assert "not JSON compliant" in capsys.readouterr().err
+        assert "norm sweep overflows" in capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -541,3 +561,86 @@ class TestVerifyCommand:
         with pytest.raises(ZeroDivisionError, match="late check"):
             main(["verify", "--suite", "all", "--degree", "64"])
         assert seen == ["PASS first: done [0.00 s]\n"]
+
+
+# every number that the strategies below draw for lam, t or a weight order:
+# small values, the guard's neighbours and the ends of the float range
+edge_numbers = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.5, 1.0, 1e-13, -1e-13, 1e308, -1.7e308, 1.7e308, 5e-324]),
+)
+BIG_ROWS = [1e308 + 1e308j] * 3
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of ``apply``, ``resolvent``, ``ergodic`` or ``classify``, and
+    the coefficient rows of its CSV input, or None for a builtin of degree
+    at most 20."""
+    number = edge_numbers.map(repr)
+    command = draw(st.sampled_from(["apply", "resolvent", "ergodic", "classify"]))
+    weight = ["--weight-kind", draw(st.sampled_from(["log", "standard"])),
+              "--weight-order", draw(st.sampled_from(["0", "1", "2", "0.5"]) | number)]
+    if command == "classify":
+        degrees = sorted(draw(st.sets(st.integers(0, 20), min_size=3, max_size=3)))
+        function = draw(st.sampled_from(sorted(BUILTIN_FUNCTIONS)))
+        return ["classify", "--f", function, "--degrees", ",".join(map(str, degrees))] + weight, None
+    if command == "apply":
+        op = draw(st.sampled_from(["cesaro", "inverse", "hardy", "generalized", "composition"]))
+        argv = ["apply", "--op", op, f"--t={draw(number)}"]
+    elif command == "resolvent":
+        route = draw(st.sampled_from(["recurrence", "integral", "semigroup"]))
+        argv = ["resolvent", "--route", route, f"--lambda-re={draw(number)}",
+                f"--lambda-im={draw(number)}"]
+    else:
+        argv = ["ergodic", f"--t={draw(number)}", "--n-max", str(draw(st.integers(1, 8))),
+                "--samples", str(draw(st.sampled_from([8, 16, 64])))] + weight
+    if draw(st.booleans()):
+        function = draw(st.sampled_from(sorted(BUILTIN_FUNCTIONS)))
+        return argv + ["--f", function, "--degree", str(draw(st.integers(0, 20)))], None
+    parts = st.one_of(st.floats(-2.0, 2.0), edge_numbers)
+    values = st.builds(complex, parts, parts)
+    return argv, draw(st.lists(values, min_size=1, max_size=21))
+
+
+def written_numbers(path):
+    """Every number in an output file: the rows of a CSV below its config
+    line and header, or every value of a JSON document, NaN and infinity
+    included."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return [float(x) for line in text.splitlines()[2:] for x in line.split(",")]
+    numbers = []
+    keep = numbers.append
+    json.loads(text, parse_float=keep, parse_int=keep, parse_constant=keep)
+    return [float(token) for token in numbers]
+
+
+class TestArgvProperty:
+    @given(command_lines())
+    @example((["resolvent", "--route", "integral", "--lambda-re=-0.5", "--lambda-im=0.5"],
+              BIG_ROWS))
+    @example((["ergodic", "--t", "0.5"], BIG_ROWS))
+    @example((["resolvent", "--route", "semigroup", "--lambda-re=-1.7e308",
+               "--lambda-im=1.7e308", "--f", "const1", "--degree", "8"], None))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_zero_with_finite_numbers_or_exit_two(self, tmp_path, case):
+        # never a traceback: a command answers with finite numbers or is
+        # refused with exit 2 before its output file is opened
+        argv, rows = case
+        if rows is not None:
+            src = tmp_path / "in.csv"
+            lines = [f"{n},{c.real!r},{c.imag!r}" for n, c in enumerate(rows)]
+            src.write_text("\n".join(["n,re,im"] + lines) + "\n", encoding="utf-8")
+            argv = argv + ["--input", str(src)]
+        out = tmp_path / ("out.csv" if argv[0] in ("apply", "resolvent") else "out.json")
+        out.unlink(missing_ok=True)
+        with np.errstate(all="ignore"):
+            code = main(argv + ["--output", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert np.isfinite(written_numbers(out)).all()

@@ -400,6 +400,21 @@ class TestWeightedSupNorm:
         with pytest.raises(ValueError, match="nonempty"):
             sup_norm_exceeds(Poly([1]), WeightSpec.log_power(1), [], 1.0, 1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_rows_refused_by_every_sweep(self):
+        # |sum of three 1e308 + 1e308i| overflows: inf at r = 0.5, NaN at 0.9
+        big = Poly([1e308 + 1e308j] * 3)
+        sweeps = [
+            lambda: weighted_sup_norm(big, WeightSpec.log_power(1)),
+            lambda: max_modulus_profile(big, [0.5, 0.9]),
+            lambda: sup_norm_exceeds(big, None, [0.5, 0.9], 1.0, 1.0),
+        ]
+        for sweep in sweeps:
+            with pytest.raises(ValueError, match="norm sweep overflows"):
+                sweep()
+        # a row that stays finite is still read: 3e-308 (1 + i) fits
+        assert np.isfinite(max_modulus_profile(Poly([1e-308 + 1e-308j] * 3), [0.5, 0.9])).all()
+
 
 def draw_limits(peaks, rng):
     """Per entry of ``peaks``: the peak itself, which a tie must not exceed,
