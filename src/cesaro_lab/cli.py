@@ -199,14 +199,7 @@ def _cmd_ergodic(args) -> int:
     weight = WeightSpec(args.weight_kind, args.weight_order)
     f = _load_function(args, config)
     trace = iterate_trace(args.t, f, weight, args.n_max, samples=args.samples)
-    payload = {
-        "config": config,
-        "iterate_norms": list(trace.iterate_norms),
-        "mean_norms": list(trace.mean_norms),
-        "mean_increments": list(trace.mean_increments),
-        "projection_errors": list(trace.projection_errors),
-    }
-    write_json(args.output, payload)
+    write_json(args.output, dict(dataclasses.asdict(trace), config=config))
     return 0
 
 

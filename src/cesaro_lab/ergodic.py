@@ -23,7 +23,7 @@ from .operators import (
 )
 from .resolvent import resolvent_recurrence
 from .series import Poly, log_one_minus_inv, monomial, truncate
-from .weights import WeightSpec, require_samples, weighted_sup_norm
+from .weights import GROWTH_RATIO_THRESHOLD, WeightSpec, require_samples, weighted_sup_norm
 
 #: Most iterations a trace takes: it keeps every running average.
 N_MAX_CAP = 1024
@@ -70,8 +70,6 @@ class ErgodicTrace:
     ``mean_increments[n-1]`` the norm of T_[2n] - T_[n].
     """
 
-    t: float
-    weight: WeightSpec
     iterate_norms: tuple
     mean_norms: tuple
     mean_increments: tuple
@@ -128,14 +126,7 @@ def iterate_trace(
     if tv < 1.0:
         means -= f.coeffs[0] * tv ** np.arange(f.degree + 1)
         projection_errors = norms(means)
-    return ErgodicTrace(
-        t=tv,
-        weight=weight,
-        iterate_norms=iterate_norms,
-        mean_norms=mean_norms,
-        mean_increments=mean_increments,
-        projection_errors=projection_errors,
-    )
+    return ErgodicTrace(iterate_norms, mean_norms, mean_increments, projection_errors)
 
 
 @dataclass(frozen=True)
@@ -174,11 +165,6 @@ class SpectralDichotomyReport:
             for pt in self.points
         ]
         return {"degrees": list(self.degrees), "section_diagonal_errors": errors, "points": points}
-
-
-#: Norm growth across section degrees beyond this ratio is classified as
-#: "growing"; an artifact convention for the sweep, not an asserted rate.
-GROWTH_RATIO_THRESHOLD = 10.0
 
 
 def spectral_dichotomy_report(

@@ -219,7 +219,8 @@ def resolvent_semigroup(lam, h):
     """h/lam + lam**-2 * int_0^inf e^(t/lam) S_t h dt in closed form, for a
     Poly h or a stack of one degree and one lam or, along a leading axis
     with each row bit for bit its own call, an array of them.  Every lam
-    needs Re lam < 0 and |lam| >= 1e-12, both checked before any work.
+    needs Re lam < 0, |lam| >= 1e-12 and a finite (N+1)|lam| at degree N,
+    all checked before any work.
 
     Row n of S_t is a * Binomial(n, a) with a = e^-t, so with mu = 1/lam
     each term integrates exactly: C(n,k) B(k+1-mu, n-k+1) =
@@ -243,6 +244,11 @@ def resolvent_semigroup(lam, h):
     for i in np.flatnonzero(lams.real >= 0)[:1]:
         raise ValueError("semigroup route needs Re lam < 0" + _named(lams, i))
     column, ns = lams[:, None], np.arange(1, stack.shape[1] + 1)
+    # each step divides by (n+1) lam - 1, whose parts stay finite while (N+1)|lam| does
+    with np.errstate(over="ignore"):
+        scales = ns.size * np.abs(lams)
+    for i in np.flatnonzero(~np.isfinite(scales))[:1]:
+        raise ValueError("semigroup route needs a finite (N+1)|lam|" + _named(lams, i))
     # n/(n - mu) by Python's complex division: numpy's differs in the last bit
     ratios = np.array([[n / (n - 1.0 / lv) for lv in lams.tolist()] for n in range(ns.size)])
     steps = zip(stack.T, (stack * ns).T, ratios[..., None], ns[:, None, None] * column - 1)

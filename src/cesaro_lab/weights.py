@@ -26,6 +26,11 @@ SAMPLES_CAP = 8192
 #: ran faster than 8 MB, and it keeps peak memory flat whatever the stack size.
 STACK_BLOCK_BYTES = 2 * 2**20
 
+#: Norm growth from the smallest degree to the largest beyond this ratio is
+#: "growing" in the spectral sweep and sets ``growth_classify``'s divergence
+#: flag; an artifact convention, not an asserted rate.
+GROWTH_RATIO_THRESHOLD = 10.0
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -162,32 +167,36 @@ class _Sweep:
         margin = 64 * 2.0**-53 * (self.powers.shape[1] + self.samples)
         bound = np.empty((len(self.stack), self.radii.size))
         step = max(1, SERIAL_PRODUCT_SIZE // self.powers.size)  # multiply-adds per member
-        for i in range(0, len(self.stack), step):
-            bound[i : i + step] = np.abs(self.stack[i : i + step]) @ self.powers.T
-        bound *= self.weights * (1.0 + margin)
+        # an overflowing bound leaves its row open, and :meth:`maxima` refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, len(self.stack), step):
+                bound[i : i + step] = np.abs(self.stack[i : i + step]) @ self.powers.T
+            bound *= self.weights * (1.0 + margin)
         return bound
 
-    def weighted_rows(self, rows, cols) -> np.ndarray:
-        """Weighted sampled maxima of the (member, radius) rows (rows[k],
-        cols[k]).  The rows of real and of complex members go through
-        :func:`_circle_max` apart, in blocks of half ``STACK_BLOCK_BYTES``,
-        so a real member always takes the half-spectrum transform.  A
-        maximum that overflows to inf or NaN raises ValueError."""
+    def maxima(self, open_rows) -> np.ndarray:
+        """The weighted sampled maxima of the rows that the boolean (member,
+        radius) mask ``open_rows`` opens, and -inf in the closed ones.  The
+        rows of real and of complex members go through :func:`_circle_max`
+        apart, in blocks of half ``STACK_BLOCK_BYTES``, so a real member
+        always takes the half-spectrum transform.  A maximum that overflows
+        to inf or NaN raises ValueError, and numpy's warnings on the way
+        there are silenced, so that refusal is all a caller sees."""
         stack, size, width = self.stack, self.stack.shape[1], self.width
         real = ~stack.imag.any(axis=1)
-        out = np.empty(len(rows))
+        out = np.full(open_rows.shape, -np.inf)
         step = max(1, STACK_BLOCK_BYTES // (32 * width))
-        for is_real in (True, False):
-            picked = np.flatnonzero(real[rows] == is_real)
-            block = np.zeros((min(step, picked.size), width), dtype=float if is_real else complex)
-            source = stack.real if is_real else stack
-            for i in range(0, picked.size, step):
-                part = picked[i : i + step]
-                scaled = block[: part.size]
-                np.multiply(source[rows[part]], self.powers[cols[part]], out=scaled[:, :size])
-                out[part] = _circle_max(scaled, self.samples)
-        out *= self.weights[cols]
-        if not np.isfinite(out).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            for is_real in (True, False):
+                rows, cols = np.nonzero(open_rows & (real == is_real)[:, None])
+                block = np.zeros((min(step, rows.size), width), dtype=float if is_real else complex)
+                source = stack.real if is_real else stack
+                for i in range(0, rows.size, step):
+                    part, at = rows[i : i + step], cols[i : i + step]
+                    scaled = block[: part.size]
+                    np.multiply(source[part], self.powers[at], out=scaled[:, :size])
+                    out[part, at] = _circle_max(scaled, self.samples) * self.weights[at]
+        if not np.isfinite(out[open_rows]).all():
             raise ValueError("norm sweep overflows: a weighted maximum of the input is not finite")
         return out
 
@@ -196,14 +205,13 @@ def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius,
     for a Poly or, one row per member, for a stack of one degree.
 
-    Every (member, radius) row goes through :meth:`_Sweep.weighted_rows`,
-    the row feeder of :func:`weighted_sup_norm` too, so a member's profile
-    is the same alone or in any stack.
+    Every (member, radius) row goes through :meth:`_Sweep.maxima`, the row
+    path of :func:`weighted_sup_norm` and :func:`sup_norm_exceeds` too, so
+    a member's profile is the same alone or in any stack.
     """
     stack = poly_stack(p)
     sweep = _Sweep(stack, None, radii, samples)
-    rows, cols = np.divmod(np.arange(len(stack) * sweep.radii.size), sweep.radii.size)
-    return as_given(p, sweep.weighted_rows(rows, cols).reshape(len(stack), -1))
+    return as_given(p, sweep.maxima(np.ones((len(stack), sweep.radii.size), dtype=bool)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,14 +242,10 @@ def weighted_sup_norm(p, w: WeightSpec, samples: int = 1024):
     # maximum.  Round 2: a row whose bound lies below that cannot hold the
     # maximum or tie with it, so only the other rows are transformed; the
     # skipped ones keep -inf
-    values = np.full(bound.shape, -np.inf)
-    all_members = np.arange(len(stack))
-    first = np.argmax(bound, axis=1)
-    lower = values[all_members, first] = sweep.weighted_rows(all_members, first)
-    open_rows = ~(bound < lower[:, None])
-    open_rows[all_members, first] = False
-    rows, cols = np.nonzero(open_rows)
-    values[rows, cols] = sweep.weighted_rows(rows, cols)
+    first = np.argmax(bound, axis=1)[:, None] == np.arange(bound.shape[1])
+    lower = sweep.maxima(first)
+    open_rows = ~first & ~(bound < lower.max(axis=1, keepdims=True))
+    values = np.maximum(lower, sweep.maxima(open_rows))
     estimates = [
         NormEstimate(value=float(row[i]), argmax_radius=float(sweep.radii[i]))
         for row, i in zip(values, np.argmax(values, axis=1))
@@ -259,11 +263,9 @@ def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor, samples: in
     value, and the division and comparison are monotone, so the verdicts are
     those of the full profile, bit for bit."""
     sweep = _Sweep(poly_stack(p), w, radii, samples)
-    bound = sweep.majorant()
-    rows, cols = np.nonzero(~(bound / divisor <= limit))  # a NaN bound leaves its row open
-    values = np.full(bound.shape, -np.inf)
-    values[rows, cols] = sweep.weighted_rows(rows, cols)
-    return as_given(p, (values / divisor > limit).any(axis=1)), rows.size
+    open_rows = ~(sweep.majorant() / divisor <= limit)  # a NaN bound leaves its row open
+    values = sweep.maxima(open_rows)
+    return as_given(p, (values / divisor > limit).any(axis=1)), int(open_rows.sum())
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,8 @@ def growth_classify(truncations, weight: WeightSpec | None = None) -> GrowthRepo
     The fits use the outer half of the radius grid on the u = -log(1-r)
     scale, where the asymptotic growth dominates the bounded prefactors;
     the divergence flag compares weighted norms across the supplied degrees
-    (ratio above 10 between the largest and smallest degree).
+    (ratio above ``GROWTH_RATIO_THRESHOLD`` between the largest and
+    smallest degree).
     """
     truncations = list(truncations)
     if len(truncations) < 3:
@@ -323,6 +326,6 @@ def growth_classify(truncations, weight: WeightSpec | None = None) -> GrowthRepo
         log_order=max(float(k_fit[0]), 0.0),
         standard_order=max(float(g_fit[0]), 0.0),
         residuals={"log_order_rms": k_rms, "standard_order_rms": g_rms},
-        divergence_flag=bool(norms[-1] > 10.0 * norms[0]),
+        divergence_flag=bool(norms[-1] > GROWTH_RATIO_THRESHOLD * norms[0]),
         norms_by_degree=norms,
     )

@@ -216,16 +216,16 @@ def test_norm_inequalities_takes_one_full_profile(monkeypatch):
         raise AssertionError("the sup-norms of f are row maxima of its profile")
 
     rows = []
-    gathered = weights._Sweep.weighted_rows
+    gathered = weights._Sweep.maxima
 
-    def gathered_counted(sweep, picked, cols):
-        rows.append(len(picked))
-        return gathered(sweep, picked, cols)
+    def gathered_counted(sweep, open_rows):
+        rows.append(int(open_rows.sum()))
+        return gathered(sweep, open_rows)
 
     monkeypatch.setattr(verify, "max_modulus_profile", counted)
     monkeypatch.setattr(weights, "weighted_sup_norm", refused)
     monkeypatch.setattr(verify, "weighted_sup_norm", refused, raising=False)
-    monkeypatch.setattr(weights._Sweep, "weighted_rows", gathered_counted)
+    monkeypatch.setattr(weights._Sweep, "maxima", gathered_counted)
     passed, detail = verify.check_norm_inequalities(512)
     assert passed
     corpus = [f for _, f in operators.build_corpus(512)]

@@ -299,6 +299,17 @@ class TestResolventCommand:
             assert not out.exists()
             assert capsys.readouterr().err == "error: lam must be nonzero\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_semigroup_step_divisor_overflow_exits_two(self, tmp_path, capsys):
+        # 9 |lam| overflows, so the step divisor (n+1) lam - 1 would too: numpy
+        # warned and the command exited 0
+        out = tmp_path / "g.csv"
+        code = main(["resolvent", "--route", "semigroup", "--lambda-re", "-1e308", "--f",
+                     "const1", "--degree", "8", "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: semigroup route needs a finite (N+1)|lam|\n"
+
     def test_non_finite_samples_exit_two_before_writing(self, tmp_path, capsys):
         # the integral route's values at 1e308 + 1e308i coefficients overflow
         # to -inf in 6 of the 100 rows: the CSV writer refuses them
@@ -369,6 +380,7 @@ class TestErgodicCommand:
         assert code == 0
         assert len(json.loads(out.read_text())["iterate_norms"]) == 256
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_norms_exit_two_before_writing(self, tmp_path, capsys):
         # the norms of coefficients 1e308 + 1e308i overflow: the norm sweep
         # refuses them before the file is opened

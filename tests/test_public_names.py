@@ -185,9 +185,9 @@ def test_every_default_is_set_somewhere():
 #: not, with the reason each stays.
 TEST_ONLY_DEFAULTS = {
     "cli.main(argv)": "the entry point: the console script reads sys.argv, tests pass argv",
-    "weights.max_modulus_profile(samples)": "shares _Sweep.weighted_rows with "
+    "weights.max_modulus_profile(samples)": "shares _Sweep.maxima with "
     "weighted_sup_norm(samples), which ergodic --samples sets",
-    "weights.sup_norm_exceeds(samples)": "shares _Sweep.weighted_rows with "
+    "weights.sup_norm_exceeds(samples)": "shares _Sweep.maxima with "
     "weighted_sup_norm(samples), which ergodic --samples sets",
 }
 

@@ -672,8 +672,10 @@ class TestSemigroupRoute:
             (0.0, r"lam must be nonzero \(lam\[3\] = 0\+0j\)"),
             (-1e-13, r"lam must be nonzero \(lam\[3\] = -1e-13\+0j\)"),
             (-1e-13 + 1e-14j, r"lam must be nonzero \(lam\[3\] = -1e-13\+1e-14j\)"),
+            (-1e308, r"needs a finite \(N\+1\)\|lam\| \(lam\[3\] = -1e\+308\+0j\)"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_lambda_array_refused_whole_before_the_loop(self, bad, message):
         # the refusal allocates less than one result: the stack's copy and
         # the diagonal, not the (L, M, N+1) output or the ratio table

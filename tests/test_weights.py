@@ -45,7 +45,7 @@ def random_real_stack(count, size, seed=29):
 
 def chunk_members(size, radii, samples):
     """Fewest members whose (member, radius) rows fill one FFT block of
-    ``weights._Sweep.weighted_rows``, which holds
+    ``weights._Sweep.maxima``, which holds
     ``STACK_BLOCK_BYTES // (32 * width)`` rows."""
     width = max(samples, -(-size // samples) * samples)
     return -(-max(1, STACK_BLOCK_BYTES // (32 * width)) // radii)
@@ -400,7 +400,7 @@ class TestWeightedSupNorm:
         with pytest.raises(ValueError, match="nonempty"):
             sup_norm_exceeds(Poly([1]), WeightSpec.log_power(1), [], 1.0, 1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_rows_refused_by_every_sweep(self):
         # |sum of three 1e308 + 1e308i| overflows: inf at r = 0.5, NaN at 0.9
         big = Poly([1e308 + 1e308j] * 3)
@@ -465,13 +465,13 @@ class TestSupNormExceeds:
         values = weight_eval(w, grid) * max_modulus_profile(members, grid)
         limit = draw_limits(values.max(axis=1, keepdims=True), rng)
         seen = []
-        exact = weights._Sweep.weighted_rows
+        exact = weights._Sweep.maxima
 
-        def recorded(sweep, rows, cols):
-            seen.extend(zip(rows.tolist(), cols.tolist()))
-            return exact(sweep, rows, cols)
+        def recorded(sweep, open_rows):
+            seen.extend(np.argwhere(open_rows).tolist())
+            return exact(sweep, open_rows)
 
-        monkeypatch.setattr(weights._Sweep, "weighted_rows", recorded)
+        monkeypatch.setattr(weights._Sweep, "maxima", recorded)
         exceeded, transformed = sup_norm_exceeds(members, w, grid, limit, 1.0)
         bound = weights._Sweep(poly_stack(members), w, grid, 1024).majorant()
         assert transformed == len(seen) < bound.size
