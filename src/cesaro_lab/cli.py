@@ -3,7 +3,9 @@ CSV/JSON emission.
 
 Every output file embeds the resolved configuration, so a result can be
 regenerated from the file alone.  Exit codes: 0 success, 1 verification
-failure, 2 invalid usage or configuration, 3 I/O failure.
+failure, 2 invalid usage or configuration, 3 I/O failure.  A command runs
+with numpy's overflow, invalid-value and division-by-zero errors raised,
+and such an error exits 2 like a refused input: no warning, no output.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import sys
 import numpy as np
 
 from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
-from .operators import require_degree
+from .operators import ST_DEGREE_CAP, require_degree
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
 from .resolvent import (
+    SPLIT_DEGREE_CAP,
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
@@ -72,21 +75,24 @@ def _coeff_columns(p: Poly):
     return "n,re,im", [np.arange(p.coeffs.size), p.coeffs.real, p.coeffs.imag]
 
 
-def read_coeffs_csv(path: str) -> Poly:
+def read_coeffs_csv(path: str, cap: int | None) -> Poly:
     """Read a coefficient file: header n,re,im, index-complete from 0;
-    lines starting with ``#`` are ignored."""
+    lines starting with ``#`` are ignored.  A file with a row past degree
+    ``cap`` (None: no cap) is refused at that row, before the rest is read."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if not rows or rows[0].replace(" ", "") != "n,re,im":
-        raise ValueError(f"{path}: expected header 'n,re,im'")
-    coeffs = []
-    for expected, row in enumerate(rows[1:]):
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed row {row!r}")
-        if int(parts[0]) != expected:
-            raise ValueError(f"{path}: coefficient rows must be index-complete from 0")
-        coeffs.append(complex(float(parts[1]), float(parts[2])))
+        rows = (line.strip() for line in fh if line.strip() and not line.startswith("#"))
+        if next(rows, "").replace(" ", "") != "n,re,im":
+            raise ValueError(f"{path}: expected header 'n,re,im'")
+        coeffs = []
+        for expected, row in enumerate(rows):
+            if cap is not None and expected > cap:
+                raise ValueError(f"{path}: input degree exceeds the cap {cap} at row {expected}")
+            parts = row.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{path}: malformed row {row!r}")
+            if int(parts[0]) != expected:
+                raise ValueError(f"{path}: coefficient rows must be index-complete from 0")
+            coeffs.append(complex(float(parts[1]), float(parts[2])))
     if not coeffs:
         raise ValueError(f"{path}: no coefficient rows")
     return Poly(coeffs)
@@ -116,12 +122,12 @@ def _builtin(name: str, degrees):
     return BUILTIN_FUNCTIONS[name]
 
 
-def _load_function(args, config: dict) -> Poly:
+def _load_function(args, config: dict, cap: int | None) -> Poly:
     if getattr(args, "input", None) and getattr(args, "function", None):
         raise ValueError("give either --input or --f, not both")
     if getattr(args, "input", None):
         config["input"] = args.input
-        return read_coeffs_csv(args.input)
+        return read_coeffs_csv(args.input, cap)
     name = getattr(args, "function", None)
     if not name:
         raise ValueError("one of --input or --f is required")
@@ -134,7 +140,7 @@ def _load_function(args, config: dict) -> Poly:
 
 def _cmd_apply(args) -> int:
     config = _config("apply", op=args.op)
-    p = _load_function(args, config)
+    p = _load_function(args, config, ST_DEGREE_CAP if args.op == "composition" else None)
     if args.op in ("generalized", "composition"):
         if args.t is None:
             raise ValueError(f"--t is required for --op {args.op}")
@@ -165,7 +171,8 @@ def _cmd_resolvent(args) -> int:
         panels=4,
         substitution=True,
     )
-    h = _load_function(args, config)
+    caps = {"integral": ST_DEGREE_CAP, "recurrence": SPLIT_DEGREE_CAP, "semigroup": None}
+    h = _load_function(args, config, caps[args.route])
     if args.route == "integral":
         zs = off_cut_sample_points()
         values = resolvent_integral_profile(lam, h, zs)
@@ -197,7 +204,7 @@ def _cmd_ergodic(args) -> int:
     )
     require_trace_budget(args.n_max, args.samples)
     weight = WeightSpec(args.weight_kind, args.weight_order)
-    f = _load_function(args, config)
+    f = _load_function(args, config, ST_DEGREE_CAP)
     trace = iterate_trace(args.t, f, weight, args.n_max, samples=args.samples)
     write_json(args.output, dict(dataclasses.asdict(trace), config=config))
     return 0
@@ -229,11 +236,9 @@ def _cmd_verify(args) -> int:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}", flush=True)
         results.append(r)
     if args.output:
-        payload = {
-            "config": _config("verify", suite=args.suite, degree=args.degree),
-            "results": [dataclasses.asdict(r) for r in results],
-        }
-        write_json(args.output, payload)
+        rows = [dataclasses.asdict(r) for r in results]
+        config = _config("verify", suite=args.suite, degree=args.degree)
+        write_json(args.output, {"config": config, "results": rows})
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -317,8 +322,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except ValueError as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return COMMANDS[args.command](args)
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -40,13 +40,13 @@ def cesaro_apply(p):
     return generalized_cesaro_apply(1.0, p)
 
 
-def require_degree(degree: int, what: str):
-    """Refuse a degree below 0 or above ``ST_DEGREE_CAP``, naming it as
-    ``what``, before anything of that degree is built."""
+def require_degree(degree: int, what: str, cap: int = ST_DEGREE_CAP):
+    """Refuse a degree below 0 or above ``cap``, naming it as ``what``,
+    before anything of that degree is built."""
     if degree < 0:
         raise ValueError(f"{what} must be nonnegative")
-    if degree > ST_DEGREE_CAP:
-        raise ValueError(f"{what} {degree} exceeds the cap {ST_DEGREE_CAP}")
+    if degree > cap:
+        raise ValueError(f"{what} {degree} exceeds the cap {cap}")
 
 
 def require_memory_t(t) -> float:

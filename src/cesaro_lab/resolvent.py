@@ -31,6 +31,10 @@ from .series import vanishing_order
 #: recurrence, to a diagonal value 1/(n+1), a genuine pole of the finite sections.
 DIAGONAL_GUARD = 1e-12
 
+#: Largest degree :func:`resolvent_recurrence` solves: its gap correction is
+#: exact while k = n + 1 <= 2**27 keeps k times each half of fl(1/k) exact.
+SPLIT_DEGREE_CAP = 2**27 - 1
+
 #: Refuse integral-route calls whose backward recurrence would start more
 #: than this many terms past the degree: 4,096 admits max|z| <= 0.991 at
 #: Re(1/lam) <= 1, at most about 12 ms per lam; |z| = 1 - 1e-12 needs 3.7e13.
@@ -77,8 +81,9 @@ def resolvent_recurrence(lam, h):
 
     Coefficient n satisfies f_n*(lam - 1/(n+1)) = h_n + mean of f_0..f_{n-1}
     scaled by 1/(n+1); values of lam within 1e-12 of a diagonal entry are
-    rejected rather than regularized.  An array of L lam adds a leading axis
-    and a stack of M members of one degree a member axis: both give an
+    rejected rather than regularized, and so is a degree above
+    ``SPLIT_DEGREE_CAP``.  An array of L lam adds a leading axis and a
+    stack of M members of one degree a member axis: both give an
     (L, M, N+1) grid from one loop over n, returned as a view of the
     (N+1, L, M) work array (entries L*M*16 bytes apart along n), the one
     result that is not C-ordered.
@@ -87,12 +92,30 @@ def resolvent_recurrence(lam, h):
     diagonal value and divides each step, which writes into (L, M) buffers
     made once, with coefficient n of h broadcast across the lam axis: the
     plain loop's operations on its operands, so entry [i, j] is the call on
-    lam i and member j bit for bit.
+    lam i and member j bit for bit.  Each gap is (lam - q) - r, with
+    q = fl(1/k), k = n + 1, and r = 1/k - q correctly rounded by Dekker's
+    split of q (Numer. Math. 18, 1971): lam - q is exact near q (Sterbenz),
+    so a gap is within 2u of lam - 1/k (u = 2**-53) even 1e-12 from a 1/k
+    that is not a binary fraction.
+
+    Forward bound, to first order in u: with g_n = lam - 1/(n+1),
+    S_n = f_0 + ... + f_n and t_n = 18u (|h_n| + |S_{n-1}|/(n+1)), the
+    computed f_n lies within (d_{n-1}/(n+1) + t_n)/|g_n| of the exact
+    solution at the same double lam, where d_{-1} = 0 and d_n =
+    |1 + 1/((n+1) g_n)| d_{n-1} + t_n/|g_n| + u |S_n| bounds the error of
+    the running sum.  A step rounds the division by n+1 and the addition
+    (u each), the gap (2u) and the complex division (14u, Smith's method),
+    and the sum adds u |S_n|; an error in the sum grows by the step's own
+    factor 1 + 1/((n+1) g_n) = (n+1)/(n+1 - 1/lam).
     """
     lams = _lambdas(lam)
     # h's rows as (1, M), so that at one lam the add skips numpy's broadcasting
     c = np.ascontiguousarray(poly_stack(h).T)[:, None]
-    gaps = lams[:, None] - (1.0 / np.arange(1, c.shape[0] + 1))[:, None, None]
+    require_degree(c.shape[0] - 1, "input degree", SPLIT_DEGREE_CAP)
+    ks = np.arange(1.0, c.shape[0] + 1)[:, None, None]
+    q = 1.0 / ks
+    high = q * (2.0**27 + 1) - (q * (2.0**27 + 1) - q)
+    gaps = (lams[:, None] - q) - ((1.0 - ks * high) - ks * (q - high)) / ks
     for i in np.flatnonzero(np.abs(gaps).min(axis=0) < DIAGONAL_GUARD)[:1]:
         k = np.argmin(np.abs(gaps[:, i])) + 1
         raise ValueError(f"lam within {DIAGONAL_GUARD:g} of diagonal value 1/{k}" + _named(lams, i))
@@ -113,14 +136,6 @@ def off_cut_sample_points() -> np.ndarray:
     point lies on the cut (-1, 0]; each within 6.6e-16 of its exact point."""
     theta = -np.pi + (np.arange(SAMPLE_ANGLES) + 0.5) * (2.0 * np.pi / SAMPLE_ANGLES)
     return np.concatenate([r * np.exp(1j * theta) for r in SAMPLE_RADII])
-
-
-def _validate_points(zs: np.ndarray):
-    if np.any(np.abs(zs) >= 1.0):
-        raise ValueError("evaluation points must lie inside the unit disc")
-    on_cut = (zs.imag == 0) & (zs.real <= 0)
-    if np.any(on_cut):
-        raise ValueError("evaluation points must avoid the cut (-1, 0]")
 
 
 def _start_index(mu: complex, degree: int, radius: float) -> int:
@@ -188,7 +203,10 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
             need = "integral route requires the vanishing order of h to exceed Re(1/lam) - 1"
             raise ValueError(need + _named(lams, i))
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
-    _validate_points(zv)
+    if np.any(np.abs(zv) >= 1.0):
+        raise ValueError("evaluation points must lie inside the unit disc")
+    if np.any((zv.imag == 0) & (zv.real <= 0)):
+        raise ValueError("evaluation points must avoid the cut (-1, 0]")
     radius = float(np.max(np.abs(zv)))
     starts = [_start_index(1.0 / lv, degree, radius) for lv in lams.tolist()]
 

@@ -49,9 +49,6 @@ class Poly:
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def __repr__(self) -> str:
-        return f"Poly(degree={self.degree})"
-
 
 def monomial(power: int) -> Poly:
     """z**power as a degree-``power`` polynomial."""

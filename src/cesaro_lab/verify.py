@@ -349,9 +349,7 @@ def check_ergodic_dichotomy(degree: int) -> tuple[bool, str]:
     for n in range(1, n_max + 1):
         current = generalized_cesaro_apply(1.0, Poly(current)).coeffs
         mean0 = mean0 + (current[0] - mean0) / n
-        if mean0 != 1.0:
-            constant_ok = False
-            break
+        constant_ok &= bool(mean0 == 1.0)
 
     detail = (
         f"err(256)/err(1)={errors[n_max - 1] / errors[0]:.4f}, "

@@ -58,30 +58,24 @@ class WeightSpec:
         return cls("log", float(k))
 
 
-def weight_eval(w: WeightSpec, r):
-    """Weight value at radius r (scalar or array), defined on [0, 1)."""
+def weight_eval(w: WeightSpec, r) -> np.ndarray:
+    """Weight values at the radii r, an array of r's shape, defined on [0, 1)."""
     rv = np.asarray(r, dtype=float)
     if np.any(rv < 0) or np.any(rv >= 1):
         raise ValueError("radii must lie in [0, 1)")
     if w.kind == "standard":
-        out = (1.0 - rv) ** w.order
-    else:
-        base = np.ones_like(rv)
-        mask = rv > JUNCTION_RADIUS
-        # -log1p(-r) = -log(1-r); both branches give exactly 1 at the junction.
-        base[mask] = 1.0 / (-np.log1p(-rv[mask]))
-        out = base ** int(w.order)
-    if rv.ndim == 0:
-        return float(out[()])
-    return out
+        return (1.0 - rv) ** w.order
+    base = np.ones_like(rv)
+    mask = rv > JUNCTION_RADIUS
+    # -log1p(-r) = -log(1-r); both branches give exactly 1 at the junction.
+    base[mask] = 1.0 / (-np.log1p(-rv[mask]))
+    return base ** int(w.order)
 
 
 def reliable_radius(degree: int) -> float:
     """Largest radius where a degree-``degree`` truncation of a typical
     log-growth function still carries essentially all of its mass."""
-    if degree < 1:
-        return 0.5
-    return max(0.5, 1.0 - 10.0 / degree)
+    return max(0.5, 1.0 - 10.0 / max(degree, 1))
 
 
 def default_radius_grid(degree: int) -> np.ndarray:
@@ -306,8 +300,6 @@ def growth_classify(truncations, weight: WeightSpec | None = None) -> GrowthRepo
     largest = truncations[-1]
     # drop r = 0, which would lower u.min() and so move the fit window
     grid = default_radius_grid(largest.degree)[1:]
-    if grid.size < 4:
-        raise ValueError("degenerate radius grid: fewer than 4 radii")
     m_vals = max_modulus_profile(largest, grid)
     u = -np.log1p(-grid)
     window = (u >= 0.5 * (u.min() + u.max())) & (m_vals > 0)

@@ -6,8 +6,10 @@ they define S_t directly, against which the closed-form Binomial rows of
 ``cesaro_lab.operators.s_t_rows`` are checked.  ``per_member_s_t_apply`` and
 ``allocating_recurrence`` are the earlier forms of ``s_t_apply`` (one
 product per member) and of ``resolvent_recurrence`` (new arrays at every
-step, over the whole (lam, member) grid), the references for the blocked and
-in-place kernels.
+step, over the whole (lam, member) grid, its gaps corrected from exact
+fractions), the references for the blocked and in-place kernels;
+``exact_recurrence`` solves the recurrence in exact rational arithmetic,
+against which the route's forward bound is checked.
 ``plain_semigroup`` is the semigroup route's loop for one lam, against
 which each lam of ``resolvent_semigroup`` is checked bit for bit.
 ``traced_peak`` measures the memory a call allocates, for the tests that
@@ -20,6 +22,7 @@ same sums check Horner's rule in ``cesaro_lab.series.horner_eval``.
 
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -145,10 +148,40 @@ def allocating_recurrence(lam, h) -> np.ndarray:
     f = np.empty((c.shape[0], lams.size, c.shape[1]), dtype=complex)
     running = np.zeros(f.shape[1:], dtype=complex)
     for n in range(c.shape[0]):
-        f[n] = (c[n] + running / (n + 1)) / (lams[:, None] - 1.0 / (n + 1))
+        # the gap lam - 1/(n+1) as (lam - q) - r, with q = fl(1/(n+1)) and
+        # r = 1/(n+1) - q rounded from exact fractions
+        q = 1.0 / (n + 1)
+        gap = (lams[:, None] - q) - float(Fraction(1, n + 1) - Fraction(q))
+        f[n] = (c[n] + running / (n + 1)) / gap
         running += f[n]
     grid = np.ascontiguousarray(np.moveaxis(f, 0, -1))
     return grid if np.ndim(lam) and not isinstance(h, Poly) else grid.reshape(-1, c.shape[0])
+
+
+def exact_recurrence(lam, coeffs) -> np.ndarray:
+    """The forward solve of (lam*I - C) f = h in exact rational arithmetic,
+    at the double lam and h's double coefficients, each f_n rounded once to
+    a complex double.  Every part is an integer over one power of two, so
+    f_n = (k h_n + S_{n-1}) / (k lam - 1) with k = n + 1 and S_{n-1} =
+    f_0 + ... + f_{n-1} is carried as Gaussian integers over one common
+    integer denominator, never reduced: no gcd of the growing numbers."""
+    values = [complex(lam)] + [complex(c) for c in coeffs]
+    parts = [Fraction(x) for v in values for x in (v.real, v.imag)]
+    scale = max(p.denominator for p in parts)
+    a, b, *h = [int(p * scale) for p in parts]
+    x = y = 0  # S_{n-1} = (x + iy) / den
+    den = 1
+    out = []
+    for n in range(len(h) // 2):
+        k = n + 1
+        c, d = k * a - scale, k * b  # scale (k lam - 1)
+        pr = k * h[2 * n] * den + scale * x  # scale den (k h_n + S_{n-1})
+        pi = k * h[2 * n + 1] * den + scale * y
+        fr, fi = pr * c + pi * d, pi * c - pr * d
+        m = c * c + d * d
+        out.append(complex(fr / (den * m), fi / (den * m)))  # int division rounds once
+        x, y, den = x * m + fr, y * m + fi, den * m
+    return np.array(out)
 
 
 def plain_semigroup(lam, h) -> np.ndarray:

@@ -1,14 +1,16 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cesaro_lab.cli import BUILTIN_FUNCTIONS, build_parser, main, read_coeffs_csv
+from cesaro_lab import cli
+from cesaro_lab.cli import BUILTIN_FUNCTIONS, build_parser, main, read_coeffs_csv, write_csv
 from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
-from cesaro_lab.resolvent import off_cut_sample_points, resolvent_recurrence
+from cesaro_lab.resolvent import SPLIT_DEGREE_CAP, off_cut_sample_points, resolvent_recurrence
 from cesaro_lab.series import binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
 from cesaro_lab import verify
 from cesaro_lab.verify import run_suite
@@ -63,7 +65,8 @@ class TestInputDegreeCap:
         assert code == 2
         assert peak < 1_000_000
         assert not written
-        assert f"input degree {ST_DEGREE_CAP + 1} exceeds the cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"input degree exceeds the cap {ST_DEGREE_CAP} at row {ST_DEGREE_CAP + 1}" in err
 
     def test_integral_input_past_cap_exits_two(self, tmp_path, capsys):
         # a coefficient file is held to the cap before the integral route
@@ -76,19 +79,108 @@ class TestInputDegreeCap:
         assert code == 2
         assert peak < 1_000_000
         assert not written
-        assert f"input degree {ST_DEGREE_CAP + 1} exceeds the cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"input degree exceeds the cap {ST_DEGREE_CAP} at row {ST_DEGREE_CAP + 1}" in err
+
+    def test_long_input_refused_before_it_is_read(self, tmp_path, capsys):
+        # a degree-100,000 file: the rows are counted against the cap as they
+        # are read, so the refusal comes at row 2049 and the rest stays unread
+        src = tmp_path / "coeffs.csv"
+        write_constant_csv(src, 100_000)
+        argv = ["resolvent", "--route", "integral", "--lambda-re", "0", "--lambda-im", "1",
+                "--input", str(src)]
+        code, peak, written = past_cap_run(tmp_path, argv)
+        assert code == 2
+        assert peak < 200_000
+        assert not written
+        err = capsys.readouterr().err
+        assert f"input degree exceeds the cap {ST_DEGREE_CAP} at row {ST_DEGREE_CAP + 1}" in err
+
+    def test_recurrence_input_held_to_the_split_cap(self, tmp_path, capsys, monkeypatch):
+        # the recurrence route reads a file up to SPLIT_DEGREE_CAP, which a
+        # test cannot write out (2**27 rows): at a cap of 8, a degree-9 file
+        # is refused at its last row
+        assert SPLIT_DEGREE_CAP == 2**27 - 1
+        monkeypatch.setattr(cli, "SPLIT_DEGREE_CAP", 8)
+        src = tmp_path / "coeffs.csv"
+        write_constant_csv(src, 9)
+        argv = ["resolvent", "--route", "recurrence", "--lambda-re", "-1", "--input", str(src)]
+        assert main(argv + ["--output", str(tmp_path / "f.csv")]) == 2
+        assert "input degree exceeds the cap 8 at row 9" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+        write_constant_csv(src, 8)
+        assert main(argv + ["--output", str(tmp_path / "f.csv")]) == 0
 
     def test_degree_at_cap_accepted(self, tmp_path):
         out = tmp_path / "ct.csv"
         code = main(["apply", "--op", "cesaro", "--f", "const1", "--degree", str(ST_DEGREE_CAP),
                      "--output", str(out)])
         assert code == 0
-        assert read_coeffs_csv(str(out)).degree == ST_DEGREE_CAP
+        assert read_coeffs_csv(str(out), None).degree == ST_DEGREE_CAP
         out = tmp_path / "growth.json"
         code = main(["classify", "--f", "log-inv", "--degrees", f"64,128,{ST_DEGREE_CAP}",
                      "--output", str(out)])
         assert code == 0
         assert len(json.loads(out.read_text())["norms_by_degree"]) == 3
+
+
+class TestCoefficientFile:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("re,im,n\n0,1.0,0.0\n", "expected header 'n,re,im'"),
+            ("", "expected header 'n,re,im'"),
+            ("n,re,im\n0,1.0\n", "malformed row '0,1.0'"),
+            ("n,re,im\n0,1.0,0.0\n2,1.0,0.0\n", "coefficient rows must be index-complete from 0"),
+            ("# config: {}\nn,re,im\n", "no coefficient rows"),
+        ],
+    )
+    def test_malformed_file_exits_two(self, tmp_path, capsys, text, message):
+        src = tmp_path / "in.csv"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = main(["apply", "--op", "cesaro", "--input", str(src), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--input", "in.csv", "--f", "const1", "--degree", "8"],
+             "give either --input or --f, not both"),
+            (["--f", "const1"], "--degree is required with --f"),
+            (["--degree", "8"], "one of --input or --f is required"),
+        ],
+    )
+    def test_input_choice_exits_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main(["apply", "--op", "cesaro"] + argv + ["--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_writer_refuses_non_finite_values(self, tmp_path):
+        # the last gate: Python float arithmetic overflows to inf silently
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="^output values must be finite: nothing written$"):
+            write_csv(str(out), {}, "n,re,im", [[0, 1], [1.0, np.inf], [0.0, 0.0]])
+        assert not out.exists()
+
+
+class TestBuiltinsAndEntry:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FUNCTIONS))
+    def test_each_builtin_written_to_stdout(self, capsys, name):
+        # without --output a command writes its file to standard output
+        assert main(["apply", "--op", "cesaro", "--f", name, "--degree", "8"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("# config: ") and out[1] == "n,re,im" and len(out) == 11
+
+    def test_entry_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["cesaro-lab", "verify", "--suite", "bogus"])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.entry()
+        assert excinfo.value.code == 2
+        assert "unknown suite 'bogus'" in capsys.readouterr().err
 
 
 class TestApply:
@@ -98,7 +190,7 @@ class TestApply:
         out = tmp_path / "out.csv"
         code = main(["apply", "--op", "cesaro", "--input", str(src), "--output", str(out)])
         assert code == 0
-        result = read_coeffs_csv(str(out))
+        result = read_coeffs_csv(str(out), None)
         np.testing.assert_allclose(result.coeffs, 1.0 / np.arange(1, 10), rtol=1e-15)
         assert out.read_text().startswith("# config: ")
 
@@ -106,14 +198,14 @@ class TestApply:
         mid = tmp_path / "stage1.csv"
         main(["apply", "--op", "cesaro", "--f", "binom-half", "--degree", "40", "--output", str(mid)])
         in_process = cesaro_apply(binomial_series(-0.5, 40))
-        assert np.array_equal(read_coeffs_csv(str(mid)).coeffs, in_process.coeffs)
+        assert np.array_equal(read_coeffs_csv(str(mid), None).coeffs, in_process.coeffs)
 
     def test_inverse_undoes_cesaro(self, tmp_path):
         mid = tmp_path / "mid.csv"
         out = tmp_path / "back.csv"
         main(["apply", "--op", "cesaro", "--f", "log-inv", "--degree", "32", "--output", str(mid)])
         main(["apply", "--op", "inverse", "--input", str(mid), "--output", str(out)])
-        back = read_coeffs_csv(str(out))
+        back = read_coeffs_csv(str(out), None)
         np.testing.assert_allclose(back.coeffs, log_one_minus_inv(32).coeffs, atol=1e-13)
 
     def test_generalized_requires_t(self, tmp_path, capsys):
@@ -157,7 +249,7 @@ class TestResolventCommand:
              "--degree", "8", "--output", str(out)]
         )
         assert code == 0
-        got = read_coeffs_csv(str(out))
+        got = read_coeffs_csv(str(out), None)
         assert got.coeffs[0] == pytest.approx(-0.5)
         assert got.coeffs[1] == pytest.approx(1 / 6)
 
@@ -285,7 +377,7 @@ class TestResolventCommand:
         code = main(["resolvent", "--route", "semigroup", "--lambda-re=-1e-6", "--lambda-im", "1",
                      "--f", "const1", "--degree", "8", "--output", str(out)])
         assert code == 0
-        got = read_coeffs_csv(str(out)).coeffs
+        got = read_coeffs_csv(str(out), None).coeffs
         want = resolvent_recurrence(-1e-6 + 1j, truncate(monomial(0), 8)).coeffs
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -310,18 +402,19 @@ class TestResolventCommand:
         assert not out.exists()
         assert capsys.readouterr().err == "error: semigroup route needs a finite (N+1)|lam|\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_samples_exit_two_before_writing(self, tmp_path, capsys):
-        # the integral route's values at 1e308 + 1e308i coefficients overflow
-        # to -inf in 6 of the 100 rows: the CSV writer refuses them
+        # the integral route's sums at 1e308 + 1e308i coefficients overflow:
+        # the command's floating-point policy refuses the first overflow,
+        # before the CSV writer's own finite check would see -inf in 6 rows
         src = tmp_path / "big.csv"
         write_big_csv(src)
         out = tmp_path / "vals.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["resolvent", "--route", "integral", "--lambda-re=-0.5", "--lambda-im",
-                         "0.5", "--input", str(src), "--output", str(out)])
+        code = main(["resolvent", "--route", "integral", "--lambda-re=-0.5", "--lambda-im",
+                     "0.5", "--input", str(src), "--output", str(out)])
         assert code == 2
         assert not out.exists()
-        assert capsys.readouterr().err == "error: output values must be finite: nothing written\n"
+        assert capsys.readouterr().err.startswith("error: overflow encountered in ")
 
     @pytest.mark.parametrize("route", ["recurrence", "integral", "semigroup"])
     @pytest.mark.parametrize("lam_re, lam_im", [("-1.7e308", "1.7e308"), ("-1e308", "1e308")])
@@ -508,7 +601,7 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
+        assert "unknown suite 'bogus'; choose from all, eigen-cesaro, " in capsys.readouterr().err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         # a failing check must be reported and turn the exit status to 1,
@@ -584,6 +677,16 @@ edge_numbers = st.one_of(
 )
 BIG_ROWS = [1e308 + 1e308j] * 3
 
+#: The commands whose arithmetic overflows on ``BIG_ROWS``: each printed
+#: numpy warnings before it exited 2, until one floating-point policy
+#: raised the first overflow at the command boundary.
+OVERFLOWING_COMMANDS = [
+    ["apply", "--op", "cesaro"],
+    ["apply", "--op", "inverse"],
+    ["resolvent", "--route", "semigroup", "--lambda-re=-1"],
+    ["resolvent", "--route", "integral", "--lambda-re=-0.5", "--lambda-im=0.5"],
+]
+
 
 @st.composite
 def command_lines(draw):
@@ -631,16 +734,19 @@ def written_numbers(path):
 
 class TestArgvProperty:
     @given(command_lines())
-    @example((["resolvent", "--route", "integral", "--lambda-re=-0.5", "--lambda-im=0.5"],
-              BIG_ROWS))
+    @example((OVERFLOWING_COMMANDS[0], BIG_ROWS))
+    @example((OVERFLOWING_COMMANDS[1], BIG_ROWS))
+    @example((OVERFLOWING_COMMANDS[2], BIG_ROWS))
+    @example((OVERFLOWING_COMMANDS[3], BIG_ROWS))
     @example((["ergodic", "--t", "0.5"], BIG_ROWS))
     @example((["resolvent", "--route", "semigroup", "--lambda-re=-1.7e308",
                "--lambda-im=1.7e308", "--f", "const1", "--degree", "8"], None))
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_zero_with_finite_numbers_or_exit_two(self, tmp_path, case):
-        # never a traceback: a command answers with finite numbers or is
-        # refused with exit 2 before its output file is opened
+        # never a traceback nor a warning: a command answers with finite
+        # numbers or is refused with exit 2 before its output file is opened
         argv, rows = case
         if rows is not None:
             src = tmp_path / "in.csv"
@@ -649,10 +755,21 @@ class TestArgvProperty:
             argv = argv + ["--input", str(src)]
         out = tmp_path / ("out.csv" if argv[0] in ("apply", "resolvent") else "out.json")
         out.unlink(missing_ok=True)
-        with np.errstate(all="ignore"):
-            code = main(argv + ["--output", str(out)])
+        code = main(argv + ["--output", str(out)])
         assert code in (0, 2)
         if code == 2:
             assert not out.exists()
         else:
             assert np.isfinite(written_numbers(out)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", OVERFLOWING_COMMANDS)
+    def test_overflow_exits_two_with_one_error_line(self, tmp_path, capsys, argv):
+        src = tmp_path / "big.csv"
+        write_big_csv(src)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--input", str(src), "--output", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow encountered in ")
+        assert err.count("\n") == 1

@@ -64,9 +64,9 @@ class TestCesaroEigenpairs:
         assert residual <= 1e-12 * scale
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
             shifted_pole(8, 4)
 
 
@@ -105,9 +105,9 @@ class TestMemoryEigenvectors:
         assert tail <= 1e-10
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\)$"):
             eigenvector_ct(1.0, 0, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m must lie in 0\.\.degree$"):
             eigenvector_ct(0.5, 9, 8)
 
 
@@ -201,9 +201,9 @@ class TestIterateTrace:
 
     def test_rejects_bad_arguments(self):
         f = truncate(monomial(0), 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_max must be at least 8$"):
             iterate_trace(0.5, f, WeightSpec.log_power(1), 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^f must be nonzero$"):
             iterate_trace(0.5, Poly(np.zeros(8)), WeightSpec.log_power(1), 16)
 
 
@@ -315,7 +315,7 @@ class TestSpectralDichotomy:
         assert peak <= 1.25 * 8 * 1025**2
 
     def test_rejects_small_degree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree must be at least 64$"):
             spectral_dichotomy_report(32, grid_points=17)
 
     def test_refuses_budgets_past_caps_before_allocating(self):

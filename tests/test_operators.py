@@ -172,9 +172,9 @@ class TestGeneralizedCesaro:
         assert worst <= math.sqrt(2) * (3 * levels + 5) * 2.0**-53
 
     def test_rejects_t_outside_unit_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
             generalized_cesaro_apply(1.5, Poly([1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
             generalized_cesaro_apply(-0.1, Poly([1]))
 
 
@@ -212,6 +212,11 @@ class TestPascalRows:
     def test_s_t_rows_refuses_a_negative_degree(self):
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             s_t_rows(0.5, -1)
+
+    @pytest.mark.parametrize("t", [-0.1, np.inf, np.nan])
+    def test_s_t_rows_refuses_a_negative_or_non_finite_t(self, t):
+        with pytest.raises(ValueError, match="^t must be a finite nonnegative real$"):
+            s_t_apply(t, Poly([1.0, 2.0]))
 
     def test_s_t_rows_match_allocating_recurrence_bitwise(self):
         for degree in (8, 64, 513):
@@ -406,6 +411,10 @@ class TestLogPowerIdentity:
 
 
 class TestCorpus:
+    def test_refuses_a_degree_below_four(self):
+        with pytest.raises(ValueError, match="^corpus degree must be at least 4$"):
+            build_corpus(3)
+
     def test_deterministic(self):
         a = build_corpus(64)
         b = build_corpus(64)

@@ -21,7 +21,7 @@ from cesaro_lab.series import Poly, horner_eval, log_one_minus_inv, monomial
 from cesaro_lab.series import poly_stack, truncate
 from cesaro_lab.verify import _ring_values
 
-from oracles import allocating_recurrence, decimal_ring_values, exact_ring_points
+from oracles import allocating_recurrence, decimal_ring_values, exact_recurrence, exact_ring_points
 from oracles import plain_semigroup, point_offsets, traced_peak
 
 #: Unit roundoff.
@@ -93,7 +93,55 @@ coeff_lists = st.lists(
 )
 
 
+#: lam near the diagonal values 1/3, 1/100, 1/500 and 1/7, which are not
+#: binary fractions, and near 1/2, which is; then lam away from them all.
+NEAR_DIAGONAL_LAMS = [
+    1 / 3 + 2e-12, 1 / 3 + 1e-10, 1 / 3 + 1e-6, 1 / 3 + 5e-12j, 1 / 100 + 3e-12,
+    1 / 500 + 2e-12, 1 / 7 + 1e-11, 1 / 2 + 3e-12,
+]
+OFF_DIAGONAL_LAMS = [1j, -1 + 1j, 3.0, 0.02j, -0.002, 0.05 + 0.05j]
+
+
+def recurrence_forward_bound(lam, h: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The forward bound of ``resolvent_recurrence``'s docstring on each
+    coefficient, from h and the computed solution f: (d_{n-1}/(n+1) + t_n)
+    / |g_n| with t_n = 18u (|h_n| + |S_{n-1}|/(n+1)) and d_n =
+    |1 + 1/((n+1) g_n)| d_{n-1} + t_n/|g_n| + u |S_n|."""
+    sums = np.abs(np.cumsum(f))
+    bound = np.empty(f.size)
+    carried = previous = 0.0  # d_{n-1} and |S_{n-1}|
+    for n in range(f.size):
+        k, gap = n + 1, lam - 1.0 / (n + 1)
+        local = 18 * U * (abs(h[n]) + previous / k)
+        bound[n] = (carried / k + local) / abs(gap)
+        carried = abs(1 + 1 / (k * gap)) * carried + local / abs(gap) + U * sums[n]
+        previous = sums[n]
+    return bound
+
+
 class TestRecurrence:
+    @pytest.mark.parametrize("lam", NEAR_DIAGONAL_LAMS + OFF_DIAGONAL_LAMS)
+    def test_within_its_forward_bound_of_the_exact_solve(self, lam):
+        # the exact solve is of the same recurrence at the same double lam;
+        # with gaps lam - fl(1/k) the route was off by 9.25e-6 relative at
+        # 1/3 + 2e-12, 1e8 times its bound.  The bound itself stays within
+        # 6e-12 of max|f| at all fourteen lam
+        h = truncate(monomial(0), 512).coeffs
+        exact = exact_recurrence(lam, h)
+        f = resolvent_recurrence(lam, Poly(h)).coeffs
+        bound = recurrence_forward_bound(lam, h, f)
+        assert np.all(np.abs(f - exact) <= bound)
+        assert np.max(bound) <= 1e-11 * np.max(np.abs(f))
+
+    def test_degree_held_to_the_split_cap(self, monkeypatch):
+        # Dekker's split is exact up to degree 2**27 - 1, which a test cannot
+        # allocate: at a cap of 8, degree 9 is refused before the loop
+        assert resolvent.SPLIT_DEGREE_CAP == 2**27 - 1
+        monkeypatch.setattr(resolvent, "SPLIT_DEGREE_CAP", 8)
+        with pytest.raises(ValueError, match="^input degree 9 exceeds the cap 8$"):
+            resolvent_recurrence(1j, truncate(monomial(0), 9))
+        assert resolvent_recurrence(1j, truncate(monomial(0), 8)).degree == 8
+
     def test_hand_computed_steps(self):
         # f0 = 1 / (lam - 1); f1 = (f0 / 2) / (lam - 1/2), both at lam = -1
         f = resolvent_recurrence(-1.0, truncate(monomial(0), 3))
@@ -117,7 +165,7 @@ class TestRecurrence:
             assert np.max(np.abs(residual)) <= 1e-12 * scale
 
     def test_rejects_near_diagonal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lam within 1e-12 of diagonal value 1/3$"):
             resolvent_recurrence(1.0 / 3 + 1e-13, Poly(np.ones(8)))
 
     def test_rejects_zero(self):
@@ -350,11 +398,12 @@ class TestIntegralRoute:
 
     def test_rejects_points_on_cut_or_outside(self):
         h = truncate(monomial(0), 8)
-        with pytest.raises(ValueError):
+        on_cut = r"^evaluation points must avoid the cut \(-1, 0\]$"
+        with pytest.raises(ValueError, match=on_cut):
             resolvent_integral_profile(1j, h, -0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=on_cut):
             resolvent_integral_profile(1j, h, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^evaluation points must lie inside the unit disc$"):
             resolvent_integral_profile(1j, h, 1.2)
 
     def test_rejects_vanishing_order_violation(self):
@@ -612,9 +661,9 @@ class TestSemigroupRoute:
         assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_rejects_nonnegative_real_part(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^semigroup route needs Re lam < 0$"):
             resolvent_semigroup(0.5, Poly([1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^semigroup route needs Re lam < 0$"):
             resolvent_semigroup(1j, Poly([1]))
 
     def test_refuses_lambda_below_the_guard_like_the_other_routes(self):

@@ -53,14 +53,20 @@ class TestPoly:
         assert p.coeffs.shape == (3,)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficients must form a non-empty 1-d sequence$"):
             Poly([])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficients must all be finite$"):
             Poly([1.0, np.nan])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficients must all be finite$"):
             Poly([np.inf, 0.0])
+
+    def test_monomial_and_truncate_refuse_a_negative_degree(self):
+        with pytest.raises(ValueError, match="^power must be nonnegative$"):
+            monomial(-1)
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            truncate(Poly([1.0, 2.0]), -1)
 
     def test_coeffs_immutable(self):
         p = Poly([1, 2])
@@ -75,6 +81,11 @@ class TestPoly:
 
 
 class TestHornerEval:
+    @pytest.mark.parametrize("z", [np.nan, [0.5, np.inf], complex(0.5, np.nan)])
+    def test_refuses_non_finite_points(self, z):
+        with pytest.raises(ValueError, match="^evaluation points must be finite$"):
+            horner_eval(Poly([1.0, 2.0]), z)
+
     def test_constant(self):
         assert horner_eval(Poly([1]), 0.5) == 1
 
@@ -187,8 +198,12 @@ class TestBinomialSeries:
         assert np.allclose(out.coeffs, np.arange(1, 12))
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
             binomial_series(-1, -1)
+
+    def test_rejects_non_finite_alpha(self):
+        with pytest.raises(ValueError, match="^alpha must be finite, got inf$"):
+            binomial_series(np.inf, 4)
 
 
 class TestShiftedPole:
@@ -204,9 +219,9 @@ class TestShiftedPole:
         np.testing.assert_allclose(got.real, exact, rtol=2e-15, atol=0)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
             shifted_pole(4, 1)
 
 
@@ -224,7 +239,7 @@ class TestLogSeries:
         np.testing.assert_allclose(g.coeffs, [0, -1, -0.5, -1 / 3, -0.25])
 
     def test_rejects_degree_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
             log_one_minus_inv(0)
 
 

@@ -164,21 +164,23 @@ class TestWeightEval:
             assert np.all(np.diff(vals) <= 1e-15)
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^radii must lie in \[0, 1\)$"):
             weight_eval(WeightSpec.log_power(1), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^radii must lie in \[0, 1\)$"):
             weight_eval(WeightSpec.log_power(1), -0.1)
 
     def test_rejects_bad_orders(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^standard weight needs order gamma > 0$"):
             WeightSpec.standard(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^log weight needs an integer order k >= 1$"):
             WeightSpec.log_power(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^log weight needs an integer order k >= 1$"):
             WeightSpec("log", 1.5)
         for order in (np.inf, np.nan):
             with pytest.raises(ValueError, match="integer order"):
                 WeightSpec("log", order)
+        with pytest.raises(ValueError, match="^unknown weight kind 'power'$"):
+            WeightSpec("power", 1.0)
 
 
 class TestMaxModulus:
@@ -258,12 +260,18 @@ class TestMaxModulus:
             assert np.all(prof[1:] >= prof[:-1] * (1 - 1e-12))
 
     def test_rejects_tiny_sample_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least 8 samples per circle$"):
             max_modulus_profile(Poly([1]), [0.5], samples=4)
+
+    @pytest.mark.parametrize("radius", [1.0, -0.1])
+    def test_rejects_a_radius_outside_the_disc(self, radius):
+        with pytest.raises(ValueError, match=r"^radii must lie in \[0, 1\)$"):
+            max_modulus_profile(Poly([1]), [0.5, radius])
 
     def test_rejects_sample_count_above_cap(self):
         def refused():
-            with pytest.raises(ValueError, match=f"at most {SAMPLES_CAP} samples"):
+            message = f"^at most {SAMPLES_CAP} samples per circle, got {SAMPLES_CAP + 1}$"
+            with pytest.raises(ValueError, match=message):
                 max_modulus_profile(Poly([1]), [0.5], samples=SAMPLES_CAP + 1)
 
         assert traced_peak(refused)[1] < 100_000
@@ -505,10 +513,17 @@ class TestGrowthClassify:
         assert np.isfinite(report.residuals["standard_order_rms"])
 
     def test_rejects_few_truncations(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least three truncation degrees$"):
             growth_classify([log_one_minus_inv(64), log_one_minus_inv(128)])
 
     def test_rejects_nonincreasing_degrees(self):
         fam = [log_one_minus_inv(d) for d in (128, 128, 256)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^truncation degrees must be strictly increasing$"):
+            growth_classify(fam)
+
+    def test_rejects_a_family_with_no_usable_radius(self):
+        # a zero truncation has max modulus 0 at every radius, so no radius
+        # of the fit window has a logarithm
+        fam = [Poly(np.zeros(d + 1)) for d in (64, 128, 256)]
+        with pytest.raises(ValueError, match="^degenerate fit window: fewer than 4 usable radii$"):
             growth_classify(fam)
