@@ -123,18 +123,17 @@ def _builtin(name: str, degrees):
 
 
 def _load_function(args, config: dict, cap: int | None) -> Poly:
-    if getattr(args, "input", None) and getattr(args, "function", None):
+    if args.input and args.function:
         raise ValueError("give either --input or --f, not both")
-    if getattr(args, "input", None):
+    if args.input:
         config["input"] = args.input
         return read_coeffs_csv(args.input, cap)
-    name = getattr(args, "function", None)
-    if not name:
+    if not args.function:
         raise ValueError("one of --input or --f is required")
     if args.degree is None:
         raise ValueError("--degree is required with --f")
-    build = _builtin(name, [args.degree])
-    config.update(function=name, degree=args.degree)
+    build = _builtin(args.function, [args.degree])
+    config.update(function=args.function, degree=args.degree)
     return build(args.degree)
 
 

@@ -11,12 +11,13 @@ For (lam*I - C) f = h on truncated series:
   composition semigroup, taken exactly: each coefficient is a Beta-weighted
   running sum, within 24 (N+1)**2 u max|f| of the solution at degree N.
 
-Each route takes one lam or an array of them (a leading axis) and a Poly h
-or a stack of one degree (a member axis).  One function refuses a lam near
-0 for every route, each of which then refuses only what it alone needs.  The
-recurrence and semigroup routes solve L lam and M members as one (L, M, N+1)
-grid in one loop over n; the integral route loops over lam, as grouping them
-would hold one (N+1) x points table per lam at once.
+Each route takes one lam or an array of them and a Poly h or a stack of one
+degree; :func:`~cesaro_lab.series.as_given` shapes every result.  One
+function refuses a lam near 0 for every route, each of which then refuses
+only what it alone needs.  The recurrence and semigroup routes solve L lam
+and M members as one (L, M, N+1) grid in one loop over n; the integral
+route loops over lam, as grouping them would hold one (N+1) x points table
+per lam at once.
 """
 
 from __future__ import annotations
@@ -68,25 +69,16 @@ def _lambdas(lam) -> np.ndarray:
     return lams
 
 
-def _as_called(lam, h, grid: np.ndarray):
-    """An (L, M, N+1) grid without the axis of a number lam or of a Poly h."""
-    if np.ndim(lam) == 0:
-        return stack_as_given(h, np.ascontiguousarray(grid[0]))
-    solved = as_given(h, grid.swapaxes(0, 1))
-    return grid if solved.ndim == 3 else np.ascontiguousarray(solved)
-
-
 def resolvent_recurrence(lam, h):
     """Forward triangular solve of (lam*I - C) f = h.
 
     Coefficient n satisfies f_n*(lam - 1/(n+1)) = h_n + mean of f_0..f_{n-1}
     scaled by 1/(n+1); values of lam within 1e-12 of a diagonal entry are
     rejected rather than regularized, and so is a degree above
-    ``SPLIT_DEGREE_CAP``.  An array of L lam adds a leading axis and a
-    stack of M members of one degree a member axis: both give an
-    (L, M, N+1) grid from one loop over n, returned as a view of the
-    (N+1, L, M) work array (entries L*M*16 bytes apart along n), the one
-    result that is not C-ordered.
+    ``SPLIT_DEGREE_CAP``.  L lam and M members are one (L, M, N+1) grid
+    from one loop over n, shaped by :func:`~cesaro_lab.series.as_given`;
+    the full grid is a view of the (N+1, L, M) work array (entries L*M*16
+    bytes apart along n), the one result that is not C-ordered.
 
     One (N+1, L, 1) table of the gaps lam - 1/(n+1) refuses a lam near a
     diagonal value and divides each step, which writes into (L, M) buffers
@@ -127,7 +119,7 @@ def resolvent_recurrence(lam, h):
         np.add(cn, rhs, out=rhs)
         np.divide(rhs, gap, out=fn)
         running += fn
-    return _as_called(lam, h, np.moveaxis(f, 0, -1))
+    return stack_as_given(h, np.moveaxis(f, 0, -1), lam)
 
 
 def off_cut_sample_points() -> np.ndarray:
@@ -155,9 +147,9 @@ def _start_index(mu: complex, degree: int, radius: float) -> int:
 
 
 def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
-    """Pointwise values of the solution formula at an array of points, for a
-    Poly h or, one row per member, for a stack of one degree,
-    and for one lam or, along a leading axis, an array of them.
+    """Pointwise values of the solution formula at an array of points, for
+    one lam or an array of them and a Poly h or a stack of one degree,
+    shaped by :func:`~cesaro_lab.series.as_given`.
 
     With mu = 1/lam the formula's moments m_k(z) = int_0^1 tau**(k-mu)
     (1 - tau z)**(mu-1) dtau obey (k+1-mu) m_k = (1-z)**mu + (k+1) z m_{k+1}
@@ -215,8 +207,8 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     for k in range(1, degree + 1):
         np.multiply(z_powers[k - 1], zv, out=z_powers[k])
     rows = np.empty((degree + 1 - order, zv.size), dtype=complex)
-    values = []
-    for lv, start in zip(lams.tolist(), starts):
+    values = np.empty((lams.size, stack.shape[0], zv.size), dtype=complex)
+    for lv, start, value in zip(lams.tolist(), starts, values):
         mu = 1.0 / lv
         shift = mu * (1.0 - zv)
         divisors = (1.0 - mu / np.arange(1, start + 2)).tolist()
@@ -228,17 +220,16 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
             out /= divisors[k]
             g = out
         rows *= z_powers[order:]
-        values.append(as_given(h, real_matmul(rows.T, stack[:, order:].T).T))
-    values = np.array(values)
-    return values[0] if np.ndim(lam) == 0 else values
+        value[...] = real_matmul(rows.T, stack[:, order:].T).T
+    return as_given(h, values, lam)
 
 
 def resolvent_semigroup(lam, h):
-    """h/lam + lam**-2 * int_0^inf e^(t/lam) S_t h dt in closed form, for a
-    Poly h or a stack of one degree and one lam or, along a leading axis
-    with each row bit for bit its own call, an array of them.  Every lam
-    needs Re lam < 0, |lam| >= 1e-12 and a finite (N+1)|lam| at degree N,
-    all checked before any work.
+    """h/lam + lam**-2 * int_0^inf e^(t/lam) S_t h dt in closed form, for one
+    lam or an array of them and a Poly h or a stack of one degree, shaped
+    by :func:`~cesaro_lab.series.as_given`, each row bit for bit its own
+    call.  Every lam needs Re lam < 0, |lam| >= 1e-12 and a finite
+    (N+1)|lam| at degree N, all checked before any work.
 
     Row n of S_t is a * Binomial(n, a) with a = e^-t, so with mu = 1/lam
     each term integrates exactly: C(n,k) B(k+1-mu, n-k+1) =
@@ -276,5 +267,5 @@ def resolvent_semigroup(lam, h):
         carried = running * ratio
         running = carried + c
         out[..., n] = (scaled + carried / column) / divisor
-    return _as_called(lam, h, out)
+    return stack_as_given(h, out, lam)
 

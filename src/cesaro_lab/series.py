@@ -87,15 +87,25 @@ def poly_stack(h) -> np.ndarray:
     return stack
 
 
-def as_given(h, results):
-    """The first of the per-member ``results`` for a Poly h, else all of
-    them: the shape in which the caller gave h to :func:`poly_stack`."""
-    return results[0] if isinstance(h, Poly) else results
+def as_given(h, results, lam=None):
+    """A kernel's per-member ``results`` in the shape in which the caller
+    gave h to :func:`poly_stack` and, when passed, its own lam: the (M, ...)
+    results, or the (L, M, ...) grid of an array of L lam, lose the lam axis
+    for a number lam (a 0-d array too) and the member axis for a Poly h.  An
+    array that loses an axis comes back C-ordered; one that loses none is
+    the kernel's own."""
+    lam_axis = lam is not None and np.ndim(lam) > 0
+    kept = results if lam is None or lam_axis else results[0]
+    if isinstance(h, Poly):
+        kept = kept[:, 0] if lam_axis else kept[0]
+    return kept if kept is results or np.ndim(kept) == 0 else np.ascontiguousarray(kept)
 
 
-def stack_as_given(h, stack: np.ndarray):
-    """A kernel's coefficient stack as h came: a Poly for a Poly h, else the array."""
-    return Poly(stack[0]) if isinstance(h, Poly) else stack
+def stack_as_given(h, stack: np.ndarray, lam=None):
+    """A kernel's coefficient stack or grid as :func:`as_given` shapes it,
+    as a Poly when one coefficient row is left."""
+    kept = as_given(h, stack, lam)
+    return Poly(kept) if kept.ndim == 1 else kept
 
 
 def horner_eval(p, z):
@@ -133,12 +143,8 @@ def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def cauchy_product(p: Poly, q: Poly, degree: int) -> Poly:
-    """Coefficient convolution, truncated to ``degree``."""
-    full = np.convolve(p.coeffs, q.coeffs)
-    out = full[: degree + 1]
-    if out.size < degree + 1:
-        out = np.concatenate([out, np.zeros(degree + 1 - out.size, dtype=complex)])
-    return Poly(out)
+    """Coefficient convolution, truncated or zero-padded to ``degree``."""
+    return truncate(Poly(np.convolve(p.coeffs, q.coeffs)[: degree + 1]), degree)
 
 
 def binomial_series(alpha, degree: int) -> Poly:

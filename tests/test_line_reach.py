@@ -45,9 +45,6 @@ TEST_FILES = sorted(
 NOT_ON_PROGRAM_PATHS = {
     "series.horner_eval": "perfbench's resolvent_digits evaluates its oracle with it "
     "(ROADMAP item 1); no command or check calls it",
-    "series.cauchy_product: out = np.concatenate([out, np.zeros(degree + 1 - out.size, "
-    "dtype=complex)])": "zero-pads a product shorter than the degree asked for; both "
-    "callers in the package ask for less than the product's length",
     "weights.default_radius_grid: outer = np.array([0.5])": "degree 20 or less, where the "
     "reliability gap reaches 0.5: the README's degrees are 128 and up",
     "cli.<lambda>": "the builtins log-neg, geom, binom-half, binom-2, e2, e3 and e4, "

@@ -237,15 +237,6 @@ class TestRecurrence:
             for row, h in zip(rows, stack, strict=True):
                 assert np.array_equal(bits(row), bits(resolvent_recurrence(lam, Poly(h)).coeffs))
 
-    def test_grid_shapes_follow_the_arguments(self):
-        # a leading axis for an array of lam, a member axis for a stack
-        h = log_one_minus_inv(16)
-        assert resolvent_recurrence(np.array([1j]), [h]).shape == (1, 1, 17)
-        assert resolvent_recurrence(np.array([1j]), [h, h]).shape == (1, 2, 17)
-        assert resolvent_recurrence(np.array([1j, 2j]), h).shape == (2, 17)
-        assert resolvent_recurrence(1j, [h, h]).shape == (2, 17)
-        assert isinstance(resolvent_recurrence(1j, h), Poly)
-
     @pytest.mark.parametrize("where", [0, 2, 3])
     def test_grid_refuses_a_diagonal_lambda_anywhere(self, where):
         lams = list(ROUTE_LAMS)
@@ -448,16 +439,6 @@ class TestIntegralRoute:
         for lam, rows, row in zip(ROUTE_LAMS, stacked, single, strict=True):
             assert np.array_equal(rows, resolvent_integral_profile(lam, members, zs)), lam
             assert np.array_equal(row, resolvent_integral_profile(lam, members[7], zs)), lam
-
-    def test_lambda_array_shapes(self):
-        members = [truncate(monomial(m), 16) for m in (0, 1, 2)]
-        zs = off_cut_sample_points()
-        assert resolvent_integral_profile(1j, members[0], zs).shape == (100,)
-        assert resolvent_integral_profile(1j, members, zs).shape == (3, 100)
-        assert resolvent_integral_profile(np.array(1j), members[0], 0.5).shape == (1,)
-        assert resolvent_integral_profile(ROUTE_LAMS, members[0], zs).shape == (4, 100)
-        assert resolvent_integral_profile(ROUTE_LAMS, members, zs).shape == (4, 3, 100)
-        assert resolvent_integral_profile([1j], members, 0.5).shape == (1, 3, 1)
 
     def test_lambda_array_refused_whole_before_quadrature(self):
         h = truncate(monomial(0), 2048)

@@ -13,6 +13,7 @@ from cesaro_lab.series import (
     horner_eval,
     log_one_minus_inv,
     monomial,
+    poly_stack,
     shifted_pole,
     truncate,
     vanishing_order,
@@ -338,6 +339,88 @@ def result_bits(value):
     elif isinstance(value, NormEstimate):
         value = np.array([value.value, value.argmax_radius])
     return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+#: Four lam that the recurrence and the integral route take; the semigroup
+#: route takes only Re lam < 0.
+SHAPE_LAMS = (1j, 2j, -1 + 1j, 3.0)
+
+#: The resolvent routes as functions of lam and h: four lam the route takes,
+#: whether it returns coefficients, and the length of a member's result.
+ROUTES = {
+    "recurrence": (resolvent_recurrence, SHAPE_LAMS, True, 17),
+    "integral": (
+        lambda lam, h: resolvent_integral_profile(lam, h, off_cut_sample_points()),
+        SHAPE_LAMS,
+        False,
+        100,
+    ),
+    "integral_at_one_point": (
+        lambda lam, h: resolvent_integral_profile(lam, h, 0.5),
+        SHAPE_LAMS,
+        False,
+        1,
+    ),
+    "semigroup": (resolvent_semigroup, (-1.0, -0.5 + 0.3j, -1e-3, -100.0), True, 17),
+}
+
+#: lam as the caller may give it, from a route's lam.
+LAM_FORMS = {
+    "number": lambda lams: lams[0],
+    "0d_array": lambda lams: np.array(lams[0]),
+    "list": lambda lams: [lams[0]],
+    "array": np.array,
+}
+
+SHAPE_MEMBERS = [truncate(monomial(0), 16), truncate(monomial(1), 16), log_one_minus_inv(16)]
+
+#: h as the caller may give it.
+H_FORMS = {
+    "Poly": SHAPE_MEMBERS[0],
+    "list_of_one": SHAPE_MEMBERS[:1],
+    "list": SHAPE_MEMBERS,
+    "2d_array": np.array([p.coeffs for p in SHAPE_MEMBERS]),
+}
+
+
+def int_bits(a):
+    """The int64 view of a complex array, copied to C order if need be."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("h_form", H_FORMS)
+@pytest.mark.parametrize("lam_form", LAM_FORMS)
+@pytest.mark.parametrize("route", ROUTES)
+def test_results_take_the_shape_of_lam_and_h(route, lam_form, h_form):
+    # series.as_given drops the lam axis of a number lam and the member axis
+    # of a Poly h, and hands back C order below three axes
+    solve, lams, coefficients, width = ROUTES[route]
+    lam, h = LAM_FORMS[lam_form](lams), H_FORMS[h_form]
+    lam_list = [complex(v) for v in np.ravel(lam)]
+    members = poly_stack(h)
+    index = (0 if np.ndim(lam) == 0 else slice(None), 0 if isinstance(h, Poly) else slice(None))
+    shape = (len(lam_list), len(members), width)
+    singles = [[solve(v, Poly(row)) for row in members] for v in lam_list]
+    assert all(isinstance(s, Poly) == coefficients for row in singles for s in row)
+    want = np.array([[s.coeffs if coefficients else s for s in row] for row in singles])[index]
+    got = solve(lam, h)
+    if coefficients and np.ndim(lam) == 0 and isinstance(h, Poly):
+        assert isinstance(got, Poly)
+        got = got.coeffs
+    else:
+        assert type(got) is np.ndarray
+    assert got.shape == want.shape == np.empty(shape)[index].shape
+    assert got.ndim == 3 or got.flags.c_contiguous
+    if coefficients:
+        # each row is the call on one number lam and one Poly, bit for bit
+        assert np.array_equal(int_bits(got), int_bits(want))
+    else:
+        # each lam's rows are its call on one number lam with the same h, bit
+        # for bit; a product with several members may round a member's row
+        # differently from its own call (by 1.7e-16 here)
+        per_lam = np.array([solve(v, h) for v in lam_list])[index[:1]]
+        assert np.array_equal(int_bits(got), int_bits(per_lam))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestStackBoundary:
