@@ -17,9 +17,9 @@ from .series import (
     log_one_minus_inv,
     monomial,
     poly_stack,
-    real_matmul,
     shifted_pole,
     stack_as_given,
+    stack_product,
     truncate,
 )
 
@@ -30,9 +30,6 @@ CORPUS_SEED = 0x5EED
 #: :func:`require_degree`: each dense real matrix of :func:`s_t_rows` and
 #: :func:`finite_section` takes 8*(N+1)**2 bytes, about 34 MB at this cap.
 ST_DEGREE_CAP = 2048
-
-#: Members per product of :func:`s_t_apply`.
-ST_BLOCK = 8
 
 
 def cesaro_apply(p):
@@ -113,22 +110,9 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
 def s_t_apply(t: float, p):
     """The weighted composition semigroup S_t applied to a Poly or, as an
     array, to a stack: the matrix of :func:`s_t_rows`, built once, times
-    the members in blocks of ``ST_BLOCK``, each block the columns of one
-    zero-padded (N+1, ST_BLOCK) array in one :func:`real_matmul`, so the
-    matrix is read once per block and not once per member.  A single Poly
-    is padded too: every member goes through a product of the same shape,
-    whose columns' bits depend only on their own column (the stack tests
-    check it), so a member's bits do not depend on its stack or its place
-    in it."""
+    the members by :func:`~cesaro_lab.series.stack_product`."""
     stack = poly_stack(p)
-    rows = s_t_rows(t, stack.shape[1] - 1)
-    block = np.zeros((stack.shape[1], ST_BLOCK), dtype=complex)
-    for start in range(0, len(stack), ST_BLOCK):
-        members = stack[start : start + ST_BLOCK]
-        block[:, : len(members)] = members.T
-        block[:, len(members) :] = 0.0
-        members[:] = real_matmul(rows, block)[:, : len(members)].T
-    return stack_as_given(p, stack)
+    return stack_as_given(p, stack_product(s_t_rows(t, stack.shape[1] - 1), stack))
 
 
 def finite_section(t: float, degree: int) -> np.ndarray:

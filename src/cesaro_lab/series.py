@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Most multiply-adds :func:`real_matmul` hands to one BLAS call: OpenBLAS
+#: Most multiply-adds :func:`stack_product` hands to one BLAS call: OpenBLAS
 #: 0.3.31 keeps calls below about 4.4e5 on the calling thread; larger ones
 #: wake its worker threads, which spin on the other cores for no gain here.
 SERIAL_PRODUCT_SIZE = 400_000
+
+#: Members per product of :func:`stack_product`.
+PRODUCT_BLOCK = 8
 
 #: Coefficient magnitudes at or below this are structural zeros when
 #: measuring the vanishing order at the origin.
@@ -126,19 +129,30 @@ def horner_eval(p, z):
     return complex(values) if values.ndim == 0 else values
 
 
-def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real or complex matrix m and a complex array z, as real
-    products over row blocks of m of at most ``SERIAL_PRODUCT_SIZE``
-    multiply-adds: a complex product is 2-3x slower, and it and a larger
-    real one wake idle-spinning BLAS worker threads."""
-    if np.iscomplexobj(m):
-        return real_matmul(m.real, z) + 1j * real_matmul(m.imag, z)
-    step = max(1, SERIAL_PRODUCT_SIZE // max(1, z.size))  # z.size multiply-adds per row
-    z_re, z_im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-    out = np.empty(m.shape[:1] + z.shape[1:], dtype=complex)
-    for i in range(0, m.shape[0], step):
-        out.real[i : i + step] = m[i : i + step] @ z_re
-        out.imag[i : i + step] = m[i : i + step] @ z_im
+def stack_product(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """m @ c for a real or complex (rows, K) matrix m and each member c of a
+    (members, K) stack, as a C-ordered (members, rows) array: the one
+    matrix-times-stack product.  Members go in zero-padded blocks of
+    ``PRODUCT_BLOCK``, real and imaginary parts side by side as real
+    columns, and a complex m as its real rows over its imaginary rows (a
+    complex product is 2-3x slower), so each row block is one real product
+    of at most ``SERIAL_PRODUCT_SIZE`` multiply-adds.  A product has one
+    shape per m, and each column depends only on itself, so a member's bits
+    do not depend on its stack or its place in it."""
+    real = np.concatenate([m.real, m.imag]) if np.iscomplexobj(m) else m
+    sums = np.empty((len(real), 2 * PRODUCT_BLOCK))
+    step = max(1, SERIAL_PRODUCT_SIZE // (sums.shape[1] * m.shape[1]))  # rows per product
+    out = np.empty((len(stack), len(m)), dtype=complex)
+    for start in range(0, len(stack), PRODUCT_BLOCK):
+        members = stack[start : start + PRODUCT_BLOCK]
+        block = np.zeros((m.shape[1], PRODUCT_BLOCK), dtype=complex)
+        block[:, : len(members)] = members.T
+        for i in range(0, len(real), step):
+            np.matmul(real[i : i + step], block.view(float), out=sums[i : i + step])
+        values = sums.view(complex)[:, : len(members)].T
+        if np.iscomplexobj(m):
+            values = values[:, : len(m)] + 1j * values[:, len(m) :]
+        out[start : start + len(members)] = values
     return out
 
 

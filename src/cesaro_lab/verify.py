@@ -42,8 +42,8 @@ from .series import (
     log_one_minus_inv,
     monomial,
     poly_stack,
-    real_matmul,
     shifted_pole,
+    stack_product,
     truncate,
 )
 from .weights import (
@@ -208,6 +208,14 @@ def check_resolvent_routes() -> tuple[bool, str]:
     Each side is one recurrence grid: 4 lam x 63 members, zero-padded to 4N,
     for the oracle, summed one lam at a time (all 252 rows would hold 4.4 MB
     of ring terms), and 3 lam x 3 probes against one semigroup call.
+
+    The semigroup grid also goes through the operator itself: its backward
+    error max|lam f - C f - h| / (|lam| max|f| + max|h|) per lam and probe,
+    with C f by :func:`cesaro_apply`'s cumulative sum.  By the route's own
+    step bounds the carried sum is within 7.5u n**2 max|f| and a step within
+    14u of its terms (u = 2**-53), and the residual's own rounding adds
+    N u max|f| and 16u of its terms, so the error is within
+    9 (N+2) u (1 + 1/|lam|) at degree N: 3.5e-13 at the least |lam| here.
     """
     degree = 128
     corpus = build_corpus(degree)
@@ -224,10 +232,17 @@ def check_resolvent_routes() -> tuple[bool, str]:
 
     probes = [truncate(monomial(0), degree), log_one_minus_inv(degree), members[0]]
     lams = (-1.0, -0.5 + 0.3j, -2.0)
-    gap = resolvent_recurrence(lams, probes) - resolvent_semigroup(lams, probes)
-    worst_semigroup = float(np.max(np.abs(gap)))
-    ok = worst_integral <= 1e-8 and worst_semigroup <= 1e-6
-    return ok, f"integral vs oracle {worst_integral:.2e}; semigroup vs oracle {worst_semigroup:.2e}"
+    solutions = resolvent_semigroup(lams, probes)
+    worst_semigroup = float(np.max(np.abs(resolvent_recurrence(lams, probes) - solutions)))
+    h, backward = poly_stack(probes), 0.0
+    for lam, f in zip(lams, solutions):
+        residual = np.abs(lam * f - cesaro_apply(f) - h).max(axis=1)
+        scale = abs(lam) * np.abs(f).max(axis=1) + np.abs(h).max(axis=1)
+        backward = max(backward, float(np.max(residual / scale)))
+    limit = 9 * (degree + 2) * 2.0**-53 * (1.0 + 1.0 / min(abs(v) for v in lams))
+    ok = worst_integral <= 1e-8 and worst_semigroup <= 1e-6 and backward <= limit
+    detail = f"integral vs oracle {worst_integral:.2e}; semigroup vs oracle {worst_semigroup:.2e}"
+    return ok, f"{detail}; semigroup backward error {backward:.2e} (tolerance {limit:.2e})"
 
 
 def check_resolvent_identity(degree: int) -> tuple[bool, str]:
@@ -273,9 +288,20 @@ def check_norm_inequalities(degree: int) -> tuple[bool, str]:
     is a threshold test, :func:`sup_norm_exceeds`, which transforms only the
     (member, radius) rows that the majorant cannot settle; the detail counts
     the clause rows the majorant certified.
+
+    As the clauses read norms only as ratios, two anchors pin the scales, and
+    each failure counts as a violation.  Sweep: the profile of ``one`` reads
+    exactly 1.0 at every radius, as every step is exact, and that of
+    ``log-inv``, whose coefficients are nonnegative, is its value at theta =
+    0, within the majorant's margin 64u (N+1+S) of the ``math.fsum`` of
+    a_n r**n (S = 1024 samples, u = 2**-53).  S_t: S_t 1 has coefficients
+    a (1-a)**n, a = e**-t; row n of :func:`operators.s_t_rows` takes n
+    products by fl(1-a), the closed form one power and one product, so the
+    two agree within (N+2) u a.
     """
     corpus = build_corpus(degree)
     members = [f for _, f in corpus]
+    one, log_inv = ([name for name, _ in corpus].index(n) for n in ("one", "log-inv"))
     grid = default_radius_grid(degree)
     radii = grid[grid > 0]
     log_factor = -np.log1p(-radii) / radii
@@ -313,10 +339,19 @@ def check_norm_inequalities(degree: int) -> tuple[bool, str]:
         rhs = imaginary_axis_constant(b) * norm_f[1] * INEQUALITY_SLACK
         bad[f"imaginary-axis-b{b:g}"] = exceeds(resolvent_recurrence(1j * b, members), vw[2], rhs)
     violations = violated(bad)
+    u, n, anchors = 2.0**-53, np.arange(degree + 1), {}
     for t in (0.1, 1.0, 5.0):
         st_f = s_t_apply(t, members)
         grew = {k: exceeds(st_f, vw[k], norm_f[k] * INEQUALITY_SLACK) for k in (1, 2, 3)}
         violations += violated({f"contraction-t{t:g}-k{k}": grew[k] for k in grew})
+        a = np.exp(-t)
+        off = np.max(np.abs(st_f[one] - a * (1.0 - a) ** n)) > (degree + 2) * u * a
+        anchors[f"one:mobius-t{t:g}"] = off
+    anchors["one:profile-exact"] = not np.all(profile_f[one] == 1.0)
+    sums = np.array([math.fsum(row) for row in members[log_inv].coeffs.real * grid[:, None] ** n])
+    off = np.abs(profile_f[log_inv] - sums) > 64 * u * (degree + 1 + 1024) * sums
+    anchors["log-inv:profile-fsum"] = off.any()
+    violations += [clause for clause, failed in anchors.items() if failed]
     detail = f"{len(corpus)} corpus members, {len(violations)} violations"
     if violations:
         detail += ": " + ", ".join(violations[:8])
@@ -397,9 +432,9 @@ def check_finite_section_spectrum(degree: int) -> tuple[bool, str]:
     worst = shape = 0.0
     for t in SECTION_T_VALUES:
         section = operators.finite_section(t, degree)
-        kernel = generalized_cesaro_apply(t, members).T
-        error = np.abs(real_matmul(section, members.T) - kernel)
-        bound = real_matmul(np.abs(section), np.abs(members.T)).real
+        kernel = generalized_cesaro_apply(t, members)
+        error = np.abs(stack_product(section, members) - kernel)
+        bound = stack_product(np.abs(section), poly_stack(np.abs(members))).real
         worst = max(worst, float(np.max(error / np.maximum(bound, np.finfo(float).tiny))))
         shape = max(shape, section_shape_error(section))
     detail = (

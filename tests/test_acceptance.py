@@ -150,13 +150,26 @@ def test_resolvent_routes_solves_each_side_as_one_grid(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("drift, passed", [(1e-6, False), (1e-9, True)])
+@pytest.mark.parametrize("drift, passed", [(1e-6, False), (1e-9, False), (1e-13, True)])
 def test_resolvent_routes_semigroup_side_bites(monkeypatch, drift, passed):
-    # the semigroup side reads about 7e-16 against its 1e-6 tolerance: a
-    # drift of 1e-6 fails, and one of 1e-9 passes, which is its slack
+    # the semigroup side reads about 7e-16 against its 1e-6 tolerance and its
+    # backward error 1.25e-16 against 3.5e-13: a drift of 1e-6 fails both,
+    # one of 1e-9 the backward error alone, and one of 1e-13 passes
     exact = verify.resolvent_semigroup
     monkeypatch.setattr(verify, "resolvent_semigroup", scaled(exact, 1 + drift))
     assert verify.check_resolvent_routes()[0] is passed
+
+
+def test_resolvent_routes_backward_error_bites(monkeypatch):
+    # a drift of 1e-9 stays within the comparison's 1e-6, which is its
+    # slack, and reads about 7.2e-10 as a backward error through the
+    # averaging operator, past its derived tolerance
+    monkeypatch.setattr(verify, "resolvent_semigroup", scaled(verify.resolvent_semigroup, DRIFT))
+    passed, detail = verify.check_resolvent_routes()
+    pattern = r"semigroup vs oracle (\S+); semigroup backward error (\S+) \(tolerance (\S+)\)$"
+    gap, backward, tolerance = map(float, re.search(pattern, detail).groups())
+    assert not passed
+    assert gap <= 1e-6 and 5e-10 <= backward and tolerance <= 4e-13
 
 
 def test_norm_inequalities_contraction_clause_bites(monkeypatch):
@@ -167,7 +180,39 @@ def test_norm_inequalities_contraction_clause_bites(monkeypatch):
     passed, detail = verify.check_norm_inequalities(512)
     assert not passed
     assert "contraction-t" in detail
-    assert "63 corpus members, 175 violations:" in detail
+    assert "63 corpus members, 178 violations:" in detail
+
+
+#: The violations of the anchors, one per mutant that every ratio of norms
+#: misses: S_t at t - ln 2 (a = e**-t doubled, clamped at 1), S_t and every
+#: sampled maximum scaled by 1 + 1e-9, and every sampled maximum by 10.
+ANCHOR_VIOLATIONS = {
+    "s_t_apply-earlier": "3 violations: one:mobius-t0.1, one:mobius-t1, one:mobius-t5;",
+    "s_t_apply-drifted": "3 violations: one:mobius-t0.1, one:mobius-t1, one:mobius-t5;",
+    "maxima-drifted": "2 violations: one:profile-exact, log-inv:profile-fsum;",
+    "maxima-times-10": "2 violations: one:profile-exact, log-inv:profile-fsum;",
+}
+
+
+@pytest.mark.parametrize("mutant", ANCHOR_VIOLATIONS)
+def test_norm_inequalities_scale_anchors_bite(monkeypatch, mutant):
+    exact_st, exact_maxima = verify.s_t_apply, weights._Sweep.maxima
+    factor = DRIFT if mutant.endswith("drifted") else 10.0
+
+    def earlier(t, p):
+        return exact_st(max(t - np.log(2.0), 0.0), p)
+
+    def maxima(sweep, open_rows):
+        return factor * exact_maxima(sweep, open_rows)
+
+    if mutant.startswith("s_t_apply"):
+        drifted = scaled(exact_st, DRIFT)
+        monkeypatch.setattr(verify, "s_t_apply", earlier if mutant.endswith("earlier") else drifted)
+    else:
+        monkeypatch.setattr(weights._Sweep, "maxima", maxima)
+    passed, detail = verify.check_norm_inequalities(512)
+    assert not passed
+    assert f"63 corpus members, {ANCHOR_VIOLATIONS[mutant]}" in detail
 
 
 #: Violations of the scaled operators below, the same when every sup-norm

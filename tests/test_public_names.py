@@ -15,7 +15,8 @@ allow-list.  The fourth lists, with no allow-list, each default that every
 call in the package and the scripts sets: a choice the program always makes
 at the call, so the default only lets a test omit it.  The fifth keeps the
 one Poly-or-stack rule in ``series``: no other module asks whether a value
-is a ``Poly``.
+is a ``Poly``.  The sixth keeps the one stack-product rule there: no other
+function multiplies matrices, bar an allow-list.
 """
 
 import ast
@@ -257,3 +258,57 @@ def test_only_series_asks_for_a_poly():
         if p.name != "series.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def matrix_products(source: str) -> list[str]:
+    """The function (``Class.method`` for a method, ``<module>`` outside any)
+    of each ``@``, ``@=`` and ``matmul`` or ``dot`` call, bare or dotted,
+    in a module, once per occurrence, sorted."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if name == "<module>" else f"{name}.{child.name}")
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(getattr(child, "op", None), ast.MatMult) or called in ("matmul", "dot"):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_guard_finds_matrix_products():
+    toy = (
+        "import numpy as np\n"
+        "from numpy import matmul\n"
+        "TABLE = np.eye(2) @ np.eye(2)\n"
+        "def scaled(a, b):\n"
+        "    return a * b + np.sum(a)\n"
+        "def product(a, b):\n"
+        "    return a @ b\n"
+        "class Box:\n"
+        "    def apply(self, a, b):\n"
+        "        a @= b\n"
+        "        return np.dot(a, b), a.dot(b), matmul(a, b)\n"
+    )
+    assert matrix_products(toy) == ["<module>"] + ["Box.apply"] * 4 + ["product"]
+
+
+#: Matrix products outside ``series.stack_product``, with the reason each stays.
+PRODUCT_EXCEPTIONS = {
+    "weights._Sweep.majorant": "a real product whose bits only decide which rows a "
+    "sweep opens, never a value",
+}
+
+
+def test_only_stack_product_multiplies_matrices():
+    found = {
+        f"{p.stem}.{name}"
+        for p in PACKAGE.glob("*.py")
+        for name in matrix_products(p.read_text(encoding="utf-8"))
+    }
+    assert found - {"series.stack_product"} == set(PRODUCT_EXCEPTIONS)

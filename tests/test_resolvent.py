@@ -81,11 +81,6 @@ def assert_refused_before_any_table(lam, h, match, zs=None):
     assert peak < poly_stack(h).shape[1] * zs.size * 16
 
 
-def assert_stack_matches_singles(stacked, singles):
-    for got, want in zip(stacked, singles, strict=True):
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
     min_size=1,
@@ -421,7 +416,7 @@ class TestIntegralRoute:
         stacked = resolvent_integral_profile(3.0, members, zs)
         assert stacked.shape == (len(members), zs.size)
         singles = [resolvent_integral_profile(3.0, h, zs) for h in members]
-        assert_stack_matches_singles(stacked, singles)
+        assert np.array_equal(bits(stacked), bits(np.array(singles)))
 
     def test_stack_refused_whole_for_one_vanishing_order_violation(self):
         # at lam = 0.4 only the constant member breaks the order condition
@@ -490,7 +485,7 @@ class TestIntegralRoute:
     def test_lambda_array_builds_its_kernel_in_place(self):
         # in units of one (N+1) x 100 points x 16 bytes table, 206 kB at
         # degree 128: the z**k table and the z**k g_k rows, one each;
-        # real_matmul's real and imaginary copies of the rows (one together);
+        # stack_product's real rows over imaginary rows (one together);
         # the stack (0.63); the values of four lam, in a list and then as
         # one array (3.9).  About 7.5 in all
         members = [h for _, h in build_corpus(128)]
@@ -557,6 +552,22 @@ class TestIntegralRouteAnswersOrRefuses:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert abs(want[0] - 3.5) <= 1e-15
         assert abs(want[1] - (-0.63567182 + 1.22254459j)) <= 1e-8
+
+    def test_right_or_refused_on_either_side_of_the_diagonal_bound(self):
+        # h = z**2 has v = 2, so near lam = 1/3 the bound 4u|mu|/|3 - mu|
+        # passes 1e-8 within 1.48e-8 of 1/3; at 1/3 + 1e-10 the route once
+        # answered 1.85e-7 off
+        h, zs = truncate(monomial(2), 256), off_cut_sample_points()
+        refusal = "for the integral route: its error bound"
+        for delta in (1e-10, 1e-8, 1.4e-8):
+            assert_refused_before_any_table(1 / 3 + delta, h, refusal)
+        named = r"^lam = 0\.333333333433\+0j is too near the diagonal value 1/3 "
+        assert_refused_before_any_table([1j, 1 / 3 + 1e-10], h, named)
+        for delta in (1.6e-8, 1e-6, 1e-6j):
+            lam = 1 / 3 + delta
+            want = horner_eval(resolvent_recurrence(lam, truncate(h, 1024)), zs)
+            got = resolvent_integral_profile(lam, h, zs)
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), lam
 
     @pytest.mark.parametrize("regime", ["zero", "axis", "edge"])
     @given(
@@ -668,7 +679,7 @@ class TestSemigroupRoute:
         members = [h for _, h in build_corpus(128)]
         stacked = resolvent_semigroup(-0.5 + 0.3j, members)
         singles = [resolvent_semigroup(-0.5 + 0.3j, h) for h in members]
-        assert_stack_matches_singles(stacked, [p.coeffs for p in singles])
+        assert np.array_equal(bits(stacked), bits(np.array([p.coeffs for p in singles])))
 
     def test_route_leaves_blas_threads_asleep(self):
         probes = route_probes(128)

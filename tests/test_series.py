@@ -411,16 +411,8 @@ def test_results_take_the_shape_of_lam_and_h(route, lam_form, h_form):
         assert type(got) is np.ndarray
     assert got.shape == want.shape == np.empty(shape)[index].shape
     assert got.ndim == 3 or got.flags.c_contiguous
-    if coefficients:
-        # each row is the call on one number lam and one Poly, bit for bit
-        assert np.array_equal(int_bits(got), int_bits(want))
-    else:
-        # each lam's rows are its call on one number lam with the same h, bit
-        # for bit; a product with several members may round a member's row
-        # differently from its own call (by 1.7e-16 here)
-        per_lam = np.array([solve(v, h) for v in lam_list])[index[:1]]
-        assert np.array_equal(int_bits(got), int_bits(per_lam))
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # each row is the call on one number lam and one Poly, bit for bit
+    assert np.array_equal(int_bits(got), int_bits(want))
 
 
 class TestStackBoundary:
@@ -437,6 +429,15 @@ class TestStackBoundary:
         stacked = KERNELS[kernel]([self.member])
         assert len(stacked) == 1
         assert result_bits(single) == result_bits(stacked[0])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_each_member_gets_the_bits_of_its_own_call(self, kernel):
+        # ten members, so over two blocks of series.stack_product, and one of
+        # vanishing order 5 in a stack of order 0
+        shifted = Poly(np.where(np.arange(33) < 5, 0, self.member.coeffs))
+        stack = self.members * 3 + [shifted]
+        stacked = KERNELS[kernel](stack)
+        assert [result_bits(x) for x in stacked] == [result_bits(KERNELS[kernel](p)) for p in stack]
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_array_gives_the_bits_of_its_list(self, kernel):
