@@ -188,7 +188,7 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     Under the order condition the least |k+1-mu| over k >= v is |v+1-mu|,
     so the relative error is within 4u |mu| / |v+1-mu|.  Measured at degree
     1024 it stayed within 1.3 u |mu| / |v+1-mu|: 1.85e-7 at lam = 1/3 +
-    1e-10 with h = z**2, now refused.
+    1e-10 with h = z**2.
 
     The resolvent-routes oracle truncates the same series at 4N, with
     divisors of the same form, so the two are independent only in summation

@@ -17,7 +17,7 @@ import numpy as np
 #: wake its worker threads, which spin on the other cores for no gain here.
 SERIAL_PRODUCT_SIZE = 400_000
 
-#: Members per product of :func:`stack_product`.
+#: Complex members per product of :func:`stack_product`, twice as many real ones.
 PRODUCT_BLOCK = 8
 
 #: Coefficient magnitudes at or below this are structural zeros when
@@ -131,25 +131,27 @@ def horner_eval(p, z):
 
 def stack_product(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """m @ c for a real or complex (rows, K) matrix m and each member c of a
-    (members, K) stack, as a C-ordered (members, rows) array: the one
-    matrix-times-stack product.  Members go in zero-padded blocks of
-    ``PRODUCT_BLOCK``, real and imaginary parts side by side as real
-    columns, and a complex m as its real rows over its imaginary rows (a
-    complex product is 2-3x slower), so each row block is one real product
-    of at most ``SERIAL_PRODUCT_SIZE`` multiply-adds.  A product has one
-    shape per m, and each column depends only on itself, so a member's bits
-    do not depend on its stack or its place in it."""
+    real or complex (members, K) stack, as a C-ordered (members, rows) array,
+    real when both are: the one matrix-times-stack product.  Members fill
+    zero-padded blocks of 16 real columns, a complex one as its real and
+    imaginary parts side by side, and a complex m goes as its real rows over
+    its imaginary rows (a complex product is 2-3x slower), so each row block
+    is one real product of at most ``SERIAL_PRODUCT_SIZE`` multiply-adds.  A
+    product has one shape per m, and each column depends only on itself, so
+    a member's bits do not depend on its stack or its place in it."""
     real = np.concatenate([m.real, m.imag]) if np.iscomplexobj(m) else m
+    pairs = np.iscomplexobj(stack)  # a complex member takes two real columns
+    size = 2 * PRODUCT_BLOCK // (1 + pairs)  # members per block
     sums = np.empty((len(real), 2 * PRODUCT_BLOCK))
     step = max(1, SERIAL_PRODUCT_SIZE // (sums.shape[1] * m.shape[1]))  # rows per product
-    out = np.empty((len(stack), len(m)), dtype=complex)
-    for start in range(0, len(stack), PRODUCT_BLOCK):
-        members = stack[start : start + PRODUCT_BLOCK]
-        block = np.zeros((m.shape[1], PRODUCT_BLOCK), dtype=complex)
+    out = np.empty((len(stack), len(m)), dtype=np.result_type(m, stack))
+    for start in range(0, len(stack), size):
+        members = stack[start : start + size]
+        block = np.zeros((m.shape[1], size), dtype=complex if pairs else float)
         block[:, : len(members)] = members.T
         for i in range(0, len(real), step):
             np.matmul(real[i : i + step], block.view(float), out=sums[i : i + step])
-        values = sums.view(complex)[:, : len(members)].T
+        values = (sums.view(complex) if pairs else sums)[:, : len(members)].T
         if np.iscomplexobj(m):
             values = values[:, : len(m)] + 1j * values[:, len(m) :]
         out[start : start + len(members)] = values

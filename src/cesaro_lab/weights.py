@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import SERIAL_PRODUCT_SIZE, as_given, poly_stack
+from .series import as_given, poly_stack, stack_product
 
 #: Radius where the logarithmic weight switches from the constant branch.
 JUNCTION_RADIUS = 1.0 - 1.0 / np.e
@@ -155,18 +155,14 @@ class _Sweep:
         # radix-2 level; Bluestein runs three transforms shorter than 4 S), or
         # (S + 3) u w A were the DFT summed directly.  The computed bound falls
         # short of w A (1 + margin) by at most (size + 5) u for |a_n|, the sum of
-        # size nonnegative products and three more roundings.  As q <= size and
-        # 24 log2(4 S) sqrt(S) <= 64 S for S >= 8, a margin of 64 u (size + S)
-        # covers it all; it grows with both because CSV inputs are not capped.
+        # size nonnegative products in any order, :func:`stack_product`'s too,
+        # and three more roundings.  As q <= size and 24 log2(4 S) sqrt(S) <= 64 S
+        # for S >= 8, a margin of 64 u (size + S) covers it all; it grows with
+        # both because CSV inputs are not capped.
         margin = 64 * 2.0**-53 * (self.powers.shape[1] + self.samples)
-        bound = np.empty((len(self.stack), self.radii.size))
-        step = max(1, SERIAL_PRODUCT_SIZE // self.powers.size)  # multiply-adds per member
         # an overflowing bound leaves its row open, and :meth:`maxima` refuses it
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, len(self.stack), step):
-                bound[i : i + step] = np.abs(self.stack[i : i + step]) @ self.powers.T
-            bound *= self.weights * (1.0 + margin)
-        return bound
+            return stack_product(self.powers, np.abs(self.stack)) * (self.weights * (1.0 + margin))
 
     def maxima(self, open_rows) -> np.ndarray:
         """The weighted sampled maxima of the rows that the boolean (member,

@@ -24,6 +24,7 @@ from cesaro_lab.series import (
     horner_eval,
     log_one_minus_inv,
     monomial,
+    stack_product,
     truncate,
 )
 
@@ -266,7 +267,7 @@ class TestCompositionContraction:
         members = [h for _, h in build_corpus(degree)]
         magnitudes = np.abs([h.coeffs for h in members])
         for t in (0.1, 1.0):
-            bound = (degree + 1) * 2.0**-53 * magnitudes @ s_t_rows(t, degree).T
+            bound = (degree + 1) * 2.0**-53 * stack_product(s_t_rows(t, degree), magnitudes)
             stacked = s_t_apply(t, members) - per_member_s_t_apply(t, members)
             single = s_t_apply(t, members[0]).coeffs - per_member_s_t_apply(t, members[0])[0]
             for gap, limit in ((stacked, bound), (single, bound[0])):

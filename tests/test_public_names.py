@@ -299,10 +299,7 @@ def test_guard_finds_matrix_products():
 
 
 #: Matrix products outside ``series.stack_product``, with the reason each stays.
-PRODUCT_EXCEPTIONS = {
-    "weights._Sweep.majorant": "a real product whose bits only decide which rows a "
-    "sweep opens, never a value",
-}
+PRODUCT_EXCEPTIONS = {}
 
 
 def test_only_stack_product_multiplies_matrices():

@@ -15,6 +15,7 @@ from cesaro_lab.series import (
     monomial,
     poly_stack,
     shifted_pole,
+    stack_product,
     truncate,
     vanishing_order,
 )
@@ -486,3 +487,48 @@ class TestStackBoundary:
         assert vanishing_order([Poly([0, 0, 3]), Poly([0, 1e-15, 2]), Poly([0, 4, 0])]) == 1
         assert vanishing_order([Poly(np.zeros(4)), Poly(np.zeros(4))]) == 4
         assert vanishing_order(np.array([[0, 0, 3], [0, 1e-15, 2], [0, 4, 0]])) == 1
+
+
+def random_array(kind, shape, seed):
+    """Normal samples of the given shape, with a normal imaginary part when
+    ``kind`` is "complex"."""
+    rng = np.random.default_rng(seed)
+    real = rng.normal(size=shape)
+    return real + 1j * rng.normal(size=shape) if kind == "complex" else real
+
+
+@pytest.mark.parametrize("stack_kind", ["real", "complex"])
+@pytest.mark.parametrize("m_kind", ["real", "complex"])
+class TestStackProduct:
+    """series.stack_product for a real or complex matrix with a real or
+    complex stack: 20 members of length 257 fill two blocks of 16 real
+    columns, or three of 8 complex ones, and 150 matrix rows (300 real ones
+    for a complex m) need several row blocks of at most
+    SERIAL_PRODUCT_SIZE multiply-adds."""
+
+    def operands(self, m_kind, stack_kind):
+        return random_array(m_kind, (150, 257), 5), random_array(stack_kind, (20, 257), 6)
+
+    def test_each_member_gets_the_bits_of_its_own_call(self, m_kind, stack_kind):
+        m, stack = self.operands(m_kind, stack_kind)
+        alone = np.array([stack_product(m, c[None])[0] for c in stack])
+        order = np.random.default_rng(7).permutation(len(stack))
+        for indices in (np.arange(len(stack)), order, order[:11], order[::-1][:3]):
+            got = stack_product(m, stack[indices])
+            assert got.tobytes() == alone[indices].tobytes()
+
+    def test_stays_within_rounding_of_per_member_products(self, m_kind, stack_kind):
+        # each side is within (K + 2) u sum_k |m_nk| |c_k| of the exact product
+        # to first order, in its real and its imaginary part (u = 2**-53, K the
+        # length of a row; Higham, Accuracy and Stability of Numerical
+        # Algorithms, section 3.1, plus two roundings of a complex product)
+        m, stack = self.operands(m_kind, stack_kind)
+        bound = 2 * (m.shape[1] + 2) * 2.0**-53 * (np.abs(stack) @ np.abs(m).T)
+        gap = stack_product(m, stack) - np.array([m @ c for c in stack])
+        assert np.all(np.abs(gap.real) <= bound) and np.all(np.abs(gap.imag) <= bound)
+
+    def test_result_is_real_only_for_real_operands(self, m_kind, stack_kind):
+        m, stack = self.operands(m_kind, stack_kind)
+        got = stack_product(m, stack)
+        assert got.shape == (20, 150) and got.flags.c_contiguous
+        assert got.dtype == (float if m_kind == stack_kind == "real" else complex)
