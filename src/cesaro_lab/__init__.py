@@ -49,39 +49,3 @@ from .ergodic import (
 from .verify import CheckResult, run_suite
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Poly",
-    "binomial_series",
-    "cauchy_product",
-    "horner_eval",
-    "log_one_minus_inv",
-    "monomial",
-    "truncate",
-    "vanishing_order",
-    "GrowthReport",
-    "NormEstimate",
-    "WeightSpec",
-    "default_radius_grid",
-    "growth_classify",
-    "max_modulus_profile",
-    "weight_eval",
-    "weighted_sup_norm",
-    "build_corpus",
-    "cesaro_apply",
-    "cesaro_inverse_apply",
-    "finite_section",
-    "generalized_cesaro_apply",
-    "s_t_apply",
-    "off_cut_sample_points",
-    "resolvent_integral_profile",
-    "resolvent_recurrence",
-    "resolvent_semigroup",
-    "ErgodicTrace",
-    "SpectralDichotomyReport",
-    "eigenvector_ct",
-    "iterate_trace",
-    "spectral_dichotomy_report",
-    "CheckResult",
-    "run_suite",
-]

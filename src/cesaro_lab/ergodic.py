@@ -189,6 +189,8 @@ def spectral_dichotomy_report(
         raise ValueError("need at least two section degrees")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("section degrees must be strictly increasing")
+    if degrees[0] < 1:
+        raise ValueError("section degrees must be at least 1")
     require_degree(max(degree, degrees[-1]), "section degree")
 
     section_errors = {

@@ -184,6 +184,8 @@ def shifted_pole(n: int, degree: int) -> Poly:
     the eigenvector of the averaging operator for the eigenvalue 1/n."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if degree < n - 1:
+        raise ValueError(f"degree must be at least n - 1 = {n - 1}")
     c = np.zeros(degree + 1, dtype=complex)
     c[n - 1 :] = binomial_series(-n, degree - (n - 1)).coeffs
     return Poly(c)

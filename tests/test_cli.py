@@ -175,6 +175,16 @@ class TestBuiltinsAndEntry:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("# config: ") and out[1] == "n,re,im" and len(out) == 11
 
+    @pytest.mark.parametrize("name, floor", [("e2", 1), ("e3", 2), ("e4", 3)])
+    def test_eigen_builtin_below_its_degree_floor_exits_two(self, tmp_path, capsys, name, floor):
+        # e_n is z**(n-1) (1-z)**-n, so its first coefficient sits at degree n - 1
+        out = tmp_path / "out.csv"
+        argv = ["apply", "--op", "cesaro", "--f", name, "--output", str(out)]
+        assert main(argv + ["--degree", str(floor - 1)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: degree must be at least n - 1 = {floor}\n"
+        assert main(argv + ["--degree", str(floor)]) == 0
+
     def test_entry_exits_with_the_code_of_main(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["cesaro-lab", "verify", "--suite", "bogus"])
         with pytest.raises(SystemExit) as excinfo:
@@ -550,6 +560,14 @@ class TestSpectrumCommand:
         assert not out.exists()
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_section_degree_zero_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        code = main(["spectrum", "--degree", "64", "--degrees", "0,64", "--grid-points", "3",
+                     "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: section degrees must be at least 1\n"
+
     def test_grid_points_past_cap_exit_two(self, tmp_path, capsys):
         out = tmp_path / "spec.json"
         code = main(["spectrum", "--degree", "1024", "--grid-points", str(GRID_POINTS_CAP + 1),
@@ -690,11 +708,15 @@ OVERFLOWING_COMMANDS = [
 
 @st.composite
 def command_lines(draw):
-    """An argv of ``apply``, ``resolvent``, ``ergodic`` or ``classify``, and
-    the coefficient rows of its CSV input, or None for a builtin of degree
-    at most 20."""
+    """An argv of ``apply``, ``resolvent``, ``ergodic``, ``classify`` or
+    ``spectrum``, and the coefficient rows of its CSV input, or None for a
+    builtin of degree at most 20 and for ``spectrum``."""
     number = edge_numbers.map(repr)
-    command = draw(st.sampled_from(["apply", "resolvent", "ergodic", "classify"]))
+    command = draw(st.sampled_from(["apply", "resolvent", "ergodic", "classify", "spectrum"]))
+    if command == "spectrum":
+        degrees = sorted(draw(st.sets(st.integers(0, 80), min_size=1, max_size=3)))
+        return ["spectrum", "--degree", "64", "--degrees", ",".join(map(str, degrees)),
+                "--grid-points", str(draw(st.integers(1, 3)))], None
     weight = ["--weight-kind", draw(st.sampled_from(["log", "standard"])),
               "--weight-order", draw(st.sampled_from(["0", "1", "2", "0.5"]) | number)]
     if command == "classify":
@@ -739,6 +761,7 @@ class TestArgvProperty:
     @example((OVERFLOWING_COMMANDS[2], BIG_ROWS))
     @example((OVERFLOWING_COMMANDS[3], BIG_ROWS))
     @example((["ergodic", "--t", "0.5"], BIG_ROWS))
+    @example((["spectrum", "--degree", "64", "--degrees", "0,64", "--grid-points", "3"], None))
     @example((["resolvent", "--route", "semigroup", "--lambda-re=-1.7e308",
                "--lambda-im=1.7e308", "--f", "const1", "--degree", "8"], None))
     @settings(max_examples=150, deadline=None,

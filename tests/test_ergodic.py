@@ -66,7 +66,7 @@ class TestCesaroEigenpairs:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 16)
-        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        with pytest.raises(ValueError, match="^degree must be at least n - 1 = 7$"):
             shifted_pole(8, 4)
 
 
@@ -353,3 +353,10 @@ class TestSpectralDichotomy:
         # the default degrees for 64 collapse to the single degree 64
         with pytest.raises(ValueError, match="at least two section degrees"):
             spectral_dichotomy_report(64, grid_points=3)
+
+    def test_refuses_section_degree_below_one_before_allocating(self):
+        # the v1 norm of log(1/(1-z)) truncated to degree 0 is 0, and each
+        # growth ratio divides by it
+        for degrees in ((0, 64), (-1, 64)):
+            run = lambda: spectral_dichotomy_report(64, degrees=degrees, grid_points=3)
+            assert refusal_peak_bytes(run, "^section degrees must be at least 1$") < 100_000

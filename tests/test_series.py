@@ -223,7 +223,7 @@ class TestShiftedPole:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 8)
-        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        with pytest.raises(ValueError, match="^degree must be at least n - 1 = 3$"):
             shifted_pole(4, 1)
 
 
