@@ -28,24 +28,11 @@ from .resolvent import (
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from .series import Poly, binomial_series, log_one_minus_inv, monomial, shifted_pole, truncate
+from .series import BUILTIN_FUNCTIONS, Poly
 from .verify import run_suite, suite_names
-from .weights import WeightSpec, growth_classify
+from .weights import SWEEP_SAMPLES, WeightSpec, growth_classify
 
 DEFAULT_SEED = 0x5EED
-
-
-BUILTIN_FUNCTIONS = {
-    "const1": lambda degree: truncate(monomial(0), degree),
-    "log-inv": lambda degree: log_one_minus_inv(degree),
-    "log-neg": lambda degree: Poly(-log_one_minus_inv(degree).coeffs),
-    "geom": lambda degree: binomial_series(-1, degree),
-    "binom-half": lambda degree: binomial_series(-0.5, degree),
-    "binom-2": lambda degree: binomial_series(-2, degree),
-    "e2": lambda degree: shifted_pole(2, degree),
-    "e3": lambda degree: shifted_pole(3, degree),
-    "e4": lambda degree: shifted_pole(4, degree),
-}
 
 
 def _config(command: str, **fields) -> dict:
@@ -290,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_erg.add_argument("--n-max", type=int, default=256)
     p_erg.add_argument("--weight-kind", choices=["log", "standard"], default="log")
     p_erg.add_argument("--weight-order", type=float, default=1)
-    p_erg.add_argument("--samples", type=int, default=1024)
+    p_erg.add_argument("--samples", type=int, default=SWEEP_SAMPLES)
     add_function_args(p_erg, degree_default=512)
 
     p_cls = sub.add_parser("classify", help="growth-order fit across truncation degrees")

@@ -23,7 +23,8 @@ from .operators import (
 )
 from .resolvent import resolvent_recurrence
 from .series import Poly, log_one_minus_inv, monomial, truncate
-from .weights import GROWTH_RATIO_THRESHOLD, WeightSpec, require_samples, weighted_sup_norm
+from .weights import GROWTH_RATIO_THRESHOLD, SWEEP_SAMPLES, WeightSpec, require_samples
+from .weights import weighted_sup_norm
 
 #: Most iterations a trace takes: it keeps every running average.
 N_MAX_CAP = 1024
@@ -91,7 +92,7 @@ def iterate_trace(
     f: Poly,
     weight: WeightSpec,
     n_max: int,
-    samples: int = 1024,
+    samples: int = SWEEP_SAMPLES,
 ) -> ErgodicTrace:
     """Iterate the memory-t operator on f and record the averaging history.
 
@@ -182,6 +183,8 @@ def spectral_dichotomy_report(
     if degree < 64:
         raise ValueError("degree must be at least 64")
     if degrees is None:
+        if degree == 64:
+            raise ValueError("the default section degrees collapse to (64,) at degree 64")
         degrees = tuple(sorted({max(64, degree // 16), max(64, degree // 4), degree}))
     else:
         degrees = tuple(int(d) for d in degrees)

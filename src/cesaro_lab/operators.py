@@ -10,18 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import (
-    Poly,
-    binomial_series,
-    cauchy_product,
-    log_one_minus_inv,
-    monomial,
-    poly_stack,
-    shifted_pole,
-    stack_as_given,
-    stack_product,
-    truncate,
-)
+from .series import BUILTIN_FUNCTIONS, Poly, cauchy_product, poly_stack, stack_as_given
+from .series import stack_product
 
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
@@ -152,30 +142,23 @@ def section_shape_error(section: np.ndarray) -> float:
 
 def build_corpus(degree: int):
     """The reproducible test corpus: 50 pseudo-random polynomials with
-    coefficients uniform in the unit disc, plus a structured family mixing
-    bounded, logarithmic, and standard-order growth.
+    coefficients uniform in the unit disc, named ``random-NN``, then the
+    series of :data:`~cesaro_lab.series.BUILTIN_FUNCTIONS` under their names,
+    mixing bounded, logarithmic and standard-order growth, then the powers
+    2..4 of ``log-neg`` = log(1-z), named ``log-pow-k``: 62 members, pairwise
+    distinct.
 
-    Returns a list of (name, Poly) pairs; the random members come first,
-    named ``random-NN``.
+    Returns a list of (name, Poly) pairs.
     """
     if degree < 4:
         raise ValueError("corpus degree must be at least 4")
-    rng = np.random.default_rng(CORPUS_SEED)
-    corpus = []
-    for i in range(50):
-        radius = np.sqrt(rng.random(degree + 1))
-        angle = 2.0 * np.pi * rng.random(degree + 1)
-        corpus.append((f"random-{i:02d}", Poly(radius * np.exp(1j * angle))))
-    corpus.append(("one", truncate(monomial(0), degree)))
-    corpus.append(("log-inv", log_one_minus_inv(degree)))
-    g = Poly(-log_one_minus_inv(degree).coeffs)
-    gk = g
-    corpus.append(("log-pow-1", gk))
+    # per member, its N+1 radius draws and then its N+1 angle draws
+    u = np.random.default_rng(CORPUS_SEED).random((50, 2, degree + 1))
+    randoms = np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+    corpus = [(f"random-{i:02d}", Poly(c)) for i, c in enumerate(randoms)]
+    corpus += [(name, build(degree)) for name, build in BUILTIN_FUNCTIONS.items()]
+    g = gk = dict(corpus)["log-neg"]
     for k in range(2, 5):
         gk = cauchy_product(gk, g, degree=degree)
         corpus.append((f"log-pow-{k}", gk))
-    for gamma in (0.5, 1.0, 2.0):
-        corpus.append((f"binom-{gamma:g}", binomial_series(-gamma, degree)))
-    for n in range(1, 5):
-        corpus.append((f"eigen-{n}", shifted_pole(n, degree)))
     return corpus

@@ -218,6 +218,8 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
                 f"{INTEGRAL_TOLERANCE:g}"
             )
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if zv.ndim != 1 or zv.size == 0:
+        raise ValueError("evaluation points must be a number or a non-empty 1-d array")
     if np.any(np.abs(zv) >= 1.0):
         raise ValueError("evaluation points must lie inside the unit disc")
     if np.any((zv.imag == 0) & (zv.real <= 0)):

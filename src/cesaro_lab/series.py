@@ -160,6 +160,8 @@ def stack_product(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def cauchy_product(p: Poly, q: Poly, degree: int) -> Poly:
     """Coefficient convolution, truncated or zero-padded to ``degree``."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     return truncate(Poly(np.convolve(p.coeffs, q.coeffs)[: degree + 1]), degree)
 
 
@@ -206,3 +208,18 @@ def vanishing_order(p) -> int:
     stack = poly_stack(p)
     idx = np.flatnonzero((np.abs(stack) > ZERO_THRESHOLD).any(axis=0))
     return int(idx[0]) if idx.size else stack.shape[1]
+
+
+#: The named series of the command line's ``--f`` and of the test corpus, each
+#: built at a degree: bounded, logarithmic and standard-order growth.
+BUILTIN_FUNCTIONS = {
+    "const1": lambda degree: truncate(monomial(0), degree),
+    "log-inv": log_one_minus_inv,
+    "log-neg": lambda degree: Poly(-log_one_minus_inv(degree).coeffs),
+    "geom": lambda degree: binomial_series(-1, degree),
+    "binom-half": lambda degree: binomial_series(-0.5, degree),
+    "binom-2": lambda degree: binomial_series(-2, degree),
+    "e2": lambda degree: shifted_pole(2, degree),
+    "e3": lambda degree: shifted_pole(3, degree),
+    "e4": lambda degree: shifted_pole(4, degree),
+}

@@ -47,6 +47,7 @@ from .series import (
     truncate,
 )
 from .weights import (
+    SWEEP_SAMPLES,
     WeightSpec,
     default_radius_grid,
     growth_classify,
@@ -214,8 +215,8 @@ def check_resolvent_routes() -> tuple[bool, str]:
     degree, so the two are independent in order and arithmetic only: per
     point and downward in k there, forward in n and then by residues here.
 
-    Each side is one recurrence grid: 4 lam x 63 members, zero-padded to 4N,
-    for the oracle, summed one lam at a time (all 252 rows would hold 4.4 MB
+    Each side is one recurrence grid: 4 lam x 62 members, zero-padded to 4N,
+    for the oracle, summed one lam at a time (all 248 rows would hold 4.4 MB
     of ring terms), and 3 lam x 3 probes against one semigroup call.
 
     The semigroup grid also goes through the operator itself: its backward
@@ -292,18 +293,18 @@ def check_norm_inequalities(degree: int) -> tuple[bool, str]:
     the clause rows the majorant certified.
 
     As the clauses read norms only as ratios, two anchors pin the scales, and
-    each failure counts as a violation.  Sweep: the profile of ``one`` reads
+    each failure counts as a violation.  Sweep: the profile of ``const1`` reads
     exactly 1.0 at every radius, as every step is exact, and that of
     ``log-inv``, whose coefficients are nonnegative, is its value at theta =
     0, within the majorant's margin 64u (N+1+S) of the ``math.fsum`` of
-    a_n r**n (S = 1024 samples, u = 2**-53).  S_t: S_t 1 has coefficients
+    a_n r**n (S = ``SWEEP_SAMPLES``, u = 2**-53).  S_t: S_t 1 has coefficients
     a (1-a)**n, a = e**-t; row n of :func:`operators.s_t_rows` takes n
     products by fl(1-a), the closed form one power and one product, so the
     two agree within (N+2) u a.
     """
     corpus = build_corpus(degree)
     members = [f for _, f in corpus]
-    one, log_inv = ([name for name, _ in corpus].index(n) for n in ("one", "log-inv"))
+    one, log_inv = ([name for name, _ in corpus].index(n) for n in ("const1", "log-inv"))
     grid = default_radius_grid(degree)
     radii = grid[grid > 0]
     log_factor = -np.log1p(-radii) / radii
@@ -348,10 +349,10 @@ def check_norm_inequalities(degree: int) -> tuple[bool, str]:
         violations += violated({f"contraction-t{t:g}-k{k}": grew[k] for k in grew})
         a = np.exp(-t)
         off = np.max(np.abs(st_f[one] - a * (1.0 - a) ** n)) > (degree + 2) * u * a
-        anchors[f"one:mobius-t{t:g}"] = off
-    anchors["one:profile-exact"] = not np.all(profile_f[one] == 1.0)
+        anchors[f"const1:mobius-t{t:g}"] = off
+    anchors["const1:profile-exact"] = not np.all(profile_f[one] == 1.0)
     sums = np.array([math.fsum(row) for row in members[log_inv].coeffs.real * grid[:, None] ** n])
-    off = np.abs(profile_f[log_inv] - sums) > 64 * u * (degree + 1 + 1024) * sums
+    off = np.abs(profile_f[log_inv] - sums) > 64 * u * (degree + 1 + SWEEP_SAMPLES) * sums
     anchors["log-inv:profile-fsum"] = off.any()
     violations += [clause for clause, failed in anchors.items() if failed]
     detail = f"{len(corpus)} corpus members, {len(violations)} violations"

@@ -17,6 +17,9 @@ from .series import as_given, poly_stack, stack_product
 #: Radius where the logarithmic weight switches from the constant branch.
 JUNCTION_RADIUS = 1.0 - 1.0 / np.e
 
+#: Angles per circle a norm sweep takes unless told otherwise.
+SWEEP_SAMPLES = 1024
+
 #: Most angles per circle a norm sweep takes; a block of ``STACK_BLOCK_BYTES``
 #: then still holds 8 rows of complex samples.
 SAMPLES_CAP = 8192
@@ -98,7 +101,9 @@ def default_radius_grid(degree: int) -> np.ndarray:
 
 def require_samples(samples) -> int:
     """The number of angles per circle, an integer in 8..``SAMPLES_CAP``."""
-    if int(samples) < 8 or samples != int(samples):
+    if samples != int(samples):
+        raise ValueError(f"samples per circle must be an integer, got {samples}")
+    if samples < 8:
         raise ValueError("need at least 8 samples per circle")
     if samples > SAMPLES_CAP:
         raise ValueError(f"at most {SAMPLES_CAP} samples per circle, got {samples}")
@@ -191,7 +196,7 @@ class _Sweep:
         return out
 
 
-def max_modulus_profile(p, radii, samples: int = 1024) -> np.ndarray:
+def max_modulus_profile(p, radii, samples: int = SWEEP_SAMPLES) -> np.ndarray:
     """Sampled max-modulus over ``samples`` equispaced angles at each radius,
     for a Poly or, one row per member, for a stack of one degree.
 
@@ -212,7 +217,7 @@ class NormEstimate:
     argmax_radius: float
 
 
-def weighted_sup_norm(p, w: WeightSpec, samples: int = 1024):
+def weighted_sup_norm(p, w: WeightSpec, samples: int = SWEEP_SAMPLES):
     """max over :func:`default_radius_grid` of weight(r) * sampled
     max-modulus at r, for a Poly or, as a list of estimates, for a stack of
     one degree.  The grid ends at :func:`reliable_radius` of the degree:
@@ -243,7 +248,7 @@ def weighted_sup_norm(p, w: WeightSpec, samples: int = 1024):
     return as_given(p, estimates)
 
 
-def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor, samples: int = 1024):
+def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor, samples: int = SWEEP_SAMPLES):
     """For a Poly or, per member, for a stack of one degree,
     whether ``weight(r) * M / divisor > limit`` at some radius r, with M the sampled
     max modulus of :func:`max_modulus_profile` and weight 1 for ``w`` None;
@@ -276,7 +281,7 @@ class GrowthReport:
 
 def growth_classify(truncations, weight: WeightSpec | None = None) -> GrowthReport:
     """Fit growth orders from a family of truncations at increasing degrees,
-    on the default radius grids with 1024 angles per circle.
+    on the default radius grids with ``SWEEP_SAMPLES`` angles per circle.
 
     The fits use the outer half of the radius grid on the u = -log(1-r)
     scale, where the asymptotic growth dominates the bounded prefactors;

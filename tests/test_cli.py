@@ -7,11 +7,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cesaro_lab import cli
-from cesaro_lab.cli import BUILTIN_FUNCTIONS, build_parser, main, read_coeffs_csv, write_csv
+from cesaro_lab.cli import build_parser, main, read_coeffs_csv, write_csv
 from cesaro_lab.ergodic import GRID_POINTS_CAP, N_MAX_CAP
 from cesaro_lab.operators import ST_DEGREE_CAP, cesaro_apply
 from cesaro_lab.resolvent import SPLIT_DEGREE_CAP, off_cut_sample_points, resolvent_recurrence
-from cesaro_lab.series import binomial_series, horner_eval, log_one_minus_inv, monomial, truncate
+from cesaro_lab.series import BUILTIN_FUNCTIONS, binomial_series, horner_eval, log_one_minus_inv
+from cesaro_lab.series import monomial, truncate
 from cesaro_lab import verify
 from cesaro_lab.verify import run_suite
 from cesaro_lab.weights import SAMPLES_CAP
@@ -567,6 +568,15 @@ class TestSpectrumCommand:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err == "error: section degrees must be at least 1\n"
+
+    def test_default_sections_at_degree_64_exit_two(self, tmp_path, capsys):
+        # the default section degrees at degree 64 are (64,), one too few
+        out = tmp_path / "spec.json"
+        code = main(["spectrum", "--degree", "64", "--grid-points", "3", "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        message = "the default section degrees collapse to (64,) at degree 64"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_grid_points_past_cap_exit_two(self, tmp_path, capsys):
         out = tmp_path / "spec.json"

@@ -179,6 +179,10 @@ class TestIterateTrace:
         runs = (
             (lambda: iterate_trace(0.5, f, w, N_MAX_CAP + 1), f"cap {N_MAX_CAP}"),
             (lambda: iterate_trace(0.5, f, w, 16, samples=SAMPLES_CAP + 1), "samples"),
+            (
+                lambda: iterate_trace(0.5, f, w, 16, samples=8.5),
+                "^samples per circle must be an integer, got 8.5$",
+            ),
             (lambda: iterate_trace(0.5, past_cap, w, 16), f"degree {ST_DEGREE_CAP + 1} exceeds"),
         )
         for run, match in runs:
@@ -350,9 +354,12 @@ class TestSpectralDichotomy:
                 spectral_dichotomy_report(64, degrees=degrees, grid_points=3)
         with pytest.raises(ValueError, match="at least two section degrees"):
             spectral_dichotomy_report(64, degrees=(256,), grid_points=3)
-        # the default degrees for 64 collapse to the single degree 64
-        with pytest.raises(ValueError, match="at least two section degrees"):
+        # the default degrees for 64 collapse to the single degree 64, and
+        # the refusal says so; at 65 they are (64, 65)
+        collapse = r"^the default section degrees collapse to \(64,\) at degree 64$"
+        with pytest.raises(ValueError, match=collapse):
             spectral_dichotomy_report(64, grid_points=3)
+        assert spectral_dichotomy_report(65, grid_points=1).degrees == (64, 65)
 
     def test_refuses_section_degree_below_one_before_allocating(self):
         # the v1 norm of log(1/(1-z)) truncated to degree 0 is 0, and each

@@ -47,8 +47,6 @@ NOT_ON_PROGRAM_PATHS = {
     "(ROADMAP item 1); no command or check calls it",
     "weights.default_radius_grid: outer = np.array([0.5])": "degree 20 or less, where the "
     "reliability gap reaches 0.5: the README's degrees are 128 and up",
-    "cli.<lambda>": "the builtins log-neg, geom, binom-half, binom-2, e2, e3 and e4, "
-    "which no README command names: one series call each",
     "cli._write_text: sys.stdout.write(text)": "a command without --output writes to "
     "stdout; every README command names its output file",
     "cli._cmd_apply: out = cesaro_inverse_apply(p)": "apply --op inverse, a documented "

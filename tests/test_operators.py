@@ -19,6 +19,7 @@ from cesaro_lab.operators import (
     section_shape_error,
 )
 from cesaro_lab.series import (
+    BUILTIN_FUNCTIONS,
     Poly,
     cauchy_product,
     horner_eval,
@@ -274,7 +275,7 @@ class TestCompositionContraction:
                 assert np.all(np.abs(gap.real) <= limit) and np.all(np.abs(gap.imag) <= limit)
 
     def test_s_t_apply_leaves_blas_threads_asleep(self):
-        # the norm-inequalities contraction clause: 63 members at degree 512
+        # the norm-inequalities contraction clause: 62 members at degree 512
         members = [h for _, h in build_corpus(512)]
         assert cpu_per_wall(lambda: s_t_apply(0.5, members)) <= 1.5
 
@@ -426,9 +427,21 @@ class TestCorpus:
     def test_counts_and_degrees(self):
         corpus = build_corpus(32)
         names = [n for n, _ in corpus]
+        assert len(corpus) == 62
         assert sum(1 for n in names if n.startswith("random-")) == 50
         assert all(p.degree == 32 for _, p in corpus)
-        assert "one" in names and "log-inv" in names and "eigen-4" in names
+        assert names[50:] == list(BUILTIN_FUNCTIONS) + ["log-pow-2", "log-pow-3", "log-pow-4"]
+
+    @pytest.mark.parametrize("degree", [4, 128, 512])
+    def test_members_distinct_and_builtins_named(self, degree):
+        # a duplicate member adds rows to every check but no coverage, and
+        # the named members are the command line's builtins, built alike
+        corpus = build_corpus(degree)
+        assert len({p.coeffs.tobytes() for _, p in corpus}) == len(corpus)
+        members = dict(corpus)
+        assert len(members) == len(corpus)
+        for name, build in BUILTIN_FUNCTIONS.items():
+            assert members[name].coeffs.tobytes() == build(degree).coeffs.tobytes()
 
     def test_random_coefficients_inside_unit_disc(self):
         randoms = build_corpus(64)[:50]

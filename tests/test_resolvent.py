@@ -42,7 +42,7 @@ def bits(a):
 
 
 def oracle_stack(degree=128):
-    """The 63 corpus members at ``degree``, zero-padded to 4 ``degree`` as
+    """The 62 corpus members at ``degree``, zero-padded to 4 ``degree`` as
     in the resolvent-routes oracle."""
     members = poly_stack([h for _, h in build_corpus(degree)])
     return np.pad(members, ((0, 0), (0, 3 * degree)))
@@ -200,7 +200,7 @@ class TestRecurrence:
                 assert np.array_equal(row, horner_eval(resolvent_recurrence(lam, h), zs))
 
     def test_matches_allocating_loop_bitwise(self):
-        # 144 lam on one Poly, as in the spectral sweep, and the 63-member stack
+        # 144 lam on one Poly, as in the spectral sweep, and the 62-member stack
         axis = np.linspace(-2.0, 2.0, 12)
         lams = np.array([complex(re, im) for re in axis for im in axis])
         members = [h for _, h in build_corpus(512)]
@@ -214,7 +214,7 @@ class TestRecurrence:
             resolvent_recurrence(np.array([2.0, 1.0 / 3 + 1e-13, -1.0]), h)
         with pytest.raises(ValueError, match="nonzero"):
             resolvent_recurrence(np.array([1j, 0.0]), h)
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(ValueError, match="^lam must be a number or a non-empty array$"):
             resolvent_recurrence(np.array([]), h)
         # an array of lam with a stack is a grid, not a refusal
         assert resolvent_recurrence(np.array([1j, 2j]), [h, h]).shape == (2, 2, 8)
@@ -245,7 +245,7 @@ class TestRecurrence:
 
     def test_grid_holds_one_work_array(self):
         # the (N+1, L, M) work array, and the grid is a view of it: with the
-        # transposed stack about 1.25 grids at the oracle's 4 x 63 x 513
+        # transposed stack about 1.25 grids at the oracle's 4 x 62 x 513
         stack = oracle_stack()
         grid, peak = traced_peak(lambda: resolvent_recurrence(ROUTE_LAMS, stack))
         assert peak <= 2 * grid.size * 16
@@ -298,7 +298,7 @@ def ring_bound(stack):
 
 def route_oracles():
     """The resolvent-routes check's oracle stacks: the recurrence at degree
-    512 for the 63 corpus members of degree 128, at each of its four lam."""
+    512 for the 62 corpus members of degree 128, at each of its four lam."""
     members = [truncate(h, 512) for _, h in build_corpus(128)]
     return [resolvent_recurrence(lam, members) for lam in ROUTE_LAMS]
 
@@ -318,7 +318,7 @@ class TestRingOracle:
         for oracle in (oracles[0], oracles[3]):
             got = _ring_values(oracle)
             arithmetic = ring_bound(oracle)[0]
-            for i in (0, 50, 62):  # random-00, one, eigen-4
+            for i in (0, 50, 58):  # random-00, const1, e4
                 want = decimal_ring_values(oracle[i], ring_points())
                 assert np.all(np.abs(got[i] - want) <= arithmetic[i])
 
@@ -391,6 +391,11 @@ class TestIntegralRoute:
             resolvent_integral_profile(1j, h, 0.0)
         with pytest.raises(ValueError, match="^evaluation points must lie inside the unit disc$"):
             resolvent_integral_profile(1j, h, 1.2)
+        # no point, or a 2-d array of points: refused before any table is built
+        shape = "^evaluation points must be a number or a non-empty 1-d array$"
+        for points in ([], np.full((1, 1), 0.5)):
+            with pytest.raises(ValueError, match=shape):
+                resolvent_integral_profile(1j, Poly([1, 1]), points)
 
     def test_rejects_vanishing_order_violation(self):
         # Re(1/lam) - 1 = 1.5 for lam = 0.4, so a nonzero constant term fails
@@ -447,7 +452,7 @@ class TestIntegralRoute:
         assert_refused_before_any_table(np.array([1j, 0.0]), h, r"nonzero \(lam\[1\] = 0\+0j\)$")
         assert_refused_before_any_table(0.0, h, "nonzero$")
         assert_refused_before_any_table(np.array([1j, complex(np.nan, 0)]), h, "finite")
-        assert_refused_before_any_table(np.array([]), h, "non-empty")
+        assert_refused_before_any_table(np.array([]), h, "^lam must be a number or a non-empty")
 
     def test_start_past_its_cap_refused_before_any_table(self):
         h = truncate(monomial(0), 2048)
@@ -702,7 +707,7 @@ class TestSemigroupRoute:
             assert np.array_equal(bits(single), bits(plain.reshape(single.shape))), lam
 
     def test_lambda_array_must_be_non_empty(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(ValueError, match="^lam must be a number or a non-empty array$"):
             resolvent_semigroup(np.array([]), route_probes(8))
 
     @pytest.mark.parametrize(

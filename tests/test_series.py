@@ -161,6 +161,10 @@ class TestCauchyProduct:
         out = cauchy_product(monomial(1), monomial(1), degree=2)
         assert np.array_equal(out.coeffs, [0, 0, 1])
 
+    def test_refuses_a_negative_degree_first(self):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            cauchy_product(Poly([1, 1]), Poly([1, 1]), degree=-1)
+
     @given(coeff_lists, coeff_lists)
     def test_matches_brute_force(self, a, b):
         got = cauchy_product(Poly(a), Poly(b), degree=len(a) + len(b) - 2).coeffs

@@ -263,6 +263,14 @@ class TestMaxModulus:
         with pytest.raises(ValueError, match="^need at least 8 samples per circle$"):
             max_modulus_profile(Poly([1]), [0.5], samples=4)
 
+    @pytest.mark.parametrize("samples", [8.5, 1024.25])
+    def test_rejects_a_non_integer_sample_count(self, samples):
+        # 8.5 is not short of 8 samples: it is no count at all
+        message = f"^samples per circle must be an integer, got {samples}$"
+        with pytest.raises(ValueError, match=message):
+            max_modulus_profile(Poly([1]), [0.5], samples=samples)
+        assert max_modulus_profile(Poly([1]), [0.5], samples=float(int(samples)))[0] == 1.0
+
     @pytest.mark.parametrize("radius", [1.0, -0.1])
     def test_rejects_a_radius_outside_the_disc(self, radius):
         with pytest.raises(ValueError, match=r"^radii must lie in \[0, 1\)$"):
