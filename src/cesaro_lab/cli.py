@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .ergodic import iterate_trace, require_trace_budget, spectral_dichotomy_report
-from .operators import ST_DEGREE_CAP, require_degree
+from .operators import ST_DEGREE_CAP
 from .operators import cesaro_apply, cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
 from .resolvent import (
     SPLIT_DEGREE_CAP,
@@ -28,7 +28,7 @@ from .resolvent import (
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from .series import BUILTIN_FUNCTIONS, Poly
+from .series import BUILTIN_FUNCTIONS, Poly, require_count
 from .verify import run_suite, suite_names
 from .weights import SWEEP_SAMPLES, WeightSpec, growth_classify
 
@@ -101,11 +101,11 @@ def _write_text(path: str | None, text: str):
 
 def _builtin(name: str, degrees):
     """The builder of a builtin function, refused if the name is unknown or
-    the largest given degree fails :func:`require_degree`, before anything
-    is built."""
+    the largest given degree passes ``ST_DEGREE_CAP``, before anything is
+    built."""
     if name not in BUILTIN_FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; choose from " + ", ".join(BUILTIN_FUNCTIONS))
-    require_degree(max(degrees), "input degree")
+    require_count(max(degrees), "input degree", cap=ST_DEGREE_CAP)
     return BUILTIN_FUNCTIONS[name]
 
 

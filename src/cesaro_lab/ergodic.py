@@ -15,14 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .operators import (
-    generalized_cesaro_apply,
-    require_degree,
-    require_memory_t,
-    section_shape_error,
-)
+from .operators import ST_DEGREE_CAP, generalized_cesaro_apply, require_memory_t
+from .operators import section_shape_error
 from .resolvent import resolvent_recurrence
-from .series import Poly, log_one_minus_inv, monomial, truncate
+from .series import Poly, log_one_minus_inv, monomial, require_count, truncate
 from .weights import GROWTH_RATIO_THRESHOLD, SWEEP_SAMPLES, WeightSpec, require_samples
 from .weights import weighted_sup_norm
 
@@ -48,8 +44,8 @@ def eigenvector_ct(t: float, m: int, degree: int) -> Poly:
     tv = float(t)
     if not np.isfinite(tv) or not (0.0 <= tv < 1.0):
         raise ValueError("t must lie in [0, 1)")
-    if not (0 <= m <= degree):
-        raise ValueError("m must lie in 0..degree")
+    degree = require_count(degree, "degree")
+    m = require_count(m, "m", cap=degree)
     mu = 1.0 / (m + 1)
     x = np.zeros(degree + 1, dtype=complex)
     x[m] = 1.0
@@ -77,14 +73,10 @@ class ErgodicTrace:
     projection_errors: tuple
 
 
-def require_trace_budget(n_max: int, samples: int):
-    """Refuse an iteration or sample count outside a trace's budget, before
-    anything is built."""
-    if n_max < 8:
-        raise ValueError("n_max must be at least 8")
-    if n_max > N_MAX_CAP:
-        raise ValueError(f"n_max {n_max} exceeds the cap {N_MAX_CAP}")
-    require_samples(samples)
+def require_trace_budget(n_max: int, samples: int) -> tuple:
+    """The iteration and sample counts of a trace as ints, refused outside
+    its budget before anything is built."""
+    return require_count(n_max, "n_max", 8, N_MAX_CAP), require_samples(samples)
 
 
 def iterate_trace(
@@ -100,10 +92,11 @@ def iterate_trace(
     and are recorded only for t < 1, where that is the ergodic limit.  The
     iterates fill one array and the averages another, and each of them, the
     projection differences and the increments is normed on the default
-    radius grid as one stack.  The degree of f passes :func:`require_degree`.
+    radius grid as one stack.  The degree of f is refused above
+    ``ST_DEGREE_CAP``.
     """
-    require_trace_budget(n_max, samples)
-    require_degree(f.degree, "input degree")
+    n_max, samples = require_trace_budget(n_max, samples)
+    require_count(f.degree, "input degree", cap=ST_DEGREE_CAP)
     if not np.any(np.abs(f.coeffs) > 0):
         raise ValueError("f must be nonzero")
     tv = require_memory_t(t)
@@ -176,25 +169,20 @@ def spectral_dichotomy_report(
 ) -> SpectralDichotomyReport:
     """Tabulate section diagonals at ``SECTION_T_VALUES`` and resolvent norm
     estimates on a grid over [-2, 2] x [-2, 2], excluding lambdas within
-    1e-6 of a diagonal value 1/(n+1) or of 0.  The largest section degree
-    passes :func:`require_degree` before anything is built."""
-    if not 1 <= grid_points <= GRID_POINTS_CAP:
-        raise ValueError(f"grid_points must lie in 1..{GRID_POINTS_CAP}, got {grid_points}")
-    if degree < 64:
-        raise ValueError("degree must be at least 64")
+    1e-6 of a diagonal value 1/(n+1) or of 0.  Every degree is refused above
+    ``ST_DEGREE_CAP`` before anything is built."""
+    grid_points = require_count(grid_points, "grid_points", 1, GRID_POINTS_CAP)
+    degree = require_count(degree, "degree", 64, ST_DEGREE_CAP)
     if degrees is None:
         if degree == 64:
             raise ValueError("the default section degrees collapse to (64,) at degree 64")
         degrees = tuple(sorted({max(64, degree // 16), max(64, degree // 4), degree}))
     else:
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(require_count(d, "section degree", 1, ST_DEGREE_CAP) for d in degrees)
     if len(degrees) < 2:
         raise ValueError("need at least two section degrees")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("section degrees must be strictly increasing")
-    if degrees[0] < 1:
-        raise ValueError("section degrees must be at least 1")
-    require_degree(max(degree, degrees[-1]), "section degree")
 
     section_errors = {
         tv: section_shape_error(operators.finite_section(tv, degree)) for tv in SECTION_T_VALUES

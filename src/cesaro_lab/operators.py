@@ -10,30 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import BUILTIN_FUNCTIONS, Poly, cauchy_product, poly_stack, stack_as_given
-from .series import stack_product
+from .series import BUILTIN_FUNCTIONS, Poly, cauchy_product, poly_stack, require_count
+from .series import stack_as_given, stack_product
 
 #: Seed for the reproducible test corpus.
 CORPUS_SEED = 0x5EED
 
 #: Largest degree a capped kernel or command accepts, refused by
-#: :func:`require_degree`: each dense real matrix of :func:`s_t_rows` and
-#: :func:`finite_section` takes 8*(N+1)**2 bytes, about 34 MB at this cap.
+#: :func:`~cesaro_lab.series.require_count`: each dense real matrix of
+#: :func:`s_t_rows` and :func:`finite_section` takes 8*(N+1)**2 bytes, about
+#: 34 MB at this cap.
 ST_DEGREE_CAP = 2048
 
 
 def cesaro_apply(p):
     """Averaged partial sums, mean(c_0..c_n) at n: the memory-t map at t = 1."""
     return generalized_cesaro_apply(1.0, p)
-
-
-def require_degree(degree: int, what: str, cap: int = ST_DEGREE_CAP):
-    """Refuse a degree below 0 or above ``cap``, naming it as ``what``,
-    before anything of that degree is built."""
-    if degree < 0:
-        raise ValueError(f"{what} must be nonnegative")
-    if degree > cap:
-        raise ValueError(f"{what} {degree} exceeds the cap {cap}")
 
 
 def require_memory_t(t) -> float:
@@ -81,13 +73,13 @@ def s_t_rows(t: float, degree: int) -> np.ndarray:
     Binomial(n, a) probabilities, written from row n-1 by the Pascal
     recurrence P_n[j] = (1-a)*P_{n-1}[j] + a*P_{n-1}[j-1], P_0 = [a], which
     takes only convex combinations and so stays stable.
-    Cost is O(N**2) time and 8*(N+1)**2 bytes, so the degree passes
-    :func:`require_degree` before anything is allocated.
+    Cost is O(N**2) time and 8*(N+1)**2 bytes, so the degree is refused
+    above ``ST_DEGREE_CAP`` before anything is allocated.
     """
     tv = float(t)
     if not np.isfinite(tv) or tv < 0:
         raise ValueError("t must be a finite nonnegative real")
-    require_degree(degree, "degree")
+    degree = require_count(degree, "degree", cap=ST_DEGREE_CAP)
     a = np.exp(-tv)
     rows = np.zeros((degree + 1, degree + 1))
     rows[0, 0] = a
@@ -109,10 +101,10 @@ def finite_section(t: float, degree: int) -> np.ndarray:
     """Leading (N+1)x(N+1) corner of the coefficient matrix for parameter t,
     read-only and real: entry (n, j) is t**(n-j)/(n+1) for j <= n, zero
     above the diagonal.  Applying it to a coefficient vector matches
-    :func:`generalized_cesaro_apply`.  The degree passes
-    :func:`require_degree` before anything is allocated."""
+    :func:`generalized_cesaro_apply`.  The degree is refused above
+    ``ST_DEGREE_CAP`` before anything is allocated."""
     tv = require_memory_t(t)
-    require_degree(degree, "degree")
+    degree = require_count(degree, "degree", cap=ST_DEGREE_CAP)
     # row n reversed is the window n of N zeros then t**0..t**N: one view,
     # so the division is the only (N+1)**2 allocation
     powers = np.concatenate([np.zeros(degree), tv ** np.arange(degree + 1)])
@@ -150,8 +142,7 @@ def build_corpus(degree: int):
 
     Returns a list of (name, Poly) pairs.
     """
-    if degree < 4:
-        raise ValueError("corpus degree must be at least 4")
+    degree = require_count(degree, "corpus degree", 4)
     # per member, its N+1 radius draws and then its N+1 angle draws
     u = np.random.default_rng(CORPUS_SEED).random((50, 2, degree + 1))
     randoms = np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import require_degree
-from .series import as_given, poly_stack, require_finite_param, stack_as_given, stack_product
-from .series import vanishing_order
+from .operators import ST_DEGREE_CAP
+from .series import as_given, poly_stack, require_count, require_finite_param, stack_as_given
+from .series import stack_product, vanishing_order
 
 #: Refuse a lam this close to 0, which every route divides by, or, in the
 #: recurrence, to a diagonal value 1/(n+1), a genuine pole of the finite sections.
@@ -107,7 +107,7 @@ def resolvent_recurrence(lam, h):
     lams = _lambdas(lam)
     # h's rows as (1, M), so that at one lam the add skips numpy's broadcasting
     c = np.ascontiguousarray(poly_stack(h).T)[:, None]
-    require_degree(c.shape[0] - 1, "input degree", SPLIT_DEGREE_CAP)
+    require_count(c.shape[0] - 1, "input degree", cap=SPLIT_DEGREE_CAP)
     ks = np.arange(1.0, c.shape[0] + 1)[:, None, None]
     q = 1.0 / ks
     high = q * (2.0**27 + 1) - (q * (2.0**27 + 1) - q)
@@ -176,7 +176,7 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     2**-53 max|z|**8.  For Re mu <= 1 each factor is at most |z|, so K = K0
     (173 terms past N at |z| <= 0.8); for Re mu > 1 the terms first grow like
     n**(Re mu - 1) |z|**n and K moves past their peak.  A call is refused
-    before any table is built if N fails :func:`require_degree`, if K - N
+    before any table is built if N passes ``ST_DEGREE_CAP``, if K - N
     passes ``START_CAP`` at any lam, if any lam and member break the order
     condition, or if any lam is so near a diagonal value that the bound
     below passes ``INTEGRAL_TOLERANCE``; the first such lam of an array is
@@ -203,7 +203,7 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     lams = _lambdas(lam)
     stack = poly_stack(h)
     degree = stack.shape[1] - 1
-    require_degree(degree, "input degree")
+    require_count(degree, "input degree", cap=ST_DEGREE_CAP)
     order = vanishing_order(stack)
     for i, lv in enumerate(lams.tolist()):
         mu = 1.0 / lv
@@ -220,7 +220,7 @@ def resolvent_integral_profile(lam, h, zs) -> np.ndarray:
     zv = np.atleast_1d(np.asarray(zs, dtype=complex))
     if zv.ndim != 1 or zv.size == 0:
         raise ValueError("evaluation points must be a number or a non-empty 1-d array")
-    if np.any(np.abs(zv) >= 1.0):
+    if not np.all(np.abs(zv) < 1.0):  # a NaN point is outside too
         raise ValueError("evaluation points must lie inside the unit disc")
     if np.any((zv.imag == 0) & (zv.real <= 0)):
         raise ValueError("evaluation points must avoid the cut (-1, 0]")

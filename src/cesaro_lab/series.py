@@ -8,6 +8,8 @@ application.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,24 @@ PRODUCT_BLOCK = 8
 #: Coefficient magnitudes at or below this are structural zeros when
 #: measuring the vanishing order at the origin.
 ZERO_THRESHOLD = 1e-14
+
+
+def require_count(value, what: str, low: int = 0, cap=math.inf) -> int:
+    """``value`` as an int, refused unless it is an integer in low..cap (a
+    float such as 1024.0 counts), naming it as ``what``: the one check of
+    every degree, size and sample count, made before anything of that size
+    is built.  An int is never converted to a float, so an integer of any
+    size is refused by its bound, not by an overflow."""
+    # int first: the abstract-base-class check alone costs about 1 us a call
+    integral = isinstance(value, (int, numbers.Integral))
+    if not integral and not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value}")
+    count = int(value)
+    if count < low:
+        raise ValueError(f"{what} must be at least {low}")
+    if count > cap:
+        raise ValueError(f"{what} {count} exceeds the cap {cap}")
+    return count
 
 
 def require_finite_param(value, name: str) -> complex:
@@ -55,8 +75,7 @@ class Poly:
 
 def monomial(power: int) -> Poly:
     """z**power as a degree-``power`` polynomial."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
+    power = require_count(power, "power")
     c = np.zeros(power + 1, dtype=complex)
     c[power] = 1.0
     return Poly(c)
@@ -64,8 +83,7 @@ def monomial(power: int) -> Poly:
 
 def truncate(p: Poly, degree: int) -> Poly:
     """Resize to the given degree, cutting or zero-padding the tail."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    degree = require_count(degree, "degree")
     if degree == p.degree:
         return p
     if degree < p.degree:
@@ -160,8 +178,7 @@ def stack_product(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def cauchy_product(p: Poly, q: Poly, degree: int) -> Poly:
     """Coefficient convolution, truncated or zero-padded to ``degree``."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    degree = require_count(degree, "degree")
     return truncate(Poly(np.convolve(p.coeffs, q.coeffs)[: degree + 1]), degree)
 
 
@@ -172,8 +189,7 @@ def binomial_series(alpha, degree: int) -> Poly:
     so c[n] = (-1)**n * alpha*(alpha-1)*...*(alpha-n+1) / n!.
     """
     a = require_finite_param(alpha, "alpha")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    degree = require_count(degree, "degree")
     c = np.empty(degree + 1, dtype=complex)
     c[0] = 1.0
     for n in range(1, degree + 1):
@@ -184,10 +200,8 @@ def binomial_series(alpha, degree: int) -> Poly:
 def shifted_pole(n: int, degree: int) -> Poly:
     """Coefficients of z**(n-1) * (1 - z)**(-n), namely C(k, n-1) at z**k:
     the eigenvector of the averaging operator for the eigenvalue 1/n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if degree < n - 1:
-        raise ValueError(f"degree must be at least n - 1 = {n - 1}")
+    n = require_count(n, "n", 1)
+    degree = require_count(degree, "degree", n - 1)
     c = np.zeros(degree + 1, dtype=complex)
     c[n - 1 :] = binomial_series(-n, degree - (n - 1)).coeffs
     return Poly(c)
@@ -195,8 +209,7 @@ def shifted_pole(n: int, degree: int) -> Poly:
 
 def log_one_minus_inv(degree: int) -> Poly:
     """Series of log(1/(1-z)): zero constant term, then 1/n."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    degree = require_count(degree, "degree", 1)
     c = np.zeros(degree + 1, dtype=complex)
     c[1:] = 1.0 / np.arange(1, degree + 1)
     return Poly(c)

@@ -23,10 +23,10 @@ from .operators import (
     cesaro_apply,
     cesaro_inverse_apply,
     generalized_cesaro_apply,
-    require_degree,
     s_t_apply,
     section_shape_error,
     CORPUS_SEED,
+    ST_DEGREE_CAP,
 )
 from .resolvent import (
     SAMPLE_ANGLES,
@@ -42,6 +42,7 @@ from .series import (
     log_one_minus_inv,
     monomial,
     poly_stack,
+    require_count,
     shifted_pole,
     stack_product,
     truncate,
@@ -472,11 +473,9 @@ DEGREE_FLOOR = 7
 
 def suite_names(suite: str, degree: int) -> list:
     """The name of one check or, for ``all``, of every check in order.  An
-    unknown suite, a degree below ``DEGREE_FLOOR`` or one that fails
-    :func:`require_degree` is refused here, before any check runs."""
-    if degree < DEGREE_FLOOR:
-        raise ValueError(f"degree {degree} is below the floor {DEGREE_FLOOR} of the checks")
-    require_degree(degree, "degree")
+    unknown suite, or a degree that is not an integer in
+    ``DEGREE_FLOOR``..``ST_DEGREE_CAP``, is refused here, before any check runs."""
+    require_count(degree, "degree", DEGREE_FLOOR, ST_DEGREE_CAP)
     if suite == "all":
         return list(SUITES)
     if suite in SUITES:

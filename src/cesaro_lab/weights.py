@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import as_given, poly_stack, stack_product
+from .series import as_given, poly_stack, require_count, stack_product
 
 #: Radius where the logarithmic weight switches from the constant branch.
 JUNCTION_RADIUS = 1.0 - 1.0 / np.e
@@ -61,11 +61,18 @@ class WeightSpec:
         return cls("log", float(k))
 
 
+def _radii(r) -> np.ndarray:
+    """The radii r as a float array, refused unless each lies in [0, 1): a
+    NaN fails the test too."""
+    rv = np.asarray(r, dtype=float)
+    if not np.all((rv >= 0) & (rv < 1)):
+        raise ValueError("radii must lie in [0, 1)")
+    return rv
+
+
 def weight_eval(w: WeightSpec, r) -> np.ndarray:
     """Weight values at the radii r, an array of r's shape, defined on [0, 1)."""
-    rv = np.asarray(r, dtype=float)
-    if np.any(rv < 0) or np.any(rv >= 1):
-        raise ValueError("radii must lie in [0, 1)")
+    rv = _radii(r)
     if w.kind == "standard":
         return (1.0 - rv) ** w.order
     base = np.ones_like(rv)
@@ -101,13 +108,7 @@ def default_radius_grid(degree: int) -> np.ndarray:
 
 def require_samples(samples) -> int:
     """The number of angles per circle, an integer in 8..``SAMPLES_CAP``."""
-    if samples != int(samples):
-        raise ValueError(f"samples per circle must be an integer, got {samples}")
-    if samples < 8:
-        raise ValueError("need at least 8 samples per circle")
-    if samples > SAMPLES_CAP:
-        raise ValueError(f"at most {SAMPLES_CAP} samples per circle, got {samples}")
-    return int(samples)
+    return require_count(samples, "samples per circle", 8, SAMPLES_CAP)
 
 
 def _circle_max(scaled: np.ndarray, samples: int) -> np.ndarray:
@@ -137,11 +138,9 @@ class _Sweep:
     radius, and the row width, the least multiple of ``samples`` above N."""
 
     def __init__(self, stack, w: WeightSpec | None, radii, samples):
-        rv = np.atleast_1d(np.asarray(radii, dtype=float))
+        rv = np.atleast_1d(_radii(radii))
         if rv.size == 0:
             raise ValueError("radius grid must be nonempty")
-        if np.any(rv < 0) or np.any(rv >= 1):
-            raise ValueError("radii must lie in [0, 1)")
         self.stack, self.radii, self.samples = stack, rv, require_samples(samples)
         self.weights = np.ones(rv.size) if w is None else weight_eval(w, rv)
         self.powers = rv[:, None] ** np.arange(stack.shape[1])

@@ -66,7 +66,7 @@ class TestCesaroEigenpairs:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 16)
-        with pytest.raises(ValueError, match="^degree must be at least n - 1 = 7$"):
+        with pytest.raises(ValueError, match="^degree must be at least 7$"):
             shifted_pole(8, 4)
 
 
@@ -107,7 +107,7 @@ class TestMemoryEigenvectors:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\)$"):
             eigenvector_ct(1.0, 0, 8)
-        with pytest.raises(ValueError, match=r"^m must lie in 0\.\.degree$"):
+        with pytest.raises(ValueError, match="^m 9 exceeds the cap 8$"):
             eigenvector_ct(0.5, 9, 8)
 
 
@@ -366,4 +366,4 @@ class TestSpectralDichotomy:
         # growth ratio divides by it
         for degrees in ((0, 64), (-1, 64)):
             run = lambda: spectral_dichotomy_report(64, degrees=degrees, grid_points=3)
-            assert refusal_peak_bytes(run, "^section degrees must be at least 1$") < 100_000
+            assert refusal_peak_bytes(run, "^section degree must be at least 1$") < 100_000

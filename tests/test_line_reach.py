@@ -53,8 +53,9 @@ NOT_ON_PROGRAM_PATHS = {
     "operator the README does not run",
     "cli._cmd_apply: out = generalized_cesaro_apply(0.0, p)": "apply --op hardy, a "
     "documented operator the README does not run",
-    "ergodic.spectral_dichotomy_report: degrees = tuple(int(d) for d in degrees)": "spectrum "
-    "--degrees, a documented option the README does not use",
+    "ergodic.spectral_dichotomy_report: degrees = tuple(require_count(d, \"section degree\", 1, "
+    "ST_DEGREE_CAP) for d in degrees)": "spectrum --degrees, a documented option the README "
+    "does not use",
     "cli._cmd_verify: rows = [dataclasses.asdict(r) for r in results]": "verify --output, "
     "a documented option the README does not use",
     "cli._cmd_verify: config = _config(\"verify\", suite=args.suite, degree=args.degree)":

@@ -212,7 +212,7 @@ class TestInverse:
 
 class TestPascalRows:
     def test_s_t_rows_refuses_a_negative_degree(self):
-        with pytest.raises(ValueError, match="degree must be nonnegative"):
+        with pytest.raises(ValueError, match="^degree must be at least 0$"):
             s_t_rows(0.5, -1)
 
     @pytest.mark.parametrize("t", [-0.1, np.inf, np.nan])

@@ -16,7 +16,9 @@ call in the package and the scripts sets: a choice the program always makes
 at the call, so the default only lets a test omit it.  The fifth keeps the
 one Poly-or-stack rule in ``series``: no other module asks whether a value
 is a ``Poly``.  The sixth keeps the one stack-product rule there: no other
-function multiplies matrices, bar an allow-list.
+function multiplies matrices, bar an allow-list.  The seventh keeps the one
+count refusal there: no function but ``series.require_count`` refuses a
+degree, size or sample count, bar an allow-list.
 """
 
 import ast
@@ -309,3 +311,69 @@ def test_only_stack_product_multiplies_matrices():
         for name in matrix_products(p.read_text(encoding="utf-8"))
     }
     assert found - {"series.stack_product"} == set(PRODUCT_EXCEPTIONS)
+
+
+#: The phrases of a count refusal: an integer in low..cap, or refused.
+COUNT_PHRASES = ("must be an integer", "must be at least", "must be nonnegative", "exceeds the cap")
+
+
+def count_refusals(source: str) -> list[str]:
+    """The function (``Class.method`` for a method, ``<module>`` outside any)
+    of each ``raise`` in a module whose string literals, or the literal
+    pieces of its f-strings, hold a phrase of ``COUNT_PHRASES``, once per
+    occurrence, sorted."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if name == "<module>" else f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise):
+                text = "".join(
+                    n.value
+                    for n in ast.walk(child)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                )
+                if any(phrase in text for phrase in COUNT_PHRASES):
+                    found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_guard_finds_count_refusals():
+    toy = (
+        "def size(n):\n"
+        "    if n < 0:\n"
+        "        raise ValueError('n must be nonnegative')\n"
+        "    if n > 9:\n"
+        "        raise ValueError(f'n {n} exceeds the cap 9')\n"
+        "    return n\n"
+        "class Box:\n"
+        "    def fill(self, k):\n"
+        "        if k != int(k):\n"
+        "            raise ValueError(f'k must be an integer, got {k}')\n"
+        "        raise ValueError('k must be at least 1' if k < 1 else 'k is odd')\n"
+        "def other(x):\n"
+        "    raise ValueError('x must be finite')\n"
+        "raise SystemExit('need at least one')\n"
+    )
+    assert count_refusals(toy) == ["Box.fill", "Box.fill", "size", "size"]
+
+
+#: Count refusals outside ``series.require_count``, with the reason each stays.
+COUNT_REFUSAL_EXCEPTIONS = {
+    "cli.read_coeffs_csv": "a coefficient file past its cap is refused at the first row "
+    "past it, while it is read, before the rest is read",
+}
+
+
+def test_only_require_count_refuses_a_count():
+    found = {
+        f"{p.stem}.{name}"
+        for p in PACKAGE.glob("*.py")
+        for name in count_refusals(p.read_text(encoding="utf-8"))
+    }
+    assert found - {"series.require_count"} == set(COUNT_REFUSAL_EXCEPTIONS)

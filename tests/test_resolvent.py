@@ -389,8 +389,11 @@ class TestIntegralRoute:
             resolvent_integral_profile(1j, h, -0.5)
         with pytest.raises(ValueError, match=on_cut):
             resolvent_integral_profile(1j, h, 0.0)
-        with pytest.raises(ValueError, match="^evaluation points must lie inside the unit disc$"):
-            resolvent_integral_profile(1j, h, 1.2)
+        # a NaN point is not inside the disc either
+        outside = "^evaluation points must lie inside the unit disc$"
+        for points in (1.2, [0.5, np.nan]):
+            with pytest.raises(ValueError, match=outside):
+                resolvent_integral_profile(1j, h, points)
         # no point, or a 2-d array of points: refused before any table is built
         shape = "^evaluation points must be a number or a non-empty 1-d array$"
         for points in ([], np.full((1, 1), 0.5)):

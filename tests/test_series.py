@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -14,22 +15,28 @@ from cesaro_lab.series import (
     log_one_minus_inv,
     monomial,
     poly_stack,
+    require_count,
     shifted_pole,
     stack_product,
     truncate,
     vanishing_order,
 )
-from cesaro_lab.operators import cesaro_inverse_apply, generalized_cesaro_apply, s_t_apply
+from cesaro_lab.ergodic import eigenvector_ct, iterate_trace, require_trace_budget
+from cesaro_lab.ergodic import spectral_dichotomy_report
+from cesaro_lab.operators import build_corpus, cesaro_inverse_apply, finite_section
+from cesaro_lab.operators import generalized_cesaro_apply, s_t_apply, s_t_rows
 from cesaro_lab.resolvent import (
     off_cut_sample_points,
     resolvent_integral_profile,
     resolvent_recurrence,
     resolvent_semigroup,
 )
+from cesaro_lab.verify import suite_names
 from cesaro_lab.weights import (
     NormEstimate,
     WeightSpec,
     max_modulus_profile,
+    require_samples,
     sup_norm_exceeds,
     weighted_sup_norm,
 )
@@ -65,9 +72,9 @@ class TestPoly:
             Poly([np.inf, 0.0])
 
     def test_monomial_and_truncate_refuse_a_negative_degree(self):
-        with pytest.raises(ValueError, match="^power must be nonnegative$"):
+        with pytest.raises(ValueError, match="^power must be at least 0$"):
             monomial(-1)
-        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        with pytest.raises(ValueError, match="^degree must be at least 0$"):
             truncate(Poly([1.0, 2.0]), -1)
 
     def test_coeffs_immutable(self):
@@ -162,7 +169,7 @@ class TestCauchyProduct:
         assert np.array_equal(out.coeffs, [0, 0, 1])
 
     def test_refuses_a_negative_degree_first(self):
-        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        with pytest.raises(ValueError, match="^degree must be at least 0$"):
             cauchy_product(Poly([1, 1]), Poly([1, 1]), degree=-1)
 
     @given(coeff_lists, coeff_lists)
@@ -204,7 +211,7 @@ class TestBinomialSeries:
         assert np.allclose(out.coeffs, np.arange(1, 12))
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        with pytest.raises(ValueError, match="^degree must be at least 0$"):
             binomial_series(-1, -1)
 
     def test_rejects_non_finite_alpha(self):
@@ -227,7 +234,7 @@ class TestShiftedPole:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 8)
-        with pytest.raises(ValueError, match="^degree must be at least n - 1 = 3$"):
+        with pytest.raises(ValueError, match="^degree must be at least 3$"):
             shifted_pole(4, 1)
 
 
@@ -247,6 +254,68 @@ class TestLogSeries:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError, match="^degree must be at least 1$"):
             log_one_minus_inv(0)
+
+
+#: Each count argument of the package, as a call of it alone and the name
+#: that its refusal gives it.
+COUNTED = {
+    "monomial": (lambda v: monomial(v), "power"),
+    "truncate": (lambda v: truncate(Poly([1, 2]), v), "degree"),
+    "cauchy_product": (lambda v: cauchy_product(Poly([1]), Poly([1]), v), "degree"),
+    "binomial_series": (lambda v: binomial_series(-1, v), "degree"),
+    "shifted_pole-n": (lambda v: shifted_pole(v, 8), "n"),
+    "shifted_pole-degree": (lambda v: shifted_pole(2, v), "degree"),
+    "log_one_minus_inv": (lambda v: log_one_minus_inv(v), "degree"),
+    "s_t_rows": (lambda v: s_t_rows(0.5, v), "degree"),
+    "finite_section": (lambda v: finite_section(0.5, v), "degree"),
+    "build_corpus": (lambda v: build_corpus(v), "corpus degree"),
+    "eigenvector_ct-m": (lambda v: eigenvector_ct(0.5, v, 8), "m"),
+    "eigenvector_ct-degree": (lambda v: eigenvector_ct(0.5, 2, v), "degree"),
+    "require_samples": (lambda v: require_samples(v), "samples per circle"),
+    "require_trace_budget": (lambda v: require_trace_budget(v, 1024), "n_max"),
+    "iterate_trace": (
+        lambda v: iterate_trace(0.5, Poly([1, 1]), WeightSpec.log_power(1), 16, samples=v),
+        "samples per circle",
+    ),
+    "spectrum-grid_points": (
+        lambda v: spectral_dichotomy_report(128, grid_points=v),
+        "grid_points",
+    ),
+    "spectrum-degree": (lambda v: spectral_dichotomy_report(v, grid_points=3), "degree"),
+    "spectrum-degrees": (
+        lambda v: spectral_dichotomy_report(64, degrees=(v, 128), grid_points=3),
+        "section degree",
+    ),
+    "suite_names": (lambda v: suite_names("all", v), "degree"),
+}
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("value", [8.5, np.nan, np.inf])
+    @pytest.mark.parametrize("entry", list(COUNTED))
+    def test_every_count_refuses_a_non_integer_by_name(self, entry, value):
+        call, what = COUNTED[entry]
+        message = f"^{re.escape(what)} must be an integer, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    def test_returns_an_int_for_any_integer_value(self):
+        for value in (1024, 1024.0, np.int64(1024), np.float64(1024.0)):
+            count = require_count(value, "samples per circle", 8, 8192)
+            assert count == 1024 and type(count) is int
+
+    def test_refuses_by_its_bounds_without_a_float(self):
+        # float(10**400) overflows: the count is compared as an int
+        huge = 10**400
+        with pytest.raises(ValueError, match=f"^degree {huge} exceeds the cap 2048$"):
+            require_count(huge, "degree", cap=2048)
+        with pytest.raises(ValueError, match=f"^degree {int(1e300)} exceeds the cap 2048$"):
+            require_count(1e300, "degree", cap=2048)
+        with pytest.raises(ValueError, match="^degree must be at least 0$"):
+            require_count(-huge, "degree")
+        with pytest.raises(ValueError, match="^degree must be an integer, got 8$"):
+            require_count("8", "degree")
+        assert require_count(huge, "degree") == huge
 
 
 class TestCompose:
