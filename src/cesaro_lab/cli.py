@@ -217,7 +217,7 @@ def _cmd_verify(args) -> int:
     results = []
     # one check at a time, each line printed as its check returns, so a
     # later check that raises keeps them
-    for name in suite_names(args.suite, args.degree):
+    for name in suite_names(args.suite):
         [r] = run_suite(name, args.degree)
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}", flush=True)
         results.append(r)

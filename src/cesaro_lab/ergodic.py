@@ -44,8 +44,8 @@ def eigenvector_ct(t: float, m: int, degree: int) -> Poly:
     tv = float(t)
     if not np.isfinite(tv) or not (0.0 <= tv < 1.0):
         raise ValueError("t must lie in [0, 1)")
-    degree = require_count(degree, "degree")
-    m = require_count(m, "m", cap=degree)
+    m = require_count(m, "m")
+    degree = require_count(degree, f"degree for m = {m}", m)
     mu = 1.0 / (m + 1)
     x = np.zeros(degree + 1, dtype=complex)
     x[m] = 1.0

@@ -201,7 +201,7 @@ def shifted_pole(n: int, degree: int) -> Poly:
     """Coefficients of z**(n-1) * (1 - z)**(-n), namely C(k, n-1) at z**k:
     the eigenvector of the averaging operator for the eigenvalue 1/n."""
     n = require_count(n, "n", 1)
-    degree = require_count(degree, "degree", n - 1)
+    degree = require_count(degree, f"degree for n = {n}", n - 1)
     c = np.zeros(degree + 1, dtype=complex)
     c[n - 1 :] = binomial_series(-n, degree - (n - 1)).coeffs
     return Poly(c)

@@ -471,11 +471,9 @@ SUITES = {
 DEGREE_FLOOR = 7
 
 
-def suite_names(suite: str, degree: int) -> list:
-    """The name of one check or, for ``all``, of every check in order.  An
-    unknown suite, or a degree that is not an integer in
-    ``DEGREE_FLOOR``..``ST_DEGREE_CAP``, is refused here, before any check runs."""
-    require_count(degree, "degree", DEGREE_FLOOR, ST_DEGREE_CAP)
+def suite_names(suite: str) -> list:
+    """The name of one check or, for ``all``, of every check in order; an
+    unknown suite is refused."""
     if suite == "all":
         return list(SUITES)
     if suite in SUITES:
@@ -484,11 +482,14 @@ def suite_names(suite: str, degree: int) -> list:
 
 
 def run_suite(suite: str, degree: int):
-    """Run the checks of :func:`suite_names` in order and return their
-    results.  A check passes only if its verdict holds and it returned
-    within its budget; its detail ends with its runtime."""
+    """Run the checks of :func:`suite_names` in order at ``degree`` as an int
+    and return their results; a degree that is not an integer in
+    ``DEGREE_FLOOR``..``ST_DEGREE_CAP`` is refused before any check runs.  A
+    check passes only if its verdict holds and it returned within its
+    budget; its detail ends with its runtime."""
+    degree = require_count(degree, "degree", DEGREE_FLOOR, ST_DEGREE_CAP)
     results = []
-    for name in suite_names(suite, degree):
+    for name in suite_names(suite):
         budget, check = SUITES[name]
         start = time.perf_counter()
         ok, detail = check(degree)

@@ -49,8 +49,7 @@ class WeightSpec:
             if not (np.isfinite(self.order) and self.order > 0):
                 raise ValueError("standard weight needs order gamma > 0")
         else:
-            if not (float(self.order).is_integer() and self.order >= 1):
-                raise ValueError("log weight needs an integer order k >= 1")
+            require_count(self.order, "log weight order k", 1)
 
     @classmethod
     def standard(cls, gamma: float) -> "WeightSpec":

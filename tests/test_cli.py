@@ -183,7 +183,8 @@ class TestBuiltinsAndEntry:
         argv = ["apply", "--op", "cesaro", "--f", name, "--output", str(out)]
         assert main(argv + ["--degree", str(floor - 1)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err == f"error: degree must be at least {floor}\n"
+        message = f"error: degree for n = {floor + 1} must be at least {floor}\n"
+        assert capsys.readouterr().err == message
         assert main(argv + ["--degree", str(floor)]) == 0
 
     def test_entry_exits_with_the_code_of_main(self, monkeypatch, capsys):
@@ -526,7 +527,8 @@ class TestLogWeightOrder:
         code = main(argv + ["--weight-order", order, "--output", str(out)])
         assert code == 2
         assert not out.exists()
-        assert "integer order k >= 1" in capsys.readouterr().err
+        message = f"error: log weight order k must be an integer, got {float(order)}"
+        assert message in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -679,6 +681,12 @@ class TestVerifyCommand:
         assert ran == []
         assert main(["verify", "--suite", "all", "--degree", "7"]) == 0
         assert ran == [7] * len(verify.SUITES)
+
+    def test_a_float_degree_reaches_each_check_as_an_int(self):
+        # eigen-ct's math.comb raised TypeError on the float 512.0
+        [result] = run_suite("eigen-ct", 512.0)
+        assert result.passed
+        assert result.detail.split(" [")[0] == run_suite("eigen-ct", 512)[0].detail.split(" [")[0]
 
     def test_each_line_is_printed_as_its_check_returns(self, capsys, monkeypatch):
         # a late check that raises must not discard the lines of the checks

@@ -66,7 +66,7 @@ class TestCesaroEigenpairs:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 16)
-        with pytest.raises(ValueError, match="^degree must be at least 7$"):
+        with pytest.raises(ValueError, match="^degree for n = 8 must be at least 7$"):
             shifted_pole(8, 4)
 
 
@@ -107,7 +107,7 @@ class TestMemoryEigenvectors:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\)$"):
             eigenvector_ct(1.0, 0, 8)
-        with pytest.raises(ValueError, match="^m 9 exceeds the cap 8$"):
+        with pytest.raises(ValueError, match="^degree for m = 9 must be at least 9$"):
             eigenvector_ct(0.5, 9, 8)
 
 

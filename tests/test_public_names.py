@@ -314,7 +314,13 @@ def test_only_stack_product_multiplies_matrices():
 
 
 #: The phrases of a count refusal: an integer in low..cap, or refused.
-COUNT_PHRASES = ("must be an integer", "must be at least", "must be nonnegative", "exceeds the cap")
+COUNT_PHRASES = (
+    "must be an integer",
+    "needs an integer",
+    "must be at least",
+    "must be nonnegative",
+    "exceeds the cap",
+)
 
 
 def count_refusals(source: str) -> list[str]:
@@ -358,9 +364,11 @@ def test_guard_finds_count_refusals():
         "        raise ValueError('k must be at least 1' if k < 1 else 'k is odd')\n"
         "def other(x):\n"
         "    raise ValueError('x must be finite')\n"
+        "def order(k):\n"
+        "    raise ValueError('a log weight needs an integer order')\n"
         "raise SystemExit('need at least one')\n"
     )
-    assert count_refusals(toy) == ["Box.fill", "Box.fill", "size", "size"]
+    assert count_refusals(toy) == ["Box.fill", "Box.fill", "order", "size", "size"]
 
 
 #: Count refusals outside ``series.require_count``, with the reason each stays.

@@ -31,7 +31,7 @@ from cesaro_lab.resolvent import (
     resolvent_recurrence,
     resolvent_semigroup,
 )
-from cesaro_lab.verify import suite_names
+from cesaro_lab.verify import run_suite
 from cesaro_lab.weights import (
     NormEstimate,
     WeightSpec,
@@ -234,7 +234,7 @@ class TestShiftedPole:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             shifted_pole(0, 8)
-        with pytest.raises(ValueError, match="^degree must be at least 3$"):
+        with pytest.raises(ValueError, match="^degree for n = 4 must be at least 3$"):
             shifted_pole(4, 1)
 
 
@@ -264,13 +264,13 @@ COUNTED = {
     "cauchy_product": (lambda v: cauchy_product(Poly([1]), Poly([1]), v), "degree"),
     "binomial_series": (lambda v: binomial_series(-1, v), "degree"),
     "shifted_pole-n": (lambda v: shifted_pole(v, 8), "n"),
-    "shifted_pole-degree": (lambda v: shifted_pole(2, v), "degree"),
+    "shifted_pole-degree": (lambda v: shifted_pole(2, v), "degree for n = 2"),
     "log_one_minus_inv": (lambda v: log_one_minus_inv(v), "degree"),
     "s_t_rows": (lambda v: s_t_rows(0.5, v), "degree"),
     "finite_section": (lambda v: finite_section(0.5, v), "degree"),
     "build_corpus": (lambda v: build_corpus(v), "corpus degree"),
     "eigenvector_ct-m": (lambda v: eigenvector_ct(0.5, v, 8), "m"),
-    "eigenvector_ct-degree": (lambda v: eigenvector_ct(0.5, 2, v), "degree"),
+    "eigenvector_ct-degree": (lambda v: eigenvector_ct(0.5, 2, v), "degree for m = 2"),
     "require_samples": (lambda v: require_samples(v), "samples per circle"),
     "require_trace_budget": (lambda v: require_trace_budget(v, 1024), "n_max"),
     "iterate_trace": (
@@ -286,7 +286,8 @@ COUNTED = {
         lambda v: spectral_dichotomy_report(64, degrees=(v, 128), grid_points=3),
         "section degree",
     ),
-    "suite_names": (lambda v: suite_names("all", v), "degree"),
+    "WeightSpec-log": (lambda v: WeightSpec("log", v), "log weight order k"),
+    "run_suite": (lambda v: run_suite("all", v), "degree"),
 }
 
 
