@@ -101,11 +101,12 @@ def _write_text(path: str | None, text: str):
 
 def _builtin(name: str, degrees):
     """The builder of a builtin function, refused if the name is unknown or
-    the largest given degree passes ``ST_DEGREE_CAP``, before anything is
-    built."""
+    a given degree is not an integer in 0..``ST_DEGREE_CAP``, before
+    anything is built."""
     if name not in BUILTIN_FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; choose from " + ", ".join(BUILTIN_FUNCTIONS))
-    require_count(max(degrees), "input degree", cap=ST_DEGREE_CAP)
+    for degree in degrees:
+        require_count(degree, "input degree", cap=ST_DEGREE_CAP)
     return BUILTIN_FUNCTIONS[name]
 
 
@@ -171,7 +172,7 @@ def _cmd_resolvent(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    degrees = tuple(int(d) for d in args.degrees.split(",")) if args.degrees else None
+    degrees = args.degrees
     config = _config("spectrum", degree=args.degree, degrees=degrees, grid_points=args.grid_points)
     report = spectral_dichotomy_report(args.degree, degrees=degrees, grid_points=args.grid_points)
     payload = dict(report.payload(), config=config, t_values=list(report.section_diagonal_errors))
@@ -197,7 +198,7 @@ def _cmd_ergodic(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    degrees = tuple(int(d) for d in args.degrees.split(","))
+    degrees = args.degrees
     build = _builtin(args.function, degrees)
     config = _config(
         "classify",
@@ -245,6 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def degree_list(text):
+        """The numbers of ``--degrees``, an int where integral, for a count refusal to check."""
+        return tuple(int(d) if d.is_integer() else d for d in map(float, text.split(",")))
+
     def add_function_args(p, degree_default=None):
         p.add_argument("--f", dest="function", help="builtin function name")
         p.add_argument("--input", help="coefficient CSV (n,re,im)")
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="finite-section diagonals and resolvent-norm sweep")
     p_spec.add_argument("--degree", type=int, default=512)
-    p_spec.add_argument("--degrees", help="comma-separated section degrees")
+    p_spec.add_argument("--degrees", type=degree_list, help="comma-separated section degrees")
     p_spec.add_argument("--grid-points", type=int, default=17)
     p_spec.add_argument("--output", help="output path (default: stdout)")
 
@@ -282,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="growth-order fit across truncation degrees")
     p_cls.add_argument("--f", dest="function", required=True)
-    p_cls.add_argument("--degrees", default="128,512,2048")
+    p_cls.add_argument("--degrees", type=degree_list, default="128,512,2048")
     p_cls.add_argument("--weight-kind", choices=["log", "standard"], default="log")
     p_cls.add_argument("--weight-order", type=float, default=1)
     p_cls.add_argument("--output", help="output path (default: stdout)")

@@ -289,9 +289,10 @@ def check_norm_inequalities(degree: int) -> tuple[bool, str]:
     sup_r w(r) M(f, r), so each sup-norm of f is a row max of the weighted
     profile, the value :func:`weights.weighted_sup_norm` returns, and the
     growth estimate reads the profile radius by radius.  Each left-hand side
-    is a threshold test, :func:`sup_norm_exceeds`, which transforms only the
-    (member, radius) rows that the majorant cannot settle; the detail counts
-    the clause rows the majorant certified.
+    is a threshold test: the clauses on one stack share one call of
+    :func:`sup_norm_exceeds`, which transforms once each row that some
+    clause's majorant cannot settle; the eight imaginary-axis lam are one
+    solve, swept lam by lam.  The detail counts the clause rows certified.
 
     As the clauses read norms only as ratios, two anchors pin the scales, and
     each failure counts as a violation.  Sweep: the profile of ``const1`` reads
@@ -317,10 +318,11 @@ def check_norm_inequalities(degree: int) -> tuple[bool, str]:
         """f's sup-norm, one row per member, to broadcast against the rows."""
         return (weight_eval(w, grid) * profile_f).max(axis=1, keepdims=True)
 
-    def exceeds(stack, w, limit, divisor=1.0, over=grid):
-        exceeded, sampled = sup_norm_exceeds(stack, w, over, limit, divisor)
-        counts.append((len(members) * len(over), sampled))
-        return exceeded
+    def exceeds(stack, tests, over=grid):
+        """Each named ``(w, limit, divisor)`` test's verdict, from one sweep of ``stack``."""
+        results = sup_norm_exceeds(stack, over, tests.values())
+        counts.extend((len(members) * len(over), sampled) for _, sampled in results)
+        return {name: exceeded for name, (exceeded, _) in zip(tests, results)}
 
     def violated(bad):
         """Member by member, the clauses whose flag in ``bad`` is set."""
@@ -330,24 +332,26 @@ def check_norm_inequalities(degree: int) -> tuple[bool, str]:
     norm_f = {k: norm(vw[k]) for k in (1, 2, 3)}
     cf = cesaro_apply(members)
     growth_limit = profile_f[:, grid > 0] * log_factor * INEQUALITY_SLACK
-    bad = {"growth-estimate": exceeds(cf, None, growth_limit, over=radii)}
-    for k in (1, 2, 3):
-        rhs = continuity_const * norm_f[k] * INEQUALITY_SLACK
-        bad[f"step-shift-k{k}"] = exceeds(cf, vw[k + 1], rhs)
+    bad = exceeds(cf, {"growth-estimate": (None, growth_limit, 1.0)}, over=radii)
+    steps = ((vw[k + 1], continuity_const * norm_f[k] * INEQUALITY_SLACK, 1.0) for k in (1, 2, 3))
+    bad |= exceeds(cf, dict(zip(("step-shift-k1", "step-shift-k2", "step-shift-k3"), steps)))
     norm_w1 = norm(WeightSpec.standard(1.0))
     for t in (0.0, 0.5, 0.9):
         ratio = INEQUALITY_SLACK / ((1.0 - t) * (1.0 - 1.0 / np.e))
         c_t = generalized_cesaro_apply(t, members)
-        bad[f"compact-route-t{t:g}"] = exceeds(c_t, vw[1], ratio, norm_w1)
-    for b in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 8.0, -8.0):
+        bad |= exceeds(c_t, {f"compact-route-t{t:g}": (vw[1], ratio, norm_w1)})
+    bs = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 8.0, -8.0)
+    for b, images in zip(bs, resolvent_recurrence(1j * np.array(bs), members)):
         rhs = imaginary_axis_constant(b) * norm_f[1] * INEQUALITY_SLACK
-        bad[f"imaginary-axis-b{b:g}"] = exceeds(resolvent_recurrence(1j * b, members), vw[2], rhs)
+        bad |= exceeds(images, {f"imaginary-axis-b{b:g}": (vw[2], rhs, 1.0)})
+    del images  # a view that would keep the whole (8, M, N+1) grid alive
     violations = violated(bad)
     u, n, anchors = 2.0**-53, np.arange(degree + 1), {}
+    slack_norm = {k: norm_f[k] * INEQUALITY_SLACK for k in norm_f}
     for t in (0.1, 1.0, 5.0):
         st_f = s_t_apply(t, members)
-        grew = {k: exceeds(st_f, vw[k], norm_f[k] * INEQUALITY_SLACK) for k in (1, 2, 3)}
-        violations += violated({f"contraction-t{t:g}-k{k}": grew[k] for k in grew})
+        grew = {f"contraction-t{t:g}-k{k}": (vw[k], slack_norm[k], 1.0) for k in slack_norm}
+        violations += violated(exceeds(st_f, grew))
         a = np.exp(-t)
         off = np.max(np.abs(st_f[one] - a * (1.0 - a) ** n)) > (degree + 2) * u * a
         anchors[f"const1:mobius-t{t:g}"] = off

@@ -8,6 +8,7 @@ sup-norm, which is always a lower bound on the true one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +44,22 @@ class WeightSpec:
     order: float
 
     def __post_init__(self):
+        # the order is compared before float() converts it: past the float range it is refused
         if self.kind not in ("standard", "log"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "standard":
-            if not (np.isfinite(self.order) and self.order > 0):
-                raise ValueError("standard weight needs order gamma > 0")
-        else:
-            require_count(self.order, "log weight order k", 1)
+        if self.kind == "standard" and not 0 < self.order <= sys.float_info.max:
+            raise ValueError(f"standard weight needs a finite order gamma > 0, got {self.order}")
+        if self.kind == "log":  # a float holds every log order up to 2**53 exactly
+            require_count(self.order, "log weight order k", 1, 2**53)
+        object.__setattr__(self, "order", float(self.order))
 
     @classmethod
     def standard(cls, gamma: float) -> "WeightSpec":
-        return cls("standard", float(gamma))
+        return cls("standard", gamma)
 
     @classmethod
     def log_power(cls, k: int) -> "WeightSpec":
-        return cls("log", float(k))
+        return cls("log", k)
 
 
 def _radii(r) -> np.ndarray:
@@ -133,20 +135,20 @@ def _circle_max(scaled: np.ndarray, samples: int) -> np.ndarray:
 class _Sweep:
     """The set-up of a norm sweep over a stack of one degree: it checks the
     radii, nonempty in [0, 1), and the sample count, and builds once the
-    weights (1 for ``w`` None), the powers 0..N of each radius, one row per
-    radius, and the row width, the least multiple of ``samples`` above N."""
+    powers 0..N of each radius, one row per radius, and the row width, the
+    least multiple of ``samples`` above N."""
 
-    def __init__(self, stack, w: WeightSpec | None, radii, samples):
+    def __init__(self, stack, radii, samples):
         rv = np.atleast_1d(_radii(radii))
         if rv.size == 0:
             raise ValueError("radius grid must be nonempty")
         self.stack, self.radii, self.samples = stack, rv, require_samples(samples)
-        self.weights = np.ones(rv.size) if w is None else weight_eval(w, rv)
         self.powers = rv[:, None] ** np.arange(stack.shape[1])
         self.width = stack.shape[1] + (-stack.shape[1]) % self.samples
 
-    def majorant(self) -> np.ndarray:
-        """U = w(r) sum |a_n| r^n (1 + margin) per (member, radius) row:
+    def majorant(self, *weights) -> list:
+        """U = w(r) sum |a_n| r^n (1 + margin) per (member, radius) row for
+        each array w of ``weights``, one entry per radius, from one product:
         never below the row's computed weighted sampled maximum."""
         # with u = 2**-53 and A = sum |a_n| p_n over the computed powers p_n that
         # both sides use, a computed row value exceeds w A by at most, to first
@@ -165,16 +167,17 @@ class _Sweep:
         margin = 64 * 2.0**-53 * (self.powers.shape[1] + self.samples)
         # an overflowing bound leaves its row open, and :meth:`maxima` refuses it
         with np.errstate(over="ignore", invalid="ignore"):
-            return stack_product(self.powers, np.abs(self.stack)) * (self.weights * (1.0 + margin))
+            sums = stack_product(self.powers, np.abs(self.stack))
+            return [sums * (w * (1.0 + margin)) for w in weights]
 
-    def maxima(self, open_rows) -> np.ndarray:
-        """The weighted sampled maxima of the rows that the boolean (member,
-        radius) mask ``open_rows`` opens, and -inf in the closed ones.  The
-        rows of real and of complex members go through :func:`_circle_max`
-        apart, in blocks of half ``STACK_BLOCK_BYTES``, so a real member
-        always takes the half-spectrum transform.  A maximum that overflows
-        to inf or NaN raises ValueError, and numpy's warnings on the way
-        there are silenced, so that refusal is all a caller sees."""
+    def maxima(self, open_rows, weights) -> np.ndarray:
+        """The sampled maxima times ``weights`` (one per radius) of the rows
+        that the boolean (member, radius) mask ``open_rows`` opens, and -inf in
+        the closed ones.  Real and complex members' rows go through
+        :func:`_circle_max` apart, in blocks of half ``STACK_BLOCK_BYTES``, so a
+        real member always takes the half-spectrum transform.  A maximum that
+        overflows to inf or NaN raises ValueError, and numpy's warnings on the
+        way there are silenced, so that refusal is all a caller sees."""
         stack, size, width = self.stack, self.stack.shape[1], self.width
         real = ~stack.imag.any(axis=1)
         out = np.full(open_rows.shape, -np.inf)
@@ -188,7 +191,7 @@ class _Sweep:
                     part, at = rows[i : i + step], cols[i : i + step]
                     scaled = block[: part.size]
                     np.multiply(source[part], self.powers[at], out=scaled[:, :size])
-                    out[part, at] = _circle_max(scaled, self.samples) * self.weights[at]
+                    out[part, at] = _circle_max(scaled, self.samples) * weights[at]
         if not np.isfinite(out[open_rows]).all():
             raise ValueError("norm sweep overflows: a weighted maximum of the input is not finite")
         return out
@@ -202,9 +205,9 @@ def max_modulus_profile(p, radii, samples: int = SWEEP_SAMPLES) -> np.ndarray:
     path of :func:`weighted_sup_norm` and :func:`sup_norm_exceeds` too, so
     a member's profile is the same alone or in any stack.
     """
-    stack = poly_stack(p)
-    sweep = _Sweep(stack, None, radii, samples)
-    return as_given(p, sweep.maxima(np.ones((len(stack), sweep.radii.size), dtype=bool)))
+    sweep = _Sweep(poly_stack(p), radii, samples)
+    ones = np.ones(sweep.radii.size)
+    return as_given(p, sweep.maxima(np.ones((len(sweep.stack), ones.size), dtype=bool), ones))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,16 +232,17 @@ def weighted_sup_norm(p, w: WeightSpec, samples: int = SWEEP_SAMPLES):
     grid, samples)``.
     """
     stack = poly_stack(p)
-    sweep = _Sweep(stack, w, default_radius_grid(stack.shape[1] - 1), samples)
-    bound = sweep.majorant()
+    sweep = _Sweep(stack, default_radius_grid(stack.shape[1] - 1), samples)
+    weights = weight_eval(w, sweep.radii)
+    [bound] = sweep.majorant(weights)
     # round 1: each member's row of largest bound gives a lower bound on its
     # maximum.  Round 2: a row whose bound lies below that cannot hold the
     # maximum or tie with it, so only the other rows are transformed; the
     # skipped ones keep -inf
     first = np.argmax(bound, axis=1)[:, None] == np.arange(bound.shape[1])
-    lower = sweep.maxima(first)
+    lower = sweep.maxima(first, weights)
     open_rows = ~first & ~(bound < lower.max(axis=1, keepdims=True))
-    values = np.maximum(lower, sweep.maxima(open_rows))
+    values = np.maximum(lower, sweep.maxima(open_rows, weights))
     estimates = [
         NormEstimate(value=float(row[i]), argmax_radius=float(sweep.radii[i]))
         for row, i in zip(values, np.argmax(values, axis=1))
@@ -246,19 +250,26 @@ def weighted_sup_norm(p, w: WeightSpec, samples: int = SWEEP_SAMPLES):
     return as_given(p, estimates)
 
 
-def sup_norm_exceeds(p, w: WeightSpec | None, radii, limit, divisor, samples: int = SWEEP_SAMPLES):
-    """For a Poly or, per member, for a stack of one degree,
-    whether ``weight(r) * M / divisor > limit`` at some radius r, with M the sampled
-    max modulus of :func:`max_modulus_profile` and weight 1 for ``w`` None;
-    and the number of rows transformed.  ``limit`` and ``divisor`` broadcast
-    against the (member, radius) rows.  A row is transformed only when its
-    majorant passes the test: the majorant is never below the computed
-    value, and the division and comparison are monotone, so the verdicts are
-    those of the full profile, bit for bit."""
-    sweep = _Sweep(poly_stack(p), w, radii, samples)
-    open_rows = ~(sweep.majorant() / divisor <= limit)  # a NaN bound leaves its row open
-    values = sweep.maxima(open_rows)
-    return as_given(p, (values / divisor > limit).any(axis=1)), int(open_rows.sum())
+def sup_norm_exceeds(p, radii, tests, samples: int = SWEEP_SAMPLES) -> list:
+    """For each ``(w, limit, divisor)`` of ``tests``, on a Poly or per member
+    of a stack of one degree: whether ``weight(r) * M / divisor > limit`` at
+    some radius r, M the sampled max modulus of :func:`max_modulus_profile`
+    and the weight 1 for ``w`` None; and the number of rows the test opened.
+    ``limit`` and ``divisor`` broadcast against the (member, radius) rows.  A
+    test opens a row unless its majorant settles it (a NaN one does not): the
+    majorant is never below the computed value, so each verdict is the full
+    profile's, bit for bit.  The tests share one set-up and one majorant sum,
+    and each row that some test opens is transformed once."""
+    sweep, tests = _Sweep(poly_stack(p), radii, samples), list(tests)
+    ones = np.ones(sweep.radii.size)
+    weights = [ones if w is None else weight_eval(w, sweep.radii) for w, _, _ in tests]
+    opened = [~(u / d <= limit) for u, (_, limit, d) in zip(sweep.majorant(*weights), tests)]
+    maxima = sweep.maxima(np.logical_or.reduce(opened), ones)
+    verdicts = []
+    for w, rows, (_, limit, divisor) in zip(weights, opened, tests):
+        values = np.multiply(maxima, w, out=np.full(rows.shape, -np.inf), where=rows)
+        verdicts.append((as_given(p, (values / divisor > limit).any(axis=1)), int(rows.sum())))
+    return verdicts
 
 
 @dataclass(frozen=True)

@@ -531,6 +531,33 @@ class TestLogWeightOrder:
         assert message in capsys.readouterr().err
 
 
+class TestDegreesOption:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum", "--degree", "128", "--degrees", "64.5,128", "--grid-points", "3"],
+             "error: section degree must be an integer, got 64.5\n"),
+            (["classify", "--f", "log-inv", "--degrees", "128,512.5,2048"],
+             "error: input degree must be an integer, got 512.5\n"),
+        ],
+        ids=["spectrum", "classify"],
+    )
+    def test_non_integer_degree_is_refused_by_name(self, tmp_path, capsys, argv, message):
+        # each field is read as a number and refused by the count check
+        # that names it, before the output file is opened
+        out = tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == message
+
+    def test_integral_fields_stay_ints(self, tmp_path):
+        out = tmp_path / "growth.json"
+        argv = ["classify", "--f", "log-inv", "--degrees", "64,128.0,256", "--output", str(out)]
+        assert main(argv) == 0
+        degrees = json.loads(out.read_text())["config"]["degrees"]
+        assert degrees == [64, 128, 256] and all(type(d) is int for d in degrees)
+
+
 class TestSpectrumCommand:
     def test_report_payload(self, tmp_path):
         out = tmp_path / "spec.json"

@@ -403,7 +403,7 @@ KERNELS = {
     "resolvent_semigroup": lambda h: resolvent_semigroup(-1.0, h),
     "max_modulus_profile": lambda h: max_modulus_profile(h, [0.0, 0.3, 0.6]),
     "weighted_sup_norm": lambda h: weighted_sup_norm(h, WeightSpec.log_power(1)),
-    "sup_norm_exceeds": lambda h: sup_norm_exceeds(h, None, [0.3, 0.6], 2.0, 1.0)[0],
+    "sup_norm_exceeds": lambda h: sup_norm_exceeds(h, [0.3, 0.6], [(None, 2.0, 1.0)])[0][0],
 }
 
 

@@ -170,8 +170,20 @@ class TestWeightEval:
                     weight_eval(WeightSpec.log_power(1), r)
 
     def test_rejects_bad_orders(self):
-        with pytest.raises(ValueError, match="^standard weight needs order gamma > 0$"):
-            WeightSpec.standard(0.0)
+        # an order is compared before it is converted: 10**400 is refused by
+        # name, not overflowed by float() on the way
+        huge = 10**400
+        for gamma in (0.0, -1, np.inf, np.nan, huge):
+            message = f"^standard weight needs a finite order gamma > 0, got {gamma}$"
+            with pytest.raises(ValueError, match=message):
+                WeightSpec.standard(gamma)
+        past_cap = [
+            lambda: WeightSpec.log_power(huge),
+            lambda: weight_eval(WeightSpec("log", huge), [0.9]),
+        ]
+        for make in past_cap:
+            with pytest.raises(ValueError, match=f"^log weight order k {huge} exceeds the cap {2**53}$"):
+                make()
         with pytest.raises(ValueError, match="^log weight order k must be at least 1$"):
             WeightSpec.log_power(0)
         for order in (1.5, np.inf, np.nan):
@@ -413,7 +425,7 @@ class TestWeightedSupNorm:
         with pytest.raises(ValueError, match="nonempty"):
             max_modulus_profile(Poly([1]), [])
         with pytest.raises(ValueError, match="nonempty"):
-            sup_norm_exceeds(Poly([1]), WeightSpec.log_power(1), [], 1.0, 1.0)
+            sup_norm_exceeds(Poly([1]), [], [(WeightSpec.log_power(1), 1.0, 1.0)])
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_rows_refused_by_every_sweep(self):
@@ -422,7 +434,9 @@ class TestWeightedSupNorm:
         sweeps = [
             lambda: weighted_sup_norm(big, WeightSpec.log_power(1)),
             lambda: max_modulus_profile(big, [0.5, 0.9]),
-            lambda: sup_norm_exceeds(big, None, [0.5, 0.9], 1.0, 1.0),
+            lambda: sup_norm_exceeds(big, [0.5, 0.9], [(None, 1.0, 1.0)]),
+            # the first test's bound, inf, settles every row: the second opens them
+            lambda: sup_norm_exceeds(big, [0.5, 0.9], [(None, np.inf, 1.0), (None, 1.0, 1.0)]),
         ]
         for sweep in sweeps:
             with pytest.raises(ValueError, match="norm sweep overflows"):
@@ -467,7 +481,7 @@ class TestSupNormExceeds:
             divisor = rng.uniform(0.1, 10.0, size=(len(members), 1))
             limit = draw_limits(values.max(axis=1, keepdims=True) / divisor, rng)
         expected = (values / divisor > limit).any(axis=1)
-        exceeded, _ = sup_norm_exceeds(members, w, grid, limit, divisor, samples)
+        [(exceeded, _)] = sup_norm_exceeds(members, grid, [(w, limit, divisor)], samples)
         assert exceeded.tolist() == expected.tolist()
 
     def test_transforms_only_rows_the_bound_leaves_open(self, monkeypatch):
@@ -482,16 +496,70 @@ class TestSupNormExceeds:
         seen = []
         exact = weights._Sweep.maxima
 
-        def recorded(sweep, open_rows):
+        def recorded(sweep, open_rows, row_weights):
             seen.extend(np.argwhere(open_rows).tolist())
-            return exact(sweep, open_rows)
+            return exact(sweep, open_rows, row_weights)
 
         monkeypatch.setattr(weights._Sweep, "maxima", recorded)
-        exceeded, transformed = sup_norm_exceeds(members, w, grid, limit, 1.0)
-        bound = weights._Sweep(poly_stack(members), w, grid, 1024).majorant()
+        [(exceeded, transformed)] = sup_norm_exceeds(members, grid, [(w, limit, 1.0)])
+        sweep = weights._Sweep(poly_stack(members), grid, 1024)
+        [bound] = sweep.majorant(weight_eval(w, grid))
         assert transformed == len(seen) < bound.size
         assert all(bound[m, c] > limit[m, 0] for m, c in seen)
         assert exceeded.tolist() == (values > limit).any(axis=1).tolist()
+
+    @given(
+        st.lists(member_kinds, min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=100),
+        st.sampled_from([8, 9, 64]),
+        st.lists(st.floats(min_value=0.0, max_value=0.99), min_size=1, max_size=12),
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.integers(1, 3).map(WeightSpec.log_power)),
+                st.sampled_from(["scalar", "member", "row"]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tests_on_one_stack_share_one_sweep(self, kinds, size, samples, radii, drawn, seed):
+        # 1-4 tests on one stack, with or without a log weight, a scalar, a
+        # per-member or a per-row limit, divided or not: each verdict and
+        # count is the test's own one-test call, and the rows that some test
+        # opens reach the FFT once, in one call
+        rng = np.random.default_rng(seed)
+        members = [sup_norm_member(kind, size, WeightSpec.log_power(1), rng) for kind in kinds]
+        profile = max_modulus_profile(members, radii, samples)
+        tests, expected = [], []
+        for w, form, divided in drawn:
+            values = profile if w is None else weight_eval(w, radii) * profile
+            divisor = rng.uniform(0.1, 10.0, size=(len(members), 1)) if divided else 1.0
+            scaled = values / divisor
+            peaks = {"scalar": scaled.max(), "member": scaled.max(axis=1, keepdims=True)}
+            limit = draw_limits(np.asarray(peaks.get(form, scaled)), rng)
+            limit = float(limit) if form == "scalar" else limit
+            tests.append((w, limit, divisor))
+            expected.append((scaled > limit).any(axis=1).tolist())
+        seen = []
+        exact = weights._Sweep.maxima
+
+        def recorded(sweep, open_rows, row_weights):
+            seen.append(open_rows.copy())
+            return exact(sweep, open_rows, row_weights)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weights._Sweep, "maxima", recorded)
+            alone = [sup_norm_exceeds(members, radii, [test], samples)[0] for test in tests]
+            opened = seen[:]
+            together = sup_norm_exceeds(members, radii, tests, samples)
+        assert len(seen) == len(tests) + 1
+        assert np.array_equal(seen[-1], np.logical_or.reduce(opened))
+        for got, own, rows, want in zip(together, alone, opened, expected, strict=True):
+            assert got[0].tolist() == own[0].tolist() == want
+            assert got[1] == own[1] == rows.sum()
 
 
 class TestGrowthClassify:
